@@ -1,9 +1,9 @@
-"""Truncated backpropagation through time.
+"""Truncated backpropagation through time over a batch of N sequences.
 
-Deltas are the loss derivatives with respect to presynaptic activations.
-With T forward steps the top delta sits at step T,
+Deltas are the loss derivatives with respect to presynaptic activations, one
+row per sequence.  With T forward steps the top delta sits at step T,
 
-    delta[0] = (output_delta @ w_out.T) * f'(a(T))
+    delta[0] = (output_delta @ w_out.T) * f'(a(T))          (N, n_hid)
 
 and one backward step per depth n = 1..h multiplies by the transposed
 recurrent matrix and the next diagonal of tanh derivatives,
@@ -11,10 +11,11 @@ recurrent matrix and the next diagonal of tanh derivatives,
     delta[n] = (delta[n-1] @ w_rec.T) * f'(a(T-n)).
 
 When h = T the deepest diagonal falls on the initial state and is taken as
-1 - z0**2 (exactly 1 for the usual zero start).  Weight gradients accumulate
-the per-step outer products over the h steps inside the horizon; anything
-older contributes nothing.  For a batched trace the gradients are means over
-the sequences, so the learning rate is independent of batch size.
+1 - z0**2 (exactly 1 for the usual zero start); ``step_fprime`` is the one
+place that rule lives.  Weight gradients accumulate the per-step outer
+products over the h steps inside the horizon; anything older contributes
+nothing.  The gradients are means over the sequences, so the learning rate is
+independent of batch size.
 """
 
 from dataclasses import dataclass
@@ -57,9 +58,8 @@ class Gradients:
 class BpttResult:
     """Deltas for depths 0..h plus accumulated parameter gradients.
 
-    For a single sequence ``deltas`` is (h+1, n_hid) and ``delta_norms``
-    (h+1,); for a batch they gain a leading batch axis and ``grads`` holds
-    the per-sequence mean.
+    ``deltas`` is (N, h+1, n_hid), ``delta_norms`` (N, h+1), and ``grads``
+    holds the mean over the N sequences.
     """
 
     deltas: np.ndarray
@@ -67,13 +67,19 @@ class BpttResult:
     delta_norms: np.ndarray
 
 
-def _boundary_fprime(trace: ForwardTrace) -> np.ndarray:
+def step_fprime(trace: ForwardTrace, step: int) -> np.ndarray:
+    """Diagonal f' at 1-based forward step ``step``, shape (N, n_hid).
+
+    Step 0 is the initial state, whose diagonal is 1 - z0**2.
+    """
+    if step >= 1:
+        return trace.fprime[:, step - 1, :]
     return 1.0 - trace.z0 * trace.z0
 
 
 def backward(params: SrnParams, trace: ForwardTrace, output_delta: np.ndarray,
              cfg: BpttConfig) -> BpttResult:
-    """Backpropagate one output delta (or a batch of them) for h steps."""
+    """Backpropagate a batch (N, n_out) of output deltas for h steps."""
     n_steps = trace.n_steps
     h = cfg.h
     if h > n_steps:
@@ -83,57 +89,30 @@ def backward(params: SrnParams, trace: ForwardTrace, output_delta: np.ndarray,
         raise DimensionError(
             f"output delta {output_delta.shape} does not match outputs {trace.y.shape}")
 
-    delta = (output_delta @ params.w_out.T) * trace.fprime[..., n_steps - 1, :]
+    delta = (output_delta @ params.w_out.T) * trace.fprime[:, n_steps - 1, :]
     deltas = [delta]
     for n in range(1, h + 1):
-        step = n_steps - n  # 1-based step carrying the next diagonal
-        fp = trace.fprime[..., step - 1, :] if step >= 1 else _boundary_fprime(trace)
-        delta = (delta @ params.w_rec.T) * fp
+        delta = (delta @ params.w_rec.T) * step_fprime(trace, n_steps - n)
         deltas.append(delta)
-    deltas = np.stack(deltas, axis=-2)
+    deltas = np.stack(deltas, axis=1)
     if not np.isfinite(deltas).all():
-        finite_by_depth = np.isfinite(deltas).all(axis=(0, -1) if deltas.ndim == 3 else -1)
-        bad = int(np.argwhere(~finite_by_depth)[0][0])
+        bad = int(np.argwhere(~np.isfinite(deltas).all(axis=(0, 2)))[0][0])
         raise NumericalError(f"non-finite delta at depth {bad}")
 
-    # outer-product accumulation; batch sequences stack as rows and the
-    # result is divided through for a per-sequence mean
-    def accum(left, right):
-        return np.atleast_2d(left).T @ np.atleast_2d(right)
-
-    n_seqs = trace.a.shape[0] if trace.batched else 1
+    # outer products summed over the batch rows, then divided through for a
+    # per-sequence mean
     grads = Gradients.zeros_like(params)
-    grads.w_out += accum(trace.z[..., n_steps - 1, :], output_delta)
+    grads.w_out += trace.z[:, n_steps - 1, :].T @ output_delta
     for n in range(h):
         step = n_steps - n
-        delta_n = deltas[..., n, :]
-        z_prev = trace.z[..., step - 2, :] if step >= 2 else trace.z0
-        grads.w_rec += accum(z_prev, delta_n)
-        grads.w_in += accum(trace.inputs[..., step - 1, :], delta_n)
-        grads.b += delta_n.sum(axis=0) if trace.batched else delta_n
-    if n_seqs > 1:
-        for name in ("w_in", "w_rec", "w_out", "b"):
-            setattr(grads, name, getattr(grads, name) / n_seqs)
+        delta_n = deltas[:, n, :]
+        z_prev = trace.z[:, step - 2, :] if step >= 2 else trace.z0
+        grads.w_rec += z_prev.T @ delta_n
+        grads.w_in += trace.inputs[:, step - 1, :].T @ delta_n
+        grads.b += delta_n.sum(axis=0)
+    n_seqs = trace.a.shape[0]
+    for name in ("w_in", "w_rec", "w_out", "b"):
+        setattr(grads, name, getattr(grads, name) / n_seqs)
 
     return BpttResult(deltas=deltas, grads=grads,
                       delta_norms=np.sqrt(np.sum(deltas * deltas, axis=-1)))
-
-
-def jacobian(params: SrnParams, fprime_n: np.ndarray) -> np.ndarray:
-    """State-to-state Jacobian as used by the delta recursion.
-
-    Returns the matrix J with delta[n] = delta[n-1] @ J, i.e. w_rec.T with
-    its columns scaled by the tanh derivatives at the target step.
-    """
-    fprime_n = np.asarray(fprime_n, dtype=np.float64)
-    if fprime_n.shape != (params.n_hid,):
-        raise DimensionError(
-            f"fprime shape {fprime_n.shape} does not match n_hid={params.n_hid}")
-    return params.w_rec.T * fprime_n[None, :]
-
-
-def delta_norm_profile(result: BpttResult) -> list:
-    """Pairs (depth, ||delta||) for a single-sequence backward result."""
-    if result.deltas.ndim != 2:
-        raise DimensionError("profile needs a single-sequence result")
-    return [(n, float(norm)) for n, norm in enumerate(result.delta_norms)]

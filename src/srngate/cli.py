@@ -215,11 +215,10 @@ def cmd_eval(args) -> int:
     if batch.inputs.shape[2] != params.n_in:
         raise ConfigError(f"model expects {params.n_in} input channels, "
                           f"dataset has {batch.inputs.shape[2]}")
-    n_out_needed = (batch.targets.shape[1] if batch.targets.ndim == 2
-                    else int(batch.targets.max()) + 1)
-    if params.n_out < n_out_needed:
-        raise ConfigError(f"model has {params.n_out} outputs, dataset needs "
-                          f"{n_out_needed}")
+    n_out_needed = tasks.TaskSpec(batch.task_kind, batch.T).n_out
+    if params.n_out != n_out_needed:
+        raise ConfigError(f"model has {params.n_out} outputs, {batch.task_kind.value} "
+                          f"needs {n_out_needed}")
     accuracy = trainer.evaluate(params, batch)
     print(f"accuracy {accuracy:.6f} on {batch.n} sequences")
     if args.out:

@@ -9,7 +9,6 @@ import json
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .regularizer import RegConfig
 from .tasks import TaskKind, TaskSpec
 from .trainer import TrainConfig
 
@@ -77,10 +76,6 @@ class RunConfig:
             q_max=self.qmax, r0=self.r0, r0_absolute=self.r0_absolute,
             seed=seed, max_consecutive_rejects=self.max_consecutive_rejects,
             split_sizes=(self.train_size, self.valid_size, self.test_size))
-
-    def reg_config(self) -> RegConfig:
-        return RegConfig(h=self.h, q_min=self.qmin, q_max=self.qmax,
-                         r0=self.r0, r0_absolute=self.r0_absolute)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

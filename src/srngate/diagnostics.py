@@ -65,7 +65,7 @@ def depth_scan(params: SrnParams, probes, h: int, chunk: int = 256) -> DepthProf
             delta_norms = back.delta_norms                      # (N, h+1)
             input_norms = np.sqrt(np.sum(trace.inputs ** 2, axis=2))  # (N, T)
             state_norms = np.sqrt(np.sum(trace.z ** 2, axis=2))       # (N, T)
-            z0_norms = np.sqrt(np.sum(np.atleast_2d(trace.z0) ** 2, axis=1))
+            z0_norms = np.sqrt(np.sum(trace.z0 ** 2, axis=1))
 
             gwin = np.full_like(delta_norms, np.nan)
             gwrec = np.full_like(delta_norms, np.nan)

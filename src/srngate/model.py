@@ -1,14 +1,16 @@
 """Simple recurrent network: parameters, initialization, forward pass, losses.
 
-The network keeps one tanh hidden layer with feedback.  Per step k it
-computes, in row-vector convention,
+The network keeps one tanh hidden layer with feedback.  Every computation
+runs on a batch of N sequences at once; per step k it computes, in
+row-vector convention with one row per sequence,
 
-    a(k) = u(k) @ w_in + z(k-1) @ w_rec + b
+    a(k) = u(k) @ w_in + z(k-1) @ w_rec + b      (N, n_hid)
     z(k) = tanh(a(k))
 
-and reads out once, after the final step:  y = g(z(T) @ w_out)  with g
-linear (regression) or softmax (classification).  All benchmark tasks have a
-single target per sequence, so no per-step outputs are produced.
+and reads out once, after the final step:  y = g(z(T) @ w_out), shape
+(N, n_out), with g linear (regression) or softmax (classification).  All
+benchmark tasks have a single target per sequence, so no per-step outputs are
+produced.  A single sequence is a batch of one: ``seq[None]``.
 """
 
 import json
@@ -74,34 +76,20 @@ class SrnParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything the forward pass saw, kept for backpropagation.
+    """Everything the forward pass saw over a batch of N sequences, kept for
+    backpropagation."""
 
-    Arrays carry an optional leading batch axis: per-step fields have shape
-    (T, n) for one sequence or (N, T, n) for a batch of N.
-    """
-
-    inputs: np.ndarray   # (.., T, n_in)
-    z0: np.ndarray       # (.., n_hid) initial state
-    a: np.ndarray        # (.., T, n_hid) presynaptic activations
-    z: np.ndarray        # (.., T, n_hid) states, tanh(a)
-    fprime: np.ndarray   # (.., T, n_hid) = 1 - z**2
-    y: np.ndarray        # (.., n_out) readout after the final step
+    inputs: np.ndarray   # (N, T, n_in)
+    z0: np.ndarray       # (N, n_hid) initial states
+    a: np.ndarray        # (N, T, n_hid) presynaptic activations
+    z: np.ndarray        # (N, T, n_hid) states, tanh(a)
+    fprime: np.ndarray   # (N, T, n_hid) = 1 - z**2
+    y: np.ndarray        # (N, n_out) readout after the final step
     output_activation: OutputActivation
 
     @property
     def n_steps(self) -> int:
-        return self.a.shape[-2]
-
-    @property
-    def batched(self) -> bool:
-        return self.a.ndim == 3
-
-
-@dataclass
-class LossResult:
-    loss: float
-    output_delta: np.ndarray  # dE / d(presynaptic output), shape (n_out,)
-    correct: bool
+        return self.a.shape[1]
 
 
 def init_gaussian(n_in: int, n_hid: int, n_out: int, sigma: float, seed,
@@ -138,87 +126,40 @@ def _softmax(y_pre: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _run(params: SrnParams, inputs: np.ndarray, z0: np.ndarray) -> ForwardTrace:
-    n_steps = inputs.shape[-2]
-    a_steps = []
-    z_prev = z0
-    for k in range(n_steps):
-        a_k = inputs[..., k, :] @ params.w_in + z_prev @ params.w_rec + params.b
-        z_prev = np.tanh(a_k)
-        a_steps.append(a_k)
-    a = np.stack(a_steps, axis=-2)
-    if not np.isfinite(a).all():
-        bad = int(np.argwhere(~np.isfinite(a).all(axis=(0, -1) if a.ndim == 3 else -1))[0][0])
-        raise NumericalError(f"non-finite activation at step {bad + 1}")
-    z = np.tanh(a)
-    y_pre = z[..., -1, :] @ params.w_out
-    if params.output_activation is OutputActivation.SOFTMAX:
-        y = _softmax(y_pre)
-    else:
-        y = y_pre
-    return ForwardTrace(inputs=inputs, z0=z0, a=a, z=z, fprime=1.0 - z * z, y=y,
-                        output_activation=params.output_activation)
-
-
-def forward(params: SrnParams, seq: np.ndarray, z0: np.ndarray | None = None) -> ForwardTrace:
-    """Run one sequence (T, n_in) through the network; z0 defaults to zeros."""
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[1] != params.n_in:
-        raise DimensionError(f"sequence shape {seq.shape} does not match n_in={params.n_in}")
-    if z0 is None:
-        z0 = np.zeros(params.n_hid)
-    z0 = np.asarray(z0, dtype=np.float64)
-    if z0.shape != (params.n_hid,):
-        raise DimensionError(f"z0 shape {z0.shape} does not match n_hid={params.n_hid}")
-    return _run(params, seq, z0)
-
-
 def forward_batch(params: SrnParams, inputs: np.ndarray,
                   z0: np.ndarray | None = None) -> ForwardTrace:
-    """Run a batch (N, T, n_in) of sequences; all start from the same z0."""
+    """Run a batch (N, T, n_in) of sequences from z0, which is (n_hid,) for a
+    start shared by all sequences or (N, n_hid); it defaults to zeros."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != params.n_in:
         raise DimensionError(f"batch shape {inputs.shape} does not match n_in={params.n_in}")
     if z0 is None:
         z0 = np.zeros(params.n_hid)
     z0 = np.asarray(z0, dtype=np.float64)
-    z0 = np.broadcast_to(z0, (inputs.shape[0], params.n_hid))
-    return _run(params, inputs, z0)
+    try:
+        z0 = np.broadcast_to(z0, (inputs.shape[0], params.n_hid))
+    except ValueError as e:
+        raise DimensionError(f"z0 shape {z0.shape} does not match "
+                             f"{inputs.shape[0]} sequences of n_hid={params.n_hid}") from e
 
-
-def output_loss(trace: ForwardTrace, target, kind: LossKind,
-                tolerance: float = 0.04) -> LossResult:
-    """Loss and its derivative w.r.t. the presynaptic output, one sequence.
-
-    MSE pairs with a linear readout: E = 0.5 * ||y - t||^2, delta = y - t,
-    correct when max|y - t| < tolerance.  Cross-entropy pairs with softmax:
-    E = -log y[class], delta = y - onehot(class), correct when argmax hits.
-    """
-    check_loss_pairing(kind, trace.output_activation)
-    y = trace.y
-    if kind is LossKind.MSE:
-        t = np.asarray(target, dtype=np.float64)
-        if t.shape != y.shape:
-            raise DimensionError(f"target shape {t.shape} does not match output {y.shape}")
-        diff = y - t
-        return LossResult(
-            loss=0.5 * float(diff @ diff),
-            output_delta=diff,
-            correct=bool(np.max(np.abs(diff)) < tolerance),
-        )
-    if kind is LossKind.CROSS_ENTROPY:
-        cls = int(target)
-        if not 0 <= cls < y.shape[-1]:
-            raise ConfigError(f"class index {cls} out of range for {y.shape[-1]} outputs")
-        delta = y.copy()
-        delta[cls] -= 1.0
-        p = max(float(y[cls]), 1e-300)
-        return LossResult(
-            loss=-float(np.log(p)),
-            output_delta=delta,
-            correct=bool(int(np.argmax(y)) == cls),
-        )
-    raise ConfigError(f"unknown loss kind {kind!r}")
+    a_steps = []
+    z_prev = z0
+    for k in range(inputs.shape[1]):
+        a_k = inputs[:, k, :] @ params.w_in + z_prev @ params.w_rec + params.b
+        z_prev = np.tanh(a_k)
+        a_steps.append(a_k)
+    a = np.stack(a_steps, axis=1)
+    if not np.isfinite(a).all():
+        bad = int(np.argwhere(~np.isfinite(a).all(axis=(0, 2)))[0][0])
+        raise NumericalError(f"non-finite activation at step {bad + 1}")
+    z = np.tanh(a)
+    y_pre = z[:, -1, :] @ params.w_out
+    if params.output_activation is OutputActivation.SOFTMAX:
+        y = _softmax(y_pre)
+    else:
+        y = y_pre
+    return ForwardTrace(inputs=inputs, z0=z0, a=a, z=z, fprime=1.0 - z * z, y=y,
+                        output_activation=params.output_activation)
 
 
 def check_loss_pairing(kind: LossKind, activation: OutputActivation) -> None:
@@ -230,7 +171,12 @@ def check_loss_pairing(kind: LossKind, activation: OutputActivation) -> None:
 
 
 def loss_batch(trace: ForwardTrace, targets, kind: LossKind, tolerance: float = 0.04):
-    """Vectorized loss over a batched trace.
+    """Loss and its derivative w.r.t. the presynaptic output, per sequence.
+
+    MSE pairs with a linear readout: E = 0.5 * ||y - t||^2, delta = y - t,
+    correct when max|y - t| < tolerance.  Cross-entropy pairs with softmax:
+    E = -log y[class], delta = y - onehot(class), correct when argmax hits;
+    class ids must lie in [0, n_out).
 
     Returns (losses (N,), output_deltas (N, n_out), correct (N,) bool).
     """
@@ -248,6 +194,9 @@ def loss_batch(trace: ForwardTrace, targets, kind: LossKind, tolerance: float = 
         cls = np.asarray(targets)
         if cls.shape != y.shape[:-1]:
             raise DimensionError(f"targets shape {cls.shape} does not match batch {y.shape[:-1]}")
+        if ((cls < 0) | (cls >= y.shape[1])).any():
+            raise ConfigError(f"class ids must lie in [0, {y.shape[1]}), "
+                              f"got {cls.min()}..{cls.max()}")
         rows = np.arange(y.shape[0])
         p = np.maximum(y[rows, cls], 1e-300)
         deltas = y.copy()
@@ -296,6 +245,9 @@ def deserialize(data: bytes) -> SrnParams:
         b = np.array(doc["b"], dtype=np.float64).reshape(n_hid)
     except (KeyError, ValueError, TypeError) as e:
         raise FormatError(f"malformed model document: {e}") from e
+    for name, block in (("w_in", w_in), ("w_rec", w_rec), ("w_out", w_out), ("b", b)):
+        if not np.isfinite(block).all():
+            raise FormatError(f"model document holds non-finite {name} weights")
     return SrnParams(w_in, w_rec, w_out, b, activation)
 
 

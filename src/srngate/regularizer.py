@@ -1,22 +1,25 @@
 """Differential of the deep-gradient norm and the minibatch gate.
 
-Writing the deepest backpropagated delta as a product over the horizon,
+Writing the deepest backpropagated delta of one sequence as a product over
+the horizon,
 
     delta(k-h)^T = D(T-h) W D(T-h+1) W ... D(T-1) W delta(k)^T,
 
-with W the recurrent matrix and D(s) = diag(1 - z(s)**2), define
+with W the recurrent matrix and D(s) = diag(1 - z(s)**2), define for a
+minibatch of N sequences
 
-    g  = delta(k-h)^T                   (the product above)
+    g  = mean over the batch of delta(k-h)^T      (n_hid,)
     S  = 0.5 * ||g||^2                  (half squared deep-delta norm)
-    dg = sum over factor positions of the same product with one W
-         replaced by a candidate update dW (diagonals held fixed)
+    dg = mean over the batch of the sum over factor positions of the same
+         product with one W replaced by a candidate update dW (diagonals
+         held fixed)
     dS = (g, dg)                        (first-order change of S along dW).
 
 dS is the directional derivative of S with the forward trace frozen:  its
 sign predicts whether applying dW grows or shrinks the deep gradient norm.
-The Q-factor log10(||delta(k)|| / ||delta(k-h)||) measures how much the norm
-changed across the horizon; together they gate which minibatches are used
-for training:
+The Q-factor log10(||delta(k)|| / ||delta(k-h)||), from batch-mean norms,
+measures how much the norm changed across the horizon; together they gate
+which minibatches are used for training:
 
   1. reject when |dS| exceeds the threshold r0 (too large a jump in S);
   2. accept when Q lies inside the safe range [q_min, q_max];
@@ -35,7 +38,6 @@ from enum import Enum
 import numpy as np
 
 from . import bptt as bptt_mod
-from . import model as model_mod
 from .errors import ConfigError, DimensionError
 from .model import ForwardTrace, SrnParams
 
@@ -77,44 +79,10 @@ class RegReport:
     norm_deep: float     # mean per-sequence ||delta(k-h)||
 
 
-def _horizon_fprimes(trace: ForwardTrace, h: int):
-    """Diagonals D(T-i) for i = 1..h, deepest last; h = T uses 1 - z0**2."""
-    n_steps = trace.n_steps
-    if h > n_steps:
-        raise ConfigError(f"horizon {h} exceeds sequence length {n_steps}")
-    out = []
-    for i in range(1, h + 1):
-        step = n_steps - i
-        if step >= 1:
-            out.append(trace.fprime[..., step - 1, :])
-        else:
-            out.append(1.0 - trace.z0 * trace.z0)
-    return out
-
-
-def compute_g(params: SrnParams, trace: ForwardTrace, delta_top: np.ndarray,
-              h: int) -> np.ndarray:
-    """Deep delta built as the explicit factor product applied to delta(k).
-
-    Equals the transpose of the h-th delta from plain backpropagation; both
-    routes exist so they can check each other.  h = 0 returns delta(k) itself.
-    """
-    delta_top = np.asarray(delta_top, dtype=np.float64)
-    if delta_top.shape[-1] != params.n_hid:
-        raise DimensionError(
-            f"delta_top {delta_top.shape} does not match n_hid={params.n_hid}")
-    if h == 0:
-        return delta_top.copy()
-    g = delta_top
-    for fp in _horizon_fprimes(trace, h):
-        # one factor D * W applied to the running column (row form)
-        g = fp * (g @ params.w_rec.T)
-    return g
-
-
-def compute_dg(params: SrnParams, trace: ForwardTrace, delta_top: np.ndarray,
-               dw_rec: np.ndarray, h: int) -> np.ndarray:
-    """Differential of compute_g along dw_rec, diagonals held fixed.
+def compute_dg(params: SrnParams, trace: ForwardTrace, back: bptt_mod.BpttResult,
+               dw_rec: np.ndarray) -> np.ndarray:
+    """Per-sequence differential (N, n_hid) of the deep delta along dw_rec,
+    diagonals held fixed, over the horizon h that ``back`` was run with.
 
     Sum over the h factor positions of the product with that position's W
     replaced by dw_rec.  Linear in dw_rec by construction.
@@ -123,44 +91,20 @@ def compute_dg(params: SrnParams, trace: ForwardTrace, delta_top: np.ndarray,
     if dw_rec.shape != params.w_rec.shape:
         raise DimensionError(
             f"dw_rec {dw_rec.shape} does not match w_rec {params.w_rec.shape}")
-    if h < 1:
-        raise ConfigError(f"dg needs at least one factor, got h={h}")
-    delta_top = np.asarray(delta_top, dtype=np.float64)
-    fps = _horizon_fprimes(trace, h)
+    n_steps = trace.n_steps
+    h = back.deltas.shape[1] - 1
 
-    # suffixes[i] = product of the first i factors applied to delta(k)
-    suffixes = [delta_top]
-    for fp in fps[:-1]:
-        suffixes.append(fp * (suffixes[-1] @ params.w_rec.T))
-
-    # walk the prefix operator inward from the deep end while substituting
-    n_hid = params.n_hid
-    eye = np.eye(n_hid)
-    prefix = eye * fps[h - 1][..., None, :]  # diag(deepest D)
+    # walk the prefix operator inward from the deep end while substituting;
+    # back.deltas[:, i] is the product of the first i factors applied to delta(k)
+    prefix = np.eye(params.n_hid) * bptt_mod.step_fprime(trace, n_steps - h)[:, None, :]
     dg = None
     for i in range(h, 0, -1):
-        term = (prefix @ (suffixes[i - 1] @ dw_rec.T)[..., None])[..., 0]
+        term = (prefix @ (back.deltas[:, i - 1, :] @ dw_rec.T)[..., None])[..., 0]
         dg = term if dg is None else dg + term
         if i > 1:
-            prefix = (prefix @ params.w_rec) * fps[i - 2][..., None, :]
+            prefix = ((prefix @ params.w_rec)
+                      * bptt_mod.step_fprime(trace, n_steps - i + 1)[:, None, :])
     return dg
-
-
-def deep_norm_half_sq(params: SrnParams, trace: ForwardTrace,
-                      delta_top: np.ndarray, h: int,
-                      w_rec: np.ndarray | None = None) -> float:
-    """S as a function of an arbitrary recurrent matrix, trace frozen.
-
-    Batched traces average the deep delta over sequences before taking the
-    norm, matching how the gate aggregates a minibatch.
-    """
-    w = params.w_rec if w_rec is None else np.asarray(w_rec, dtype=np.float64)
-    probe = SrnParams(params.w_in, w, params.w_out, params.b,
-                      params.output_activation)
-    g = compute_g(probe, trace, delta_top, h)
-    if g.ndim == 2:
-        g = g.mean(axis=0)
-    return 0.5 * float(g @ g)
 
 
 def q_factor(norm_top: float, norm_deep: float) -> float:
@@ -202,38 +146,16 @@ def report_from_backward(params: SrnParams, trace: ForwardTrace,
                          cfg: RegConfig) -> RegReport:
     """Build the gate report from an already-computed backward pass."""
     h = cfg.h
-    if back.deltas.shape[-2] != h + 1:
+    if back.deltas.shape[1] != h + 1:
         raise DimensionError(
-            f"backward result carries {back.deltas.shape[-2] - 1} depths, need h={h}")
-    delta_top = back.deltas[..., 0, :]
-    deep = back.deltas[..., h, :]
-    if back.deltas.ndim == 3:
-        norm_top = float(back.delta_norms[:, 0].mean())
-        norm_deep = float(back.delta_norms[:, h].mean())
-        g = deep.mean(axis=0)
-        dg = compute_dg(params, trace, delta_top, candidate_dw_rec, h).mean(axis=0)
-    else:
-        norm_top = float(back.delta_norms[0])
-        norm_deep = float(back.delta_norms[h])
-        g = deep
-        dg = compute_dg(params, trace, delta_top, candidate_dw_rec, h)
+            f"backward result carries {back.deltas.shape[1] - 1} depths, need h={h}")
+    norm_top = float(back.delta_norms[:, 0].mean())
+    norm_deep = float(back.delta_norms[:, h].mean())
+    g = back.deltas[:, h, :].mean(axis=0)
+    dg = compute_dg(params, trace, back, candidate_dw_rec).mean(axis=0)
     S = 0.5 * float(g @ g)
     dS = float(g @ dg)
     q = q_factor(norm_top, norm_deep)
     return RegReport(g=g, dg=dg, dS=dS, S=S, q=q,
                      decision=gate(dS, q, cfg, S),
                      norm_top=norm_top, norm_deep=norm_deep)
-
-
-def evaluate_minibatch(params: SrnParams, batch, cfg: RegConfig,
-                       candidate_dw_rec: np.ndarray) -> RegReport:
-    """Run forward and backward over a batch and gate it; mutates nothing.
-
-    ``batch`` is any object with inputs (N, T, n_in), targets, loss_kind and
-    success_tolerance attributes, as produced by the task generators.
-    """
-    trace = model_mod.forward_batch(params, batch.inputs)
-    _, deltas, _ = model_mod.loss_batch(trace, batch.targets, batch.loss_kind,
-                                        batch.success_tolerance)
-    back = bptt_mod.backward(params, trace, deltas, bptt_mod.BpttConfig(h=cfg.h))
-    return report_from_backward(params, trace, back, candidate_dw_rec, cfg)

@@ -239,7 +239,11 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
 
 
 def load_batch(path) -> SequenceBatch:
-    """Read a file produced by save_batch."""
+    """Read a file produced by save_batch.
+
+    Rejects with FormatError non-finite inputs or targets and, for the
+    temporal-order tasks, class ids outside [0, 2**specials).
+    """
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
         if magic != DATA_MAGIC:
@@ -262,6 +266,11 @@ def load_batch(path) -> SequenceBatch:
     raw = np.frombuffer(payload[n_input_bytes:],
                         dtype="<f8" if t_dtype.kind == "f" else "<i8")
     targets = raw.reshape(t_shape).astype(t_dtype, copy=True)
+    if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+        raise FormatError("dataset holds non-finite inputs or targets")
+    spec = TaskSpec(kind, T)
+    if not spec.regression and ((targets < 0) | (targets >= spec.n_out)).any():
+        raise FormatError(f"{kind.value} class ids must lie in [0, {spec.n_out})")
     return SequenceBatch(inputs=inputs.copy(), targets=targets, task_kind=kind,
                          T=T, loss_kind=LossKind(header["loss_kind"]),
                          success_tolerance=float(header["success_tolerance"]))

@@ -1,8 +1,15 @@
-"""Shared oracle helpers used by both the module tests and the acceptance suite."""
+"""Shared oracle helpers used by both the module tests and the acceptance suite.
+
+The product-form oracles here (``compute_g``, ``deep_norm_half_sq``,
+``jacobian``) restate the horizon's boundary rule on their own, so that a
+wrong step index in the library cannot also hide in its reference.
+"""
 
 import numpy as np
 
+import linalg
 from srngate import bptt, model, regularizer as reg
+from srngate.errors import DimensionError
 from srngate.model import LossKind, OutputActivation, SrnParams
 
 
@@ -17,8 +24,52 @@ def random_net(rng, n_in, n_hid, n_out, activation, scale=0.6):
 
 
 def loss_of(params, seq, target, kind):
-    tr = model.forward(params, seq)
-    return model.output_loss(tr, target, kind).loss
+    tr = model.forward_batch(params, seq[None])
+    losses, _, _ = model.loss_batch(tr, np.asarray(target)[None], kind)
+    return float(losses[0])
+
+
+def compute_g(params, trace, delta_top, h):
+    """Deep deltas (N, n_hid) built as the explicit factor product applied to
+    delta(k): factor i = 1..h is D(T-i) W, where the diagonal before step 1
+    is 1 - z0**2.  h = 0 returns delta(k) itself."""
+    T = trace.n_steps
+    g = np.array(delta_top, dtype=np.float64)
+    for i in range(1, h + 1):
+        fp = trace.fprime[:, T - i - 1, :] if i < T else 1.0 - trace.z0 ** 2
+        g = fp * (g @ params.w_rec.T)
+    return g
+
+
+def deep_norm_half_sq(params, trace, delta_top, h, w_rec=None):
+    """S as a function of an arbitrary recurrent matrix, trace frozen: half
+    the squared norm of the batch-mean deep delta."""
+    w = params.w_rec if w_rec is None else np.asarray(w_rec, dtype=np.float64)
+    probe = SrnParams(params.w_in, w, params.w_out, params.b, params.output_activation)
+    g = compute_g(probe, trace, delta_top, h).mean(axis=0)
+    return 0.5 * float(g @ g)
+
+
+def jacobian(params, fprime_n):
+    """State-to-state Jacobian J with delta[n] = delta[n-1] @ J: w_rec.T with
+    its columns scaled by the tanh derivatives at the target step."""
+    return linalg.scale_cols_by(params.w_rec.T, fprime_n)
+
+
+def delta_norm_profile(result):
+    """Pairs (depth, ||delta||) for a backward result over one sequence."""
+    if result.deltas.shape[0] != 1:
+        raise DimensionError("profile needs a single-sequence result")
+    return [(n, float(norm)) for n, norm in enumerate(result.delta_norms[0])]
+
+
+def evaluate_minibatch(params, batch, cfg, candidate_dw_rec):
+    """Forward, backward and gate report over a batch; mutates nothing."""
+    trace = model.forward_batch(params, batch.inputs)
+    _, deltas, _ = model.loss_batch(trace, batch.targets, batch.loss_kind,
+                                    batch.success_tolerance)
+    back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=cfg.h))
+    return reg.report_from_backward(params, trace, back, candidate_dw_rec, cfg)
 
 
 def fd_gradient(params, seq, target, kind, block, eps=1e-6):
@@ -82,15 +133,15 @@ def theorem1_trial(seed, dw_scale=1e-5):
 
     cfg = reg.RegConfig(h=h, r0=1e18, r0_absolute=True)
     batch = _Minibatch(inputs, targets, LossKind.MSE)
-    report = reg.evaluate_minibatch(params, batch, cfg, dw)
+    report = evaluate_minibatch(params, batch, cfg, dw)
 
     trace = model.forward_batch(params, inputs)
     _, deltas, _ = model.loss_batch(trace, targets, LossKind.MSE)
     back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=h))
     top = back.deltas[..., 0, :]
-    s_mid = reg.deep_norm_half_sq(params, trace, top, h)
-    s_up = reg.deep_norm_half_sq(params, trace, top, h, params.w_rec + dw)
-    s_dn = reg.deep_norm_half_sq(params, trace, top, h, params.w_rec - dw)
+    s_mid = deep_norm_half_sq(params, trace, top, h)
+    s_up = deep_norm_half_sq(params, trace, top, h, params.w_rec + dw)
+    s_dn = deep_norm_half_sq(params, trace, top, h, params.w_rec - dw)
     second_order = abs(s_up + s_dn - 2 * s_mid)
 
     moved = SrnParams(params.w_in, params.w_rec + dw, params.w_out, params.b,

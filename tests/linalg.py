@@ -1,16 +1,17 @@
-"""Small dense float64 linear algebra layer used by every other module.
+"""Shape-checked dense float64 linear algebra for the test oracles.
 
-Convention: backpropagated deltas are ROW vectors and are multiplied on the
-right by matrices (``delta @ w_rec.T``), so a weight matrix always maps
-"source units" (rows) to "target units" (columns).  All public operations
-work on float64 numpy arrays; a ``Vec`` is a 1-d array, a ``Mat`` a 2-d
-array.  Operations that make sense on stacks of row vectors accept an
-optional leading batch axis.
+The library calls numpy directly; these wrappers add the shape checks an
+independent oracle wants, and test_linalg.py checks them against loop
+references.  Convention: backpropagated deltas are ROW vectors and are
+multiplied on the right by matrices (``delta @ w_rec.T``), so a weight matrix
+always maps "source units" (rows) to "target units" (columns).  A ``Vec`` is a
+1-d array, a ``Mat`` a 2-d array.  Operations that make sense on stacks of row
+vectors accept an optional leading batch axis.
 """
 
 import numpy as np
 
-from .errors import DimensionError
+from srngate.errors import DimensionError
 
 Vec = np.ndarray
 Mat = np.ndarray

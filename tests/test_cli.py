@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from srngate import cli, diagnostics, tasks, trainer
+from srngate import cli, diagnostics, model, tasks, trainer
 
 
 def run_cli(argv, capsys=None):
@@ -175,6 +175,46 @@ class TestEval:
                                capsys)
         assert code == cli.EXIT_INPUT
         assert "input channels" in err
+
+    def _order_case(self, tmp_path, capsys, n_out):
+        """A 2-special temporal-order test split and an untrained model with
+        n_out outputs."""
+        run_cli(["gen", "--task", "temporal_order", "--T", "30", "--seed", "1",
+                 "--out", str(tmp_path)] + GEN_SMALL, capsys)
+        params = model.init_gaussian(6, 5, n_out, 0.1, seed=0,
+                                     output_activation=model.OutputActivation.SOFTMAX)
+        model_path = tmp_path / "order_model.json"
+        model.save_model(model_path, params)
+        return model_path, tmp_path / "temporal_order_T30_test.dat"
+
+    def test_negative_class_ids_is_input_error(self, tmp_path, capsys):
+        model_path, data_path = self._order_case(tmp_path, capsys, n_out=4)
+        batch = tasks.load_batch(data_path)
+        batch.targets[:] = -1
+        tasks.save_batch(data_path, batch)
+        code, _, err = run_cli(["eval", "--model", str(model_path),
+                                "--data", str(data_path)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert "class ids" in err
+
+    def test_non_finite_model_is_input_error(self, tmp_path, capsys):
+        model_path, data_path = self._order_case(tmp_path, capsys, n_out=4)
+        params = model.load_model(model_path)
+        params.w_rec[0, 0] = float("nan")
+        model.save_model(model_path, params)
+        code, _, err = run_cli(["eval", "--model", str(model_path),
+                                "--data", str(data_path)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert "non-finite" in err
+
+    def test_outputs_checked_against_task(self, tmp_path, capsys):
+        # an 8-class model cannot score the 4-class task, whatever ids the
+        # data happens to hold
+        model_path, data_path = self._order_case(tmp_path, capsys, n_out=8)
+        code, _, err = run_cli(["eval", "--model", str(model_path),
+                                "--data", str(data_path)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert "needs 4" in err
 
 
 class TestUsageAndConfig:

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from srngate import linalg
+import linalg
 from srngate.errors import DimensionError
 
 

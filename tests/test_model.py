@@ -61,16 +61,16 @@ class TestForward:
     def test_zero_network_linear(self):
         p = model.SrnParams(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((3, 2)),
                             np.zeros(3), OutputActivation.LINEAR)
-        tr = model.forward(p, np.zeros((4, 2)))
-        npt.assert_array_equal(tr.a, np.zeros((4, 3)))
-        npt.assert_array_equal(tr.z, np.zeros((4, 3)))
-        npt.assert_array_equal(tr.y, np.zeros(2))
+        tr = model.forward_batch(p, np.zeros((1, 4, 2)))
+        npt.assert_array_equal(tr.a, np.zeros((1, 4, 3)))
+        npt.assert_array_equal(tr.z, np.zeros((1, 4, 3)))
+        npt.assert_array_equal(tr.y, np.zeros((1, 2)))
 
     def test_zero_network_softmax_uniform(self):
         p = model.SrnParams(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((3, 4)),
                             np.zeros(3), OutputActivation.SOFTMAX)
-        tr = model.forward(p, np.zeros((4, 2)))
-        npt.assert_allclose(tr.y, [0.25, 0.25, 0.25, 0.25], rtol=0, atol=0)
+        tr = model.forward_batch(p, np.zeros((1, 4, 2)))
+        npt.assert_allclose(tr.y, [[0.25, 0.25, 0.25, 0.25]], rtol=0, atol=0)
 
     def test_matches_scalar_hand_computation(self):
         # 2 hidden units, T = 3, every number recomputed with plain floats
@@ -93,29 +93,29 @@ class TestForward:
             z_ref.append(z_prev)
         y_ref = z_prev[0] * 0.7 + z_prev[1] * (-0.6)
 
-        tr = model.forward(p, seq)
-        npt.assert_allclose(tr.a, a_ref, rtol=1e-15)
-        npt.assert_allclose(tr.z, z_ref, rtol=1e-15)
-        npt.assert_allclose(tr.y, [y_ref], rtol=1e-14)
+        tr = model.forward_batch(p, seq[None])
+        npt.assert_allclose(tr.a[0], a_ref, rtol=1e-15)
+        npt.assert_allclose(tr.z[0], z_ref, rtol=1e-15)
+        npt.assert_allclose(tr.y[0], [y_ref], rtol=1e-14)
 
     def test_deterministic(self):
         p = tiny_params(3)
-        seq = np.random.default_rng(4).standard_normal((6, 2))
-        t1 = model.forward(p, seq)
-        t2 = model.forward(p, seq)
+        seq = np.random.default_rng(4).standard_normal((1, 6, 2))
+        t1 = model.forward_batch(p, seq)
+        t2 = model.forward_batch(p, seq)
         assert t1.a.tobytes() == t2.a.tobytes()
         assert t1.y.tobytes() == t2.y.tobytes()
 
     def test_fprime_identity(self):
         p = tiny_params(5)
-        tr = model.forward(p, np.random.default_rng(6).standard_normal((5, 2)))
+        tr = model.forward_batch(p, np.random.default_rng(6).standard_normal((1, 5, 2)))
         npt.assert_array_equal(tr.fprime, 1.0 - tr.z * tr.z)
         assert np.all(tr.fprime > 0) and np.all(tr.fprime <= 1)
         assert np.all(np.abs(tr.z) < 1)
 
     def test_softmax_normalized(self):
         p = tiny_params(7, n_out=5, activation=OutputActivation.SOFTMAX, scale=2.0)
-        tr = model.forward(p, np.random.default_rng(8).standard_normal((6, 2)))
+        tr = model.forward_batch(p, np.random.default_rng(8).standard_normal((1, 6, 2)))
         assert abs(tr.y.sum() - 1.0) < 1e-12
         assert np.all(tr.y > 0)
 
@@ -124,100 +124,111 @@ class TestForward:
         batch = np.random.default_rng(10).standard_normal((4, 6, 2))
         bt = model.forward_batch(p, batch)
         for i in range(4):
-            st = model.forward(p, batch[i])
-            npt.assert_allclose(bt.a[i], st.a, rtol=1e-13, atol=1e-15)
-            npt.assert_allclose(bt.y[i], st.y, rtol=1e-13, atol=1e-15)
+            st = model.forward_batch(p, batch[i][None])
+            npt.assert_allclose(bt.a[i], st.a[0], rtol=1e-13, atol=1e-15)
+            npt.assert_allclose(bt.y[i], st.y[0], rtol=1e-13, atol=1e-15)
 
     def test_shape_errors(self):
         p = tiny_params(11)
         with pytest.raises(DimensionError):
-            model.forward(p, np.zeros((4, 3)))
+            model.forward_batch(p, np.zeros((1, 4, 3)))
         with pytest.raises(DimensionError):
-            model.forward(p, np.zeros((4, 2)), z0=np.zeros(2))
+            model.forward_batch(p, np.zeros((4, 2)))
+        with pytest.raises(DimensionError):
+            model.forward_batch(p, np.zeros((1, 4, 2)), z0=np.zeros(2))
 
     def test_nonfinite_reports_step(self):
         p = tiny_params(12)
-        seq = np.zeros((5, 2))
-        seq[2, 0] = np.inf
+        seq = np.zeros((1, 5, 2))
+        seq[0, 2, 0] = np.inf
         with pytest.raises(NumericalError, match="step 3"):
-            model.forward(p, seq)
+            model.forward_batch(p, seq)
 
 
 class TestOutputLoss:
     def _trace_with_ypre(self, y_pre, activation):
+        """A one-sequence trace whose readout comes from the given y_pre."""
+        y_pre = y_pre[None]
         y = model._softmax(y_pre) if activation is OutputActivation.SOFTMAX else y_pre
-        n = y_pre.shape[0]
         return model.ForwardTrace(
-            inputs=np.zeros((1, 1)), z0=np.zeros(1), a=np.zeros((1, 1)),
-            z=np.zeros((1, 1)), fprime=np.ones((1, 1)), y=y,
+            inputs=np.zeros((1, 1, 1)), z0=np.zeros((1, 1)), a=np.zeros((1, 1, 1)),
+            z=np.zeros((1, 1, 1)), fprime=np.ones((1, 1, 1)), y=y,
             output_activation=activation,
         )
 
+    def _loss(self, y_pre, activation, target, kind, tolerance=0.04):
+        """(loss, output_delta, correct) of the single sequence."""
+        losses, deltas, correct = model.loss_batch(
+            self._trace_with_ypre(y_pre, activation), np.asarray(target)[None], kind,
+            tolerance)
+        return float(losses[0]), deltas[0], bool(correct[0])
+
     def test_exact_hit_mse(self):
-        tr = self._trace_with_ypre(np.array([0.4, -0.2]), OutputActivation.LINEAR)
-        res = model.output_loss(tr, np.array([0.4, -0.2]), LossKind.MSE, tolerance=0.04)
-        assert res.loss == 0.0
-        npt.assert_array_equal(res.output_delta, np.zeros(2))
-        assert res.correct
+        loss, delta, correct = self._loss(np.array([0.4, -0.2]), OutputActivation.LINEAR,
+                                          np.array([0.4, -0.2]), LossKind.MSE)
+        assert loss == 0.0
+        npt.assert_array_equal(delta, np.zeros(2))
+        assert correct
 
     def test_uniform_softmax_cross_entropy(self):
-        tr = self._trace_with_ypre(np.zeros(4), OutputActivation.SOFTMAX)
-        res = model.output_loss(tr, 2, LossKind.CROSS_ENTROPY)
-        assert abs(res.loss - math.log(4.0)) < 1e-12
+        loss, _, _ = self._loss(np.zeros(4), OutputActivation.SOFTMAX, 2,
+                                LossKind.CROSS_ENTROPY)
+        assert abs(loss - math.log(4.0)) < 1e-12
 
     def test_mse_delta_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         y_pre = rng.standard_normal(5)
         t = rng.standard_normal(5)
-        res = model.output_loss(self._trace_with_ypre(y_pre, OutputActivation.LINEAR),
-                                t, LossKind.MSE)
+        _, delta, _ = self._loss(y_pre, OutputActivation.LINEAR, t, LossKind.MSE)
         eps = 1e-6
         for i in range(5):
             up, dn = y_pre.copy(), y_pre.copy()
             up[i] += eps
             dn[i] -= eps
-            lu = model.output_loss(self._trace_with_ypre(up, OutputActivation.LINEAR),
-                                   t, LossKind.MSE).loss
-            ld = model.output_loss(self._trace_with_ypre(dn, OutputActivation.LINEAR),
-                                   t, LossKind.MSE).loss
+            lu = self._loss(up, OutputActivation.LINEAR, t, LossKind.MSE)[0]
+            ld = self._loss(dn, OutputActivation.LINEAR, t, LossKind.MSE)[0]
             fd = (lu - ld) / (2 * eps)
-            npt.assert_allclose(res.output_delta[i], fd, rtol=1e-6, atol=1e-9)
+            npt.assert_allclose(delta[i], fd, rtol=1e-6, atol=1e-9)
 
     def test_cross_entropy_delta_matches_finite_differences(self):
         rng = np.random.default_rng(14)
         y_pre = rng.standard_normal(4)
         cls = 1
-        res = model.output_loss(self._trace_with_ypre(y_pre, OutputActivation.SOFTMAX),
-                                cls, LossKind.CROSS_ENTROPY)
+        _, delta, _ = self._loss(y_pre, OutputActivation.SOFTMAX, cls,
+                                 LossKind.CROSS_ENTROPY)
         eps = 1e-6
         for i in range(4):
             up, dn = y_pre.copy(), y_pre.copy()
             up[i] += eps
             dn[i] -= eps
-            lu = model.output_loss(self._trace_with_ypre(up, OutputActivation.SOFTMAX),
-                                   cls, LossKind.CROSS_ENTROPY).loss
-            ld = model.output_loss(self._trace_with_ypre(dn, OutputActivation.SOFTMAX),
-                                   cls, LossKind.CROSS_ENTROPY).loss
+            lu = self._loss(up, OutputActivation.SOFTMAX, cls, LossKind.CROSS_ENTROPY)[0]
+            ld = self._loss(dn, OutputActivation.SOFTMAX, cls, LossKind.CROSS_ENTROPY)[0]
             fd = (lu - ld) / (2 * eps)
-            npt.assert_allclose(res.output_delta[i], fd, rtol=1e-6, atol=1e-9)
+            npt.assert_allclose(delta[i], fd, rtol=1e-6, atol=1e-9)
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
             y_pre = rng.standard_normal(3)
             t = rng.standard_normal(3)
-            assert model.output_loss(self._trace_with_ypre(y_pre, OutputActivation.LINEAR),
-                                     t, LossKind.MSE).loss >= 0
-            assert model.output_loss(self._trace_with_ypre(y_pre, OutputActivation.SOFTMAX),
-                                     0, LossKind.CROSS_ENTROPY).loss >= 0
+            assert self._loss(y_pre, OutputActivation.LINEAR, t, LossKind.MSE)[0] >= 0
+            assert self._loss(y_pre, OutputActivation.SOFTMAX, 0,
+                              LossKind.CROSS_ENTROPY)[0] >= 0
 
     def test_pairing_mismatch_fatal(self):
         tr = self._trace_with_ypre(np.zeros(3), OutputActivation.LINEAR)
         with pytest.raises(ConfigError):
-            model.output_loss(tr, 0, LossKind.CROSS_ENTROPY)
+            model.loss_batch(tr, np.array([0]), LossKind.CROSS_ENTROPY)
         tr = self._trace_with_ypre(np.zeros(3), OutputActivation.SOFTMAX)
         with pytest.raises(ConfigError):
-            model.output_loss(tr, np.zeros(3), LossKind.MSE)
+            model.loss_batch(tr, np.zeros((1, 3)), LossKind.MSE)
+
+    def test_class_id_out_of_range_fatal(self):
+        # a class id of -1 must not wrap around to the last output
+        tr = self._trace_with_ypre(np.zeros(3), OutputActivation.SOFTMAX)
+        for cls in (-1, 3):
+            with pytest.raises(ConfigError, match="class ids"):
+                model.loss_batch(tr, np.array([cls]), LossKind.CROSS_ENTROPY)
 
     def test_loss_batch_matches_single(self):
         p = tiny_params(16, n_out=3, activation=OutputActivation.SOFTMAX)
@@ -226,11 +237,12 @@ class TestOutputLoss:
         bt = model.forward_batch(p, batch)
         losses, deltas, correct = model.loss_batch(bt, targets, LossKind.CROSS_ENTROPY)
         for i in range(5):
-            st = model.forward(p, batch[i])
-            res = model.output_loss(st, targets[i], LossKind.CROSS_ENTROPY)
-            npt.assert_allclose(losses[i], res.loss, rtol=1e-12)
-            npt.assert_allclose(deltas[i], res.output_delta, rtol=1e-12, atol=1e-15)
-            assert correct[i] == res.correct
+            st = model.forward_batch(p, batch[i:i + 1])
+            loss_i, delta_i, correct_i = model.loss_batch(st, targets[i:i + 1],
+                                                          LossKind.CROSS_ENTROPY)
+            npt.assert_allclose(losses[i], loss_i[0], rtol=1e-12)
+            npt.assert_allclose(deltas[i], delta_i[0], rtol=1e-12, atol=1e-15)
+            assert correct[i] == correct_i[0]
 
 
 class TestSerialization:
@@ -261,6 +273,13 @@ class TestSerialization:
         del doc["w_rec"]
         with pytest.raises(FormatError):
             model.deserialize(json.dumps(doc).encode())
+
+    def test_non_finite_weights_rejected(self):
+        doc = json.loads(model.serialize(tiny_params(0)).decode())
+        for bad in (float("nan"), float("inf")):
+            doc["w_rec"][4] = bad
+            with pytest.raises(FormatError, match="non-finite w_rec"):
+                model.deserialize(json.dumps(doc).encode())
 
     def test_save_load_file(self, tmp_path):
         p = tiny_params(21)

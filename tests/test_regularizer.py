@@ -4,36 +4,37 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import _Minibatch, random_net, theorem1_hit_rate
+from conftest import (_Minibatch, compute_g, deep_norm_half_sq, evaluate_minibatch,
+                      random_net, theorem1_hit_rate)
 
-from srngate import bptt, linalg, model, regularizer as reg
+from srngate import bptt, model, regularizer as reg
 from srngate.errors import ConfigError, DimensionError
 from srngate.model import LossKind, OutputActivation
 from srngate.regularizer import Decision, RegConfig
 
 
 def backward_case(seed, n_in=2, n_hid=4, n_out=2, T=6, h=None, scale=0.5):
+    """Forward and backward over one random sequence, as a batch of one."""
     rng = np.random.default_rng(seed)
     params = random_net(rng, n_in, n_hid, n_out, OutputActivation.LINEAR, scale)
-    seq = rng.standard_normal((T, n_in))
-    tr = model.forward(params, seq)
-    res = model.output_loss(tr, rng.standard_normal(n_out), LossKind.MSE)
-    back = bptt.backward(params, tr, res.output_delta,
-                         bptt.BpttConfig(h=h if h is not None else T))
+    seq = rng.standard_normal((1, T, n_in))
+    tr = model.forward_batch(params, seq)
+    _, deltas, _ = model.loss_batch(tr, rng.standard_normal((1, n_out)), LossKind.MSE)
+    back = bptt.backward(params, tr, deltas, bptt.BpttConfig(h=h if h is not None else T))
     return params, tr, back, rng
 
 
 class TestComputeG:
     def test_empty_product(self):
         params, tr, back, _ = backward_case(0)
-        npt.assert_array_equal(reg.compute_g(params, tr, back.deltas[0], 0),
-                               back.deltas[0])
+        npt.assert_array_equal(compute_g(params, tr, back.deltas[:, 0], 0),
+                               back.deltas[:, 0])
 
     def test_zero_recurrence(self):
         params, tr, back, _ = backward_case(1)
         params.w_rec[:] = 0.0
-        npt.assert_array_equal(reg.compute_g(params, tr, back.deltas[0], 3),
-                               np.zeros(4))
+        npt.assert_array_equal(compute_g(params, tr, back.deltas[:, 0], 3),
+                               np.zeros((1, 4)))
 
     def test_equals_backward_deep_delta(self):
         # the product chain and the step-by-step recursion must agree
@@ -43,8 +44,8 @@ class TestComputeG:
             h = int(rng.integers(1, T + 1))
             params, tr, back, _ = backward_case(seed + 100, T=T,
                                                 n_hid=int(rng.integers(2, 6)), h=T)
-            g = reg.compute_g(params, tr, back.deltas[0], h)
-            npt.assert_allclose(g, back.deltas[h], rtol=1e-12, atol=1e-300)
+            g = compute_g(params, tr, back.deltas[:, 0], h)
+            npt.assert_allclose(g, back.deltas[:, h], rtol=1e-12, atol=1e-300)
 
     def test_batched_matches_per_sequence(self):
         rng = np.random.default_rng(2)
@@ -54,44 +55,45 @@ class TestComputeG:
         btr = model.forward_batch(params, inputs)
         _, deltas, _ = model.loss_batch(btr, targets, LossKind.MSE)
         back = bptt.backward(params, btr, deltas, bptt.BpttConfig(h=6))
-        g = reg.compute_g(params, btr, back.deltas[:, 0, :], 4)
+        g = compute_g(params, btr, back.deltas[:, 0, :], 4)
         for i in range(5):
-            tr = model.forward(params, inputs[i])
-            res = model.output_loss(tr, targets[i], LossKind.MSE)
-            single = bptt.backward(params, tr, res.output_delta, bptt.BpttConfig(h=6))
-            gi = reg.compute_g(params, tr, single.deltas[0], 4)
-            npt.assert_allclose(g[i], gi, rtol=1e-12, atol=1e-300)
+            tr = model.forward_batch(params, inputs[i:i + 1])
+            _, d_i, _ = model.loss_batch(tr, targets[i:i + 1], LossKind.MSE)
+            single = bptt.backward(params, tr, d_i, bptt.BpttConfig(h=6))
+            gi = compute_g(params, tr, single.deltas[:, 0], 4)
+            npt.assert_allclose(g[i], gi[0], rtol=1e-12, atol=1e-300)
 
 
 class TestComputeDg:
     def test_zero_direction(self):
-        params, tr, back, _ = backward_case(3)
-        dg = reg.compute_dg(params, tr, back.deltas[0], np.zeros((4, 4)), 3)
-        npt.assert_array_equal(dg, np.zeros(4))
+        params, tr, back, _ = backward_case(3, h=3)
+        dg = reg.compute_dg(params, tr, back, np.zeros((4, 4)))
+        npt.assert_array_equal(dg, np.zeros((1, 4)))
 
     def test_single_factor_closed_form(self):
-        params, tr, back, rng = backward_case(4)
+        params, tr, back, rng = backward_case(4, h=1)
         dw = rng.standard_normal((4, 4))
-        dg = reg.compute_dg(params, tr, back.deltas[0], dw, 1)
-        expected = tr.fprime[-2] * (back.deltas[0] @ dw.T)
+        dg = reg.compute_dg(params, tr, back, dw)
+        expected = tr.fprime[:, -2] * (back.deltas[:, 0] @ dw.T)
         npt.assert_allclose(dg, expected, rtol=1e-13)
 
     def test_linearity(self):
-        params, tr, back, rng = backward_case(5)
+        params, tr, back, rng = backward_case(5, h=4)
         dw1 = rng.standard_normal((4, 4))
         dw2 = rng.standard_normal((4, 4))
         a, b = 0.7, -2.3
-        lhs = reg.compute_dg(params, tr, back.deltas[0], a * dw1 + b * dw2, 4)
-        rhs = (a * reg.compute_dg(params, tr, back.deltas[0], dw1, 4)
-               + b * reg.compute_dg(params, tr, back.deltas[0], dw2, 4))
+        lhs = reg.compute_dg(params, tr, back, a * dw1 + b * dw2)
+        rhs = (a * reg.compute_dg(params, tr, back, dw1)
+               + b * reg.compute_dg(params, tr, back, dw2))
         npt.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-300)
 
     def test_shape_errors(self):
-        params, tr, back, _ = backward_case(6)
+        params, tr, back, _ = backward_case(6, h=2)
         with pytest.raises(DimensionError):
-            reg.compute_dg(params, tr, back.deltas[0], np.zeros((3, 3)), 2)
+            reg.compute_dg(params, tr, back, np.zeros((3, 3)))
+        # dg needs at least one factor: a zero horizon never gets a backward pass
         with pytest.raises(ConfigError):
-            reg.compute_dg(params, tr, back.deltas[0], np.zeros((4, 4)), 0)
+            bptt.BpttConfig(h=0)
 
     def test_directional_derivative_oracle(self):
         # (g, dg) must match central differences of the frozen-trace S
@@ -102,22 +104,52 @@ class TestComputeDg:
             T = int(rng.integers(3, 9))
             h = int(rng.integers(1, T + 1))
             n_hid = int(rng.integers(2, 7))
-            params, tr, back, _ = backward_case(seed, T=T, n_hid=n_hid, h=T)
+            params, tr, back, _ = backward_case(seed, T=T, n_hid=n_hid, h=h)
             dw = rng.standard_normal((n_hid, n_hid))
             dw /= np.linalg.norm(dw)
-            g = reg.compute_g(params, tr, back.deltas[0], h)
-            dg = reg.compute_dg(params, tr, back.deltas[0], dw, h)
-            ds = float(g @ dg)
+            g = compute_g(params, tr, back.deltas[:, 0], h)
+            dg = reg.compute_dg(params, tr, back, dw)
+            ds = float(g[0] @ dg[0])
             eps = 1e-6
-            s_up = reg.deep_norm_half_sq(params, tr, back.deltas[0], h,
-                                         params.w_rec + eps * dw)
-            s_dn = reg.deep_norm_half_sq(params, tr, back.deltas[0], h,
-                                         params.w_rec - eps * dw)
+            s_up = deep_norm_half_sq(params, tr, back.deltas[:, 0], h,
+                                     params.w_rec + eps * dw)
+            s_dn = deep_norm_half_sq(params, tr, back.deltas[:, 0], h,
+                                     params.w_rec - eps * dw)
             fd = (s_up - s_dn) / (2 * eps)
             assert abs(ds - fd) <= 1e-4 * max(abs(ds), abs(fd)), \
                 f"seed={seed}: ds={ds} fd={fd}"
             checked += 1
         assert checked == 100
+
+    def test_report_ds_matches_fd_with_nonzero_z0(self):
+        # the gate's dS over batches of N >= 2 sequences started from random
+        # nonzero states, at h < T and at h = T, against central differences
+        # of the frozen-trace S; at h = T the deepest diagonal is 1 - z0**2,
+        # which a zero start would hide behind the value 1
+        for seed in range(40):
+            rng = np.random.default_rng(7000 + seed)
+            T = int(rng.integers(2, 8))
+            n_hid = int(rng.integers(2, 6))
+            n = int(rng.integers(2, 5))
+            for h in (int(rng.integers(1, T)), T):
+                params = random_net(rng, 2, n_hid, 2, OutputActivation.LINEAR, 0.5)
+                z0 = rng.uniform(-0.9, 0.9, size=(n, n_hid))
+                tr = model.forward_batch(params, rng.standard_normal((n, T, 2)), z0)
+                _, deltas, _ = model.loss_batch(tr, rng.standard_normal((n, 2)),
+                                                LossKind.MSE)
+                back = bptt.backward(params, tr, deltas, bptt.BpttConfig(h=h))
+                dw = rng.standard_normal((n_hid, n_hid))
+                dw /= np.linalg.norm(dw)
+                report = reg.report_from_backward(params, tr, back, dw, RegConfig(h=h))
+                top = back.deltas[:, 0]
+                eps = 1e-6
+                fd = (deep_norm_half_sq(params, tr, top, h, params.w_rec + eps * dw)
+                      - deep_norm_half_sq(params, tr, top, h, params.w_rec - eps * dw)
+                      ) / (2 * eps)
+                assert abs(report.dS - fd) <= 1e-4 * max(abs(report.dS), abs(fd)), \
+                    f"seed={seed} h={h} T={T}: dS={report.dS} fd={fd}"
+                npt.assert_allclose(report.S, deep_norm_half_sq(params, tr, top, h),
+                                    rtol=1e-12)
 
 
 class TestQFactor:
@@ -215,7 +247,7 @@ class TestEvaluateMinibatch:
         params = random_net(rng, 2, 4, 2, OutputActivation.LINEAR, 0.5)
         batch = self._batch(rng, params)
         cfg = RegConfig(h=6)
-        report = reg.evaluate_minibatch(params, batch, cfg, np.zeros((4, 4)))
+        report = evaluate_minibatch(params, batch, cfg, np.zeros((4, 4)))
         assert report.dS == 0.0
         assert report.decision == reg.gate(0.0, report.q, cfg, report.S)
 
@@ -229,8 +261,8 @@ class TestEvaluateMinibatch:
         batch = _Minibatch(np.repeat(seq[None], 5, axis=0),
                            np.repeat(target[None], 5, axis=0), LossKind.MSE)
         single = _Minibatch(seq[None], target[None], LossKind.MSE)
-        rb = reg.evaluate_minibatch(params, batch, cfg, dw)
-        rs = reg.evaluate_minibatch(params, single, cfg, dw)
+        rb = evaluate_minibatch(params, batch, cfg, dw)
+        rs = evaluate_minibatch(params, single, cfg, dw)
         npt.assert_allclose(rb.g, rs.g, rtol=1e-12)
         npt.assert_allclose(rb.dg, rs.dg, rtol=1e-12)
         npt.assert_allclose(rb.dS, rs.dS, rtol=1e-12)
@@ -244,16 +276,16 @@ class TestEvaluateMinibatch:
             params = random_net(r, 2, 4, 2, OutputActivation.LINEAR, 0.5)
             batch = self._batch(r, params)
             dw = r.standard_normal((4, 4)) * 1e-4
-            report = reg.evaluate_minibatch(params, batch, RegConfig(h=6), dw)
-            npt.assert_allclose(report.S, 0.5 * linalg.norm2(report.g) ** 2,
-                                rtol=1e-12)
-            assert report.dS == linalg.dot(report.g, report.dg)
+            report = evaluate_minibatch(params, batch, RegConfig(h=6), dw)
+            norm_g = float(np.sqrt(np.sum(report.g * report.g)))
+            npt.assert_allclose(report.S, 0.5 * norm_g ** 2, rtol=1e-12)
+            assert report.dS == float(report.g @ report.dg)
 
     def test_no_weight_mutation(self):
         rng = np.random.default_rng(43)
         params = random_net(rng, 2, 4, 2, OutputActivation.LINEAR, 0.5)
         before = params.w_rec.tobytes()
-        reg.evaluate_minibatch(params, self._batch(rng, params), RegConfig(h=6),
+        evaluate_minibatch(params, self._batch(rng, params), RegConfig(h=6),
                                rng.standard_normal((4, 4)))
         assert params.w_rec.tobytes() == before
 

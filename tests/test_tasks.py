@@ -219,3 +219,31 @@ class TestDumpLoad:
         bad.write_bytes(truncated)
         with pytest.raises(FormatError):
             tasks.load_batch(bad)
+
+    def test_non_finite_inputs_rejected(self, tmp_path):
+        batch = tasks.gen_adding(T=25, n=4, seed=22)
+        batch.inputs[1, 3, 0] = np.nan
+        path = tmp_path / "nan_inputs.dat"
+        tasks.save_batch(path, batch)
+        with pytest.raises(FormatError, match="non-finite"):
+            tasks.load_batch(path)
+
+    def test_non_finite_targets_rejected(self, tmp_path):
+        batch = tasks.gen_multiplication(T=25, n=4, seed=23)
+        batch.targets[2, 0] = np.inf
+        path = tmp_path / "inf_targets.dat"
+        tasks.save_batch(path, batch)
+        with pytest.raises(FormatError, match="non-finite"):
+            tasks.load_batch(path)
+
+    def test_class_ids_out_of_range_rejected(self, tmp_path):
+        # 2 specials give classes 0..3, 3 specials 0..7
+        for special_count, bad_ids in ((2, (-1, 4)), (3, (-1, 8))):
+            for bad in bad_ids:
+                batch = tasks.gen_temporal_order(T=30, n=5, seed=24,
+                                                 special_count=special_count)
+                batch.targets[3] = bad
+                path = tmp_path / f"order{special_count}_{bad}.dat"
+                tasks.save_batch(path, batch)
+                with pytest.raises(FormatError, match="class ids"):
+                    tasks.load_batch(path)
