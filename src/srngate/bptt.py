@@ -25,6 +25,8 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NumericalError
 from .model import ForwardTrace, SrnParams
 
+PARAM_BLOCKS = ("w_in", "w_rec", "w_out", "b")
+
 
 @dataclass
 class BpttConfig:
@@ -51,7 +53,7 @@ class Gradients:
 
     def block_norms(self) -> dict:
         return {name: float(np.linalg.norm(getattr(self, name)))
-                for name in ("w_in", "w_rec", "w_out", "b")}
+                for name in PARAM_BLOCKS}
 
 
 @dataclass
@@ -111,7 +113,7 @@ def backward(params: SrnParams, trace: ForwardTrace, output_delta: np.ndarray,
         grads.w_in += trace.inputs[:, step - 1, :].T @ delta_n
         grads.b += delta_n.sum(axis=0)
     n_seqs = trace.a.shape[0]
-    for name in ("w_in", "w_rec", "w_out", "b"):
+    for name in PARAM_BLOCKS:
         setattr(grads, name, getattr(grads, name) / n_seqs)
 
     return BpttResult(deltas=deltas, grads=grads,

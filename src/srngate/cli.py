@@ -10,12 +10,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics, model, tasks, trainer
-from .config import build_config, load_config_file
+from .config import RunConfig, build_config, load_config_file
 from .errors import ConfigError, NumericalError, SrnError
 
 EXIT_USAGE = 1
@@ -93,18 +94,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args, **overrides) -> "RunConfig":
+def _config_from_args(args) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else None
-    keys = ("task", "T", "hidden", "sigma", "alpha", "mu", "batch", "epochs",
-            "iters", "reg", "qmin", "qmax", "r0", "r0_absolute", "out",
-            "train_size", "valid_size", "test_size", "tolerance", "probes",
-            "record_dynamics", "h")
-    flags = {k: getattr(args, k, None) for k in keys}
-    if getattr(args, "seeds", None) is not None:
-        flags["seeds"] = tuple(int(s) for s in str(args.seeds).split(","))
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    if flags["seeds"] is not None:
+        flags["seeds"] = tuple(int(s) for s in flags["seeds"].split(","))
     elif getattr(args, "seed", None) is not None:
         flags["seeds"] = (args.seed,)
-    flags.update(overrides)
     return build_config(file_values, **flags)
 
 
@@ -144,7 +140,6 @@ def cmd_train(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     prefix = args.run_name or time.strftime("%Y%m%d-%H%M%S")
     data = _load_splits(Path(args.data), cfg) if args.data else None
-    spec = cfg.task_spec()
 
     results = {}
     for seed in cfg.seeds:
@@ -154,8 +149,7 @@ def cmd_train(args) -> int:
                               f"outputs are append-only")
         run_dir.mkdir(parents=True)
         recorder = diagnostics.DynamicsRecorder(cfg.h) if cfg.record_dynamics else None
-        outcome = trainer.train(cfg.train_config(seed), spec, data=data,
-                                hook=recorder, log=print)
+        outcome = trainer.train(cfg, seed, data=data, hook=recorder, log=print)
         trainer.write_metrics_csv(run_dir / "metrics.csv", outcome.rows)
         model.save_model(run_dir / "model.json", outcome.best_params, seed=seed)
         if recorder is not None:

@@ -1,21 +1,22 @@
 """Run configuration: documented defaults, file loading, flag precedence.
 
 A run is described by one flat key-value document (JSON).  Command-line
-flags override file values, which override the defaults below; validation
-happens before any compute and names the offending field.
+flags override file values, which override the defaults below.  Every field
+is checked when a RunConfig is constructed, before any compute or output,
+and an error names the offending field.
 """
 
 import json
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .regularizer import RegConfig
 from .tasks import TaskKind, TaskSpec
-from .trainer import TrainConfig
 
 TASK_NAMES = {kind.value: kind for kind in TaskKind}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     task: str = "temporal_order"   # one of the four benchmark names
     T: int = 100                   # sequence length
@@ -42,7 +43,7 @@ class RunConfig:
     max_consecutive_rejects: int = 200
     record_dynamics: bool = False  # also write dynamics.csv per run
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.task not in TASK_NAMES:
             raise ConfigError(
                 f"task: unknown task {self.task!r}; choose from "
@@ -50,32 +51,36 @@ class RunConfig:
         if self.T < 1:
             raise ConfigError(f"T: sequence length must be positive, got {self.T}")
         if self.h is None:
-            self.h = self.T
+            object.__setattr__(self, "h", self.T)
         if self.h < 1 or self.h > self.T:
             raise ConfigError(f"h: horizon must lie in [1, T={self.T}], got {self.h}")
         if self.reg not in ("on", "off"):
             raise ConfigError(f"reg: expected 'on' or 'off', got {self.reg!r}")
         if not self.seeds:
             raise ConfigError("seeds: need at least one seed")
-        if self.probes < 1:
-            raise ConfigError(f"probes: need at least one probe, got {self.probes}")
-        for name in ("train_size", "valid_size", "test_size"):
+        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds: need distinct non-negative seeds, got {self.seeds}")
+        if self.sigma <= 0:
+            raise ConfigError(f"sigma: must be positive, got {self.sigma}")
+        if self.alpha <= 0:
+            raise ConfigError(f"alpha: must be positive, got {self.alpha}")
+        if not 0.0 <= self.mu < 1.0:
+            raise ConfigError(f"mu: must lie in [0, 1), got {self.mu}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs: must be >= 0, got {self.epochs}")
+        for name in ("hidden", "batch", "iters", "train_size", "valid_size",
+                     "test_size", "probes", "max_consecutive_rejects"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name}: must be positive, got {getattr(self, name)}")
+                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
         self.task_spec().validate()
-        self.train_config(self.seeds[0])  # reuses TrainConfig's own checks
+        self.reg_config()  # RegConfig checks qmin < qmax and r0 > 0
 
     def task_spec(self) -> TaskSpec:
         return TaskSpec(TASK_NAMES[self.task], self.T, self.tolerance)
 
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            n_hid=self.hidden, sigma=self.sigma, alpha=self.alpha, mu=self.mu,
-            batch_size=self.batch, epochs=self.epochs, iters_per_epoch=self.iters,
-            h=self.h, reg_enabled=self.reg == "on", q_min=self.qmin,
-            q_max=self.qmax, r0=self.r0, r0_absolute=self.r0_absolute,
-            seed=seed, max_consecutive_rejects=self.max_consecutive_rejects,
-            split_sizes=(self.train_size, self.valid_size, self.test_size))
+    def reg_config(self) -> RegConfig:
+        return RegConfig(h=self.h, q_min=self.qmin, q_max=self.qmax,
+                         r0=self.r0, r0_absolute=self.r0_absolute)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -110,6 +115,4 @@ def build_config(file_values: dict | None = None, **flag_values) -> RunConfig:
             merged[key] = value
     if "seeds" in merged and not isinstance(merged["seeds"], tuple):
         merged["seeds"] = tuple(merged["seeds"])
-    cfg = RunConfig(**merged)
-    cfg.validate()
-    return cfg
+    return RunConfig(**merged)

@@ -14,7 +14,6 @@ presynaptic activations of the current batch (a saturation gauge; collapsed
 deltas co-occur with large activations).
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +22,13 @@ from . import model as model_mod
 from .bptt import BpttConfig, backward
 from .errors import DimensionError
 from .model import SrnParams
-from .trainer import format_value
+from .trainer import read_table, write_table
 
-PROFILE_COLUMNS = ["depth", "delta_norm", "gwin_norm", "gwrec_norm"]
-DYNAMICS_COLUMNS = ["iter", "delta_norm_d0", "delta_norm_dmid", "delta_norm_dh",
-                    "act_mean", "act_median", "decision"]
+PROFILE_COLUMNS = {"depth": int, "delta_norm": float, "gwin_norm": float,
+                   "gwrec_norm": float}
+DYNAMICS_COLUMNS = {"iter": int, "delta_norm_d0": float, "delta_norm_dmid": float,
+                    "delta_norm_dh": float, "act_mean": float, "act_median": float,
+                    "decision": str}
 
 
 @dataclass
@@ -108,29 +109,20 @@ def correlation_check(profile: DepthProfile) -> float:
 
 
 def write_profile_csv(path, profile: DepthProfile) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(PROFILE_COLUMNS)
-        for i in range(len(profile.depths)):
-            writer.writerow([
-                int(profile.depths[i]),
-                format_value(float(profile.delta_norm[i])),
-                format_value(None if np.isnan(profile.gwin_norm[i])
-                             else float(profile.gwin_norm[i])),
-                format_value(None if np.isnan(profile.gwrec_norm[i])
-                             else float(profile.gwrec_norm[i])),
-            ])
+    """One row per depth; nan weight contributions are written as empty cells."""
+    write_table(path, PROFILE_COLUMNS, (
+        {"depth": int(depth), "delta_norm": float(dn),
+         "gwin_norm": None if np.isnan(gi) else float(gi),
+         "gwrec_norm": None if np.isnan(gr) else float(gr)}
+        for depth, dn, gi, gr in zip(profile.depths, profile.delta_norm,
+                                     profile.gwin_norm, profile.gwrec_norm)))
 
 
 def read_profile_csv(path) -> DepthProfile:
-    depths, dn, gi, gr = [], [], [], []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            depths.append(int(row["depth"]))
-            dn.append(float(row["delta_norm"]))
-            gi.append(float(row["gwin_norm"]) if row["gwin_norm"] else np.nan)
-            gr.append(float(row["gwrec_norm"]) if row["gwrec_norm"] else np.nan)
-    return DepthProfile(np.array(depths), np.array(dn), np.array(gi), np.array(gr))
+    rows = read_table(path, PROFILE_COLUMNS)
+    # the columns come in DepthProfile's field order; empty cells read as nan
+    return DepthProfile(*(np.array([np.nan if row[key] is None else row[key]
+                                    for row in rows]) for key in PROFILE_COLUMNS))
 
 
 class DynamicsRecorder:
@@ -159,22 +151,4 @@ class DynamicsRecorder:
         })
 
     def write(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(DYNAMICS_COLUMNS)
-            for row in self.rows:
-                writer.writerow([format_value(row[c]) for c in DYNAMICS_COLUMNS])
-
-
-def read_dynamics_csv(path) -> list:
-    out = []
-    with open(path, newline="") as f:
-        for raw in csv.DictReader(f):
-            row = dict(raw)
-            row["iter"] = int(raw["iter"])
-            for key in ("delta_norm_d0", "delta_norm_dmid", "delta_norm_dh",
-                        "act_mean", "act_median"):
-                row[key] = float(raw[key])
-            row["decision"] = raw["decision"] or None
-            out.append(row)
-    return out
+        write_table(path, DYNAMICS_COLUMNS, self.rows)

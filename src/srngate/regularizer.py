@@ -60,7 +60,7 @@ class RegConfig:
         if self.h < 1:
             raise ConfigError(f"horizon must be at least 1, got {self.h}")
         if not self.q_min < self.q_max:
-            raise ConfigError(f"empty safe range [{self.q_min}, {self.q_max}]")
+            raise ConfigError(f"qmin/qmax: empty safe range [{self.q_min}, {self.q_max}]")
         if self.r0 <= 0:
             raise ConfigError(f"r0 must be positive, got {self.r0}")
 
@@ -75,8 +75,6 @@ class RegReport:
     S: float             # 0.5 * ||g||^2
     q: float             # log10(mean top norm / mean deep norm)
     decision: Decision
-    norm_top: float      # mean per-sequence ||delta(k)||
-    norm_deep: float     # mean per-sequence ||delta(k-h)||
 
 
 def compute_dg(params: SrnParams, trace: ForwardTrace, back: bptt_mod.BpttResult,
@@ -149,13 +147,10 @@ def report_from_backward(params: SrnParams, trace: ForwardTrace,
     if back.deltas.shape[1] != h + 1:
         raise DimensionError(
             f"backward result carries {back.deltas.shape[1] - 1} depths, need h={h}")
-    norm_top = float(back.delta_norms[:, 0].mean())
-    norm_deep = float(back.delta_norms[:, h].mean())
     g = back.deltas[:, h, :].mean(axis=0)
     dg = compute_dg(params, trace, back, candidate_dw_rec).mean(axis=0)
     S = 0.5 * float(g @ g)
     dS = float(g @ dg)
-    q = q_factor(norm_top, norm_deep)
-    return RegReport(g=g, dg=dg, dS=dS, S=S, q=q,
-                     decision=gate(dS, q, cfg, S),
-                     norm_top=norm_top, norm_deep=norm_deep)
+    q = q_factor(float(back.delta_norms[:, 0].mean()),
+                 float(back.delta_norms[:, h].mean()))
+    return RegReport(g=g, dg=dg, dS=dS, S=S, q=q, decision=gate(dS, q, cfg, S))

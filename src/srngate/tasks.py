@@ -241,8 +241,9 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
 def load_batch(path) -> SequenceBatch:
     """Read a file produced by save_batch.
 
-    Rejects with FormatError non-finite inputs or targets and, for the
-    temporal-order tasks, class ids outside [0, 2**specials).
+    Rejects with FormatError a file holding no sequences, non-finite inputs
+    or targets and, for the temporal-order tasks, class ids outside
+    [0, 2**specials).
     """
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
@@ -257,6 +258,8 @@ def load_batch(path) -> SequenceBatch:
             payload = f.read()
         except (json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
             raise FormatError(f"malformed dataset header: {e}") from e
+    if n < 1:
+        raise FormatError(f"dataset holds {n} sequences; need at least one")
     n_input_bytes = n * T * n_in * 8
     expected = n_input_bytes + int(np.prod(t_shape)) * 8
     if len(payload) != expected:

@@ -17,66 +17,26 @@ precision, so a metrics file is a bit-exact record of the run.
 
 import csv
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as model_mod
 from . import tasks as tasks_mod
-from .bptt import BpttConfig, Gradients, backward
-from .errors import ConfigError, NumericalError
+from .bptt import PARAM_BLOCKS, BpttConfig, Gradients, backward
+from .config import RunConfig
+from .errors import FormatError, NumericalError
 from .model import SrnParams
-from .regularizer import Decision, RegConfig, RegReport, report_from_backward
-from .tasks import SequenceBatch, TaskSpec
+from .regularizer import Decision, RegReport, report_from_backward
+from .tasks import SequenceBatch
 
-METRICS_COLUMNS = [
-    "iter", "epoch", "loss", "dS", "S", "q", "decision", "applied",
-    "delta_norm_top", "delta_norm_deep",
-    "gnorm_w_in", "gnorm_w_rec", "gnorm_w_out", "gnorm_b",
-]
-
-PARAM_BLOCKS = ("w_in", "w_rec", "w_out", "b")
-
-
-@dataclass
-class TrainConfig:
-    n_hid: int = 100
-    sigma: float = 0.01
-    alpha: float = 3e-4            # learning rate, inside the 1e-5..1e-3 band
-    mu: float = 0.9                # momentum
-    batch_size: int = 10
-    epochs: int = 2000
-    iters_per_epoch: int = 50      # accepted corrections per epoch
-    h: int = 100                   # BPTT horizon
-    reg_enabled: bool = True
-    q_min: float = -1.0
-    q_max: float = 1.0
-    r0: float = 0.5
-    r0_absolute: bool = False
-    seed: int = 0
-    max_consecutive_rejects: int = 200
-    split_sizes: tuple = (20000, 1000, 10000)
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 <= self.mu < 1.0:
-            raise ConfigError(f"mu must lie in [0, 1), got {self.mu}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.iters_per_epoch < 1:
-            raise ConfigError(f"iters_per_epoch must be >= 1, got {self.iters_per_epoch}")
-        if self.n_hid < 1:
-            raise ConfigError(f"n_hid must be >= 1, got {self.n_hid}")
-        if self.max_consecutive_rejects < 1:
-            raise ConfigError("max_consecutive_rejects must be >= 1, "
-                              f"got {self.max_consecutive_rejects}")
-
-    def reg_config(self) -> RegConfig:
-        return RegConfig(h=self.h, q_min=self.q_min, q_max=self.q_max,
-                         r0=self.r0, r0_absolute=self.r0_absolute)
+METRICS_COLUMNS = {
+    "iter": int, "epoch": int, "loss": float, "dS": float, "S": float,
+    "q": float, "decision": str, "applied": bool,
+    "delta_norm_top": float, "delta_norm_deep": float,
+    "gnorm_w_in": float, "gnorm_w_rec": float, "gnorm_w_out": float,
+    "gnorm_b": float,
+}
 
 
 @dataclass
@@ -115,7 +75,7 @@ class TrainOutcome:
     total_corrections: int
 
 
-def sgd_step(state: TrainState, grads: Gradients, cfg: TrainConfig) -> Gradients:
+def sgd_step(state: TrainState, grads: Gradients, cfg: RunConfig) -> Gradients:
     """Heavy-ball update: v <- mu*v - alpha*g, w <- w + v.  Returns applied dw."""
     applied = {}
     for name in PARAM_BLOCKS:
@@ -130,12 +90,12 @@ def sgd_step(state: TrainState, grads: Gradients, cfg: TrainConfig) -> Gradients
     return Gradients(**applied)
 
 
-def candidate_update(state: TrainState, grads: Gradients, cfg: TrainConfig) -> np.ndarray:
+def candidate_update(state: TrainState, grads: Gradients, cfg: RunConfig) -> np.ndarray:
     """The dw_rec that sgd_step would apply right now; mutates nothing."""
     return cfg.mu * state.velocity.w_rec - cfg.alpha * grads.w_rec
 
 
-def train_iteration(state: TrainState, batch: SequenceBatch, cfg: TrainConfig,
+def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
                     force_accept: bool = False, hook=None) -> IterationResult:
     """One minibatch draw: forward, backward, gate, maybe apply."""
     state.iteration += 1
@@ -148,7 +108,7 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: TrainConfig,
     norm_deep = float(back.delta_norms[:, cfg.h].mean())
 
     report = None
-    if cfg.reg_enabled:
+    if cfg.reg == "on":
         dw_rec = candidate_update(state, back.grads, cfg)
         report = report_from_backward(state.params, trace, back, dw_rec,
                                       cfg.reg_config())
@@ -197,23 +157,22 @@ def _iteration_row(state: TrainState, res: IterationResult) -> dict:
     return row
 
 
-def train(cfg: TrainConfig, spec: TaskSpec, data: dict | None = None,
+def train(cfg: RunConfig, seed: int, data: dict | None = None,
           hook=None, log=print) -> TrainOutcome:
     """Run the full protocol and report validation-selected test accuracy.
 
     ``data`` may carry pre-generated {train, valid, test} splits; otherwise
-    they are derived from the config seed.  ``hook`` (if given) is called
-    after every draw with (state, result, trace, backward result).
+    they are derived from ``seed``.  ``hook`` (if given) is called after
+    every draw with (state, result, trace, backward result).
     """
-    spec.validate()
-    data_seed, init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(3)
+    spec = cfg.task_spec()
+    data_seed, init_seed, shuffle_seed = np.random.SeedSequence(seed).spawn(3)
     if data is None:
-        data = tasks_mod.make_splits(spec, data_seed, cfg.split_sizes)
-    if cfg.h > spec.T:
-        raise ConfigError(f"horizon {cfg.h} exceeds task length {spec.T}")
+        data = tasks_mod.make_splits(spec, data_seed,
+                                     (cfg.train_size, cfg.valid_size, cfg.test_size))
 
     params = model_mod.init_gaussian(
-        spec.n_in, cfg.n_hid, spec.n_out, cfg.sigma,
+        spec.n_in, cfg.hidden, spec.n_out, cfg.sigma,
         seed=init_seed, output_activation=spec.output_activation)
     state = TrainState.fresh(params)
     state.best_params = params.copy()
@@ -221,7 +180,7 @@ def train(cfg: TrainConfig, spec: TaskSpec, data: dict | None = None,
 
     shuffle_rng = np.random.default_rng(shuffle_seed)
     train_set = data["train"]
-    n_batches = (train_set.n + cfg.batch_size - 1) // cfg.batch_size
+    n_batches = (train_set.n + cfg.batch - 1) // cfg.batch
     rows = []
     starvation_events = 0
     total_corrections = 0
@@ -229,12 +188,12 @@ def train(cfg: TrainConfig, spec: TaskSpec, data: dict | None = None,
     for epoch in range(1, cfg.epochs + 1):
         state.epoch = epoch
         order = shuffle_rng.permutation(train_set.n)
-        pool = deque(order[i * cfg.batch_size:(i + 1) * cfg.batch_size]
+        pool = deque(order[i * cfg.batch:(i + 1) * cfg.batch]
                      for i in range(n_batches))
         accepted = 0
         consecutive_rejects = 0
         force_next = False
-        while accepted < cfg.iters_per_epoch:
+        while accepted < cfg.iters:
             idx = pool.popleft()
             batch = train_set.subset(idx)
             res = train_iteration(state, batch, cfg, force_accept=force_next,
@@ -279,31 +238,33 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_metrics_csv(path, rows) -> None:
+def write_table(path, columns: dict, rows) -> None:
+    """Write dict rows as CSV: a header of the column names, then one line
+    per row in column order, each cell through format_value."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([format_value(row[c]) for c in METRICS_COLUMNS])
+            writer.writerow([format_value(row[c]) for c in columns])
 
 
-def read_metrics_csv(path) -> list:
-    """Parse a metrics file back into typed rows (exact float round-trip)."""
-    out = []
+def read_table(path, columns: dict) -> list:
+    """Parse a write_table file back into typed rows (exact float round-trip);
+    an empty cell reads as None."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        for raw in reader:
-            row = {}
-            for key, text in raw.items():
-                if text == "":
-                    row[key] = None
-                elif key in ("iter", "epoch"):
-                    row[key] = int(text)
-                elif key == "decision":
-                    row[key] = text
-                elif key == "applied":
-                    row[key] = text == "1"
-                else:
-                    row[key] = float(text)
-            out.append(row)
-    return out
+        if reader.fieldnames != list(columns):
+            raise FormatError(f"{path}: header {reader.fieldnames} does not match "
+                              f"columns {list(columns)}")
+        return [{key: _parse_cell(text, columns[key]) for key, text in raw.items()}
+                for raw in reader]
+
+
+def _parse_cell(text: str, kind):
+    if text == "":
+        return None
+    return text == "1" if kind is bool else kind(text)
+
+
+def write_metrics_csv(path, rows) -> None:
+    write_table(path, METRICS_COLUMNS, rows)

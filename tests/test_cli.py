@@ -97,13 +97,37 @@ class TestTrain:
         assert code == cli.EXIT_INPUT
         assert "append-only" in err
 
+    def test_bad_value_leaves_no_run_dir(self, tmp_path, capsys):
+        base = ["train", "--task", "adding", "--T", "15", "--seeds", "0",
+                "--out", str(tmp_path), "--run-name", "bad"] + TRAIN_SMALL
+        for bad in (["--qmin", "2", "--qmax", "1"], ["--sigma", "0"], ["--r0", "0"],
+                    ["--r0", "-1", "--reg", "off"]):
+            assert run_cli(base + bad, capsys)[0] == cli.EXIT_INPUT, bad
+            assert not (tmp_path / "bad_seed0").exists(), bad
+        assert run_cli(base, capsys)[0] == 0
+
+    def test_empty_valid_split_is_input_error(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert run_cli(["gen", "--task", "adding", "--T", "15", "--seed", "1",
+                        "--out", str(data_dir)] + GEN_SMALL, capsys)[0] == 0
+        valid_path = data_dir / "adding_T15_valid.dat"
+        tasks.save_batch(valid_path, tasks.load_batch(valid_path).subset(slice(0, 0)))
+        code, _, err = run_cli(["train", "--task", "adding", "--T", "15",
+                                "--seeds", "0", "--out", str(tmp_path),
+                                "--run-name", "e", "--data", str(data_dir)]
+                               + TRAIN_SMALL, capsys)
+        assert code == cli.EXIT_INPUT
+        assert "0 sequences" in err
+
     def test_record_dynamics(self, tmp_path, capsys):
         base = ["train", "--task", "adding", "--T", "15", "--seeds", "0",
                 "--out", str(tmp_path), "--run-name", "dyn",
                 "--record-dynamics"] + TRAIN_SMALL
         assert run_cli(base, capsys)[0] == 0
-        rows = diagnostics.read_dynamics_csv(tmp_path / "dyn_seed0" / "dynamics.csv")
-        metrics = trainer.read_metrics_csv(tmp_path / "dyn_seed0" / "metrics.csv")
+        rows = trainer.read_table(tmp_path / "dyn_seed0" / "dynamics.csv",
+                                  diagnostics.DYNAMICS_COLUMNS)
+        metrics = trainer.read_table(tmp_path / "dyn_seed0" / "metrics.csv",
+                                     trainer.METRICS_COLUMNS)
         assert len(rows) == len(metrics)
 
     def test_pregenerated_data_roundtrip(self, tmp_path, capsys):
@@ -165,6 +189,19 @@ class TestEval:
         doc = json.loads(out_json.read_text())
         assert 0.0 <= doc["accuracy"] <= 1.0
         assert doc["n"] == 20
+
+    def test_empty_dataset_is_input_error(self, tmp_path, capsys):
+        data_path = tmp_path / "empty.dat"
+        tasks.save_batch(data_path, tasks.gen_temporal_order(T=30, n=3, seed=1)
+                         .subset(slice(0, 0)))
+        params = model.init_gaussian(6, 5, 4, 0.1, seed=0,
+                                     output_activation=model.OutputActivation.SOFTMAX)
+        model_path = tmp_path / "model.json"
+        model.save_model(model_path, params)
+        code, _, err = run_cli(["eval", "--model", str(model_path),
+                                "--data", str(data_path)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert "0 sequences" in err
 
     def test_dims_mismatch_is_input_error(self, tmp_path, capsys):
         model_path, _ = self._train_tiny(tmp_path, capsys)

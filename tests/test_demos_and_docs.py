@@ -1,0 +1,30 @@
+"""The demos run and FORMATS.md names every config field, so a rename in
+the package cannot leave either behind unnoticed."""
+
+import os
+import re
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from srngate.config import RunConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_formats_lists_every_config_field():
+    text = (ROOT / "FORMATS.md").read_text()
+    section = text.split("## Config file (`--config`)", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
+    assert documented == [f.name for f in fields(RunConfig)]

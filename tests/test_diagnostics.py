@@ -3,9 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from srngate import bptt, diagnostics as diag, model, tasks, trainer
+from srngate.config import RunConfig
 from srngate.model import LossKind, OutputActivation
-from srngate.tasks import TaskKind, TaskSpec
-from srngate.trainer import TrainConfig
 
 
 def probe_batch(T=40, n=30, seed=0):
@@ -122,14 +121,12 @@ class TestProfileCsv:
 
 
 class TestDynamicsRecorder:
-    def _run(self, epochs=1, reg_enabled=True, seed=0):
-        cfg = TrainConfig(n_hid=8, sigma=0.02, alpha=1e-3, batch_size=5,
-                          epochs=epochs, iters_per_epoch=3, h=12,
-                          reg_enabled=reg_enabled, seed=seed,
-                          split_sizes=(60, 20, 30))
+    def _run(self, epochs=1, reg="on", seed=0):
+        cfg = RunConfig(task="adding", T=12, hidden=8, sigma=0.02, alpha=1e-3,
+                        batch=5, epochs=epochs, iters=3, h=12, reg=reg,
+                        train_size=60, valid_size=20, test_size=30)
         recorder = diag.DynamicsRecorder(h=cfg.h)
-        outcome = trainer.train(cfg, TaskSpec(TaskKind.ADDING, 12),
-                                hook=recorder, log=lambda *_: None)
+        outcome = trainer.train(cfg, seed, hook=recorder, log=lambda *_: None)
         return recorder, outcome
 
     def test_rows_ordered_per_iteration(self):
@@ -143,7 +140,7 @@ class TestDynamicsRecorder:
         recorder, _ = self._run()
         path = tmp_path / "dynamics.csv"
         recorder.write(path)
-        loaded = diag.read_dynamics_csv(path)
+        loaded = trainer.read_table(path, diag.DYNAMICS_COLUMNS)
         assert len(loaded) == len(recorder.rows)
         for raw, back in zip(recorder.rows, loaded):
             for key in diag.DYNAMICS_COLUMNS:

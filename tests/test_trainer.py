@@ -4,11 +4,11 @@ import pytest
 
 from srngate import model, tasks, trainer
 from srngate.bptt import Gradients
-from srngate.errors import ConfigError
+from srngate.config import RunConfig
+from srngate.errors import ConfigError, FormatError
 from srngate.model import OutputActivation
 from srngate.regularizer import Decision
-from srngate.tasks import TaskKind, TaskSpec
-from srngate.trainer import TrainConfig, TrainState
+from srngate.trainer import TrainState
 
 
 def scalar_state(w=1.0):
@@ -23,11 +23,15 @@ def unit_grads(value=1.0):
 
 
 def small_config(**kw):
-    defaults = dict(n_hid=8, sigma=0.02, alpha=1e-3, mu=0.9, batch_size=5,
-                    epochs=2, iters_per_epoch=4, h=12, seed=1,
-                    split_sizes=(60, 20, 30))
+    defaults = dict(task="adding", T=12, hidden=8, sigma=0.02, alpha=1e-3,
+                    mu=0.9, batch=5, epochs=2, iters=4, h=12,
+                    train_size=60, valid_size=20, test_size=30)
     defaults.update(kw)
-    return TrainConfig(**defaults)
+    return RunConfig(**defaults)
+
+
+def train_quietly(cfg, seed=1):
+    return trainer.train(cfg, seed, log=lambda *_: None)
 
 
 class TestSgdStep:
@@ -84,16 +88,16 @@ class TestCandidateUpdate:
 
 
 class TestTrainIteration:
-    def _setup(self, reg_enabled=True, **kw):
-        cfg = small_config(reg_enabled=reg_enabled, **kw)
-        spec = TaskSpec(TaskKind.ADDING, 12)
-        batch = tasks.generate(spec, cfg.batch_size, seed=3)
-        params = model.init_gaussian(spec.n_in, cfg.n_hid, spec.n_out, cfg.sigma,
+    def _setup(self, reg="on", **kw):
+        cfg = small_config(reg=reg, **kw)
+        spec = cfg.task_spec()
+        batch = tasks.generate(spec, cfg.batch, seed=3)
+        params = model.init_gaussian(spec.n_in, cfg.hidden, spec.n_out, cfg.sigma,
                                      seed=4, output_activation=spec.output_activation)
         return cfg, batch, TrainState.fresh(params)
 
     def test_reg_disabled_always_applies(self):
-        cfg, batch, state = self._setup(reg_enabled=False)
+        cfg, batch, state = self._setup(reg="off")
         for _ in range(3):
             res = trainer.train_iteration(state, batch, cfg)
             assert res.applied
@@ -114,12 +118,12 @@ class TestTrainIteration:
             assert getattr(state.velocity, n).tobytes() == v_before[n]
 
     def test_forced_accept_applies(self):
-        cfg, batch, state = self._setup(q_min=-1e-9, q_max=1e-9)
+        cfg, batch, state = self._setup(qmin=-1e-9, qmax=1e-9)
         res = trainer.train_iteration(state, batch, cfg, force_accept=True)
         assert res.applied and res.forced
 
     def test_accept_applies_exactly_sgd_step(self):
-        cfg, batch, state = self._setup(reg_enabled=False)
+        cfg, batch, state = self._setup(reg="off")
         twin = TrainState.fresh(state.params.copy())
         trace = model.forward_batch(state.params, batch.inputs)
         from srngate.bptt import BpttConfig, backward
@@ -168,18 +172,16 @@ class TestEvaluate:
 
 class TestTrain:
     def test_zero_epochs_returns_initial_accuracies(self):
-        cfg = small_config(epochs=0)
-        outcome = trainer.train(cfg, TaskSpec(TaskKind.ADDING, 12), log=lambda *_: None)
+        outcome = train_quietly(small_config(epochs=0))
         assert outcome.rows == []
         assert outcome.total_corrections == 0
         assert 0.0 <= outcome.test_accuracy <= 1.0
         assert outcome.best_valid_accuracy >= 0.0
 
     def test_deterministic_given_seed(self):
-        cfg = small_config(epochs=2, reg_enabled=True)
-        spec = TaskSpec(TaskKind.ADDING, 12)
-        o1 = trainer.train(cfg, spec, log=lambda *_: None)
-        o2 = trainer.train(cfg, spec, log=lambda *_: None)
+        cfg = small_config(epochs=2, reg="on")
+        o1 = train_quietly(cfg)
+        o2 = train_quietly(cfg)
         assert o1.rows == o2.rows
         assert o1.test_accuracy == o2.test_accuracy
         for n in trainer.PARAM_BLOCKS:
@@ -187,8 +189,7 @@ class TestTrain:
                     == getattr(o2.final_params, n).tobytes())
 
     def test_accepted_iterations_per_epoch_exact(self):
-        cfg = small_config(epochs=3, iters_per_epoch=5)
-        outcome = trainer.train(cfg, TaskSpec(TaskKind.ADDING, 12), log=lambda *_: None)
+        outcome = train_quietly(small_config(epochs=3, iters=5))
         assert outcome.total_corrections == 15
         by_epoch = {}
         for row in outcome.rows:
@@ -197,8 +198,8 @@ class TestTrain:
         assert all(v == 5 for v in by_epoch.values())
 
     def test_gate_audit_on_logged_rows(self):
-        cfg = small_config(epochs=3, reg_enabled=True)
-        outcome = trainer.train(cfg, TaskSpec(TaskKind.ADDING, 12), log=lambda *_: None)
+        cfg = small_config(epochs=3, reg="on")
+        outcome = train_quietly(cfg)
         reg_cfg = cfg.reg_config()
         assert any(row["decision"] is not None for row in outcome.rows)
         for row in outcome.rows:
@@ -213,34 +214,31 @@ class TestTrain:
             assert ok, f"accept violates gate: {row}"
 
     def test_h_longer_than_task_fatal(self):
-        cfg = small_config(h=50)
         with pytest.raises(ConfigError):
-            trainer.train(cfg, TaskSpec(TaskKind.ADDING, 12), log=lambda *_: None)
+            small_config(h=50)
 
     def test_best_snapshot_beats_or_ties_validation_history(self):
-        cfg = small_config(epochs=4)
-        spec = TaskSpec(TaskKind.ADDING, 12)
-        outcome = trainer.train(cfg, spec, log=lambda *_: None)
+        outcome = train_quietly(small_config(epochs=4))
         assert 0.0 <= outcome.best_valid_accuracy <= 1.0
 
 
 class TestConfigValidation:
     def test_bad_values(self):
         for kw in (dict(alpha=0.0), dict(mu=1.0), dict(mu=-0.1),
-                   dict(batch_size=0), dict(iters_per_epoch=0),
-                   dict(epochs=-1), dict(n_hid=0),
-                   dict(max_consecutive_rejects=0)):
+                   dict(batch=0), dict(iters=0),
+                   dict(epochs=-1), dict(hidden=0),
+                   dict(max_consecutive_rejects=0), dict(sigma=0.0),
+                   dict(qmin=2.0, qmax=1.0), dict(r0=0.0)):
             with pytest.raises(ConfigError):
                 small_config(**kw)
 
 
 class TestMetricsCsv:
     def test_round_trip_exact(self, tmp_path):
-        cfg = small_config(epochs=2)
-        outcome = trainer.train(cfg, TaskSpec(TaskKind.ADDING, 12), log=lambda *_: None)
+        outcome = train_quietly(small_config(epochs=2))
         path = tmp_path / "metrics.csv"
         trainer.write_metrics_csv(path, outcome.rows)
-        parsed = trainer.read_metrics_csv(path)
+        parsed = trainer.read_table(path, trainer.METRICS_COLUMNS)
         assert len(parsed) == len(outcome.rows)
         for raw, back in zip(outcome.rows, parsed):
             for key in trainer.METRICS_COLUMNS:
@@ -248,17 +246,21 @@ class TestMetricsCsv:
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = small_config(epochs=2)
-        spec = TaskSpec(TaskKind.ADDING, 12)
         p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-        trainer.write_metrics_csv(p1, trainer.train(cfg, spec, log=lambda *_: None).rows)
-        trainer.write_metrics_csv(p2, trainer.train(cfg, spec, log=lambda *_: None).rows)
+        trainer.write_metrics_csv(p1, train_quietly(cfg).rows)
+        trainer.write_metrics_csv(p2, train_quietly(cfg).rows)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_reg_off_leaves_gate_columns_empty(self, tmp_path):
-        cfg = small_config(epochs=1, reg_enabled=False)
-        outcome = trainer.train(cfg, TaskSpec(TaskKind.ADDING, 12), log=lambda *_: None)
+        outcome = train_quietly(small_config(epochs=1, reg="off"))
         path = tmp_path / "metrics.csv"
         trainer.write_metrics_csv(path, outcome.rows)
-        parsed = trainer.read_metrics_csv(path)
+        parsed = trainer.read_table(path, trainer.METRICS_COLUMNS)
         assert all(row["dS"] is None and row["decision"] is None for row in parsed)
         assert all(row["delta_norm_top"] is not None for row in parsed)
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        trainer.write_metrics_csv(path, train_quietly(small_config(epochs=1)).rows)
+        with pytest.raises(FormatError, match="header"):
+            trainer.read_table(path, {"iter": int})
