@@ -94,11 +94,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _parse_list(text: str, kind, name: str) -> list:
+    """A comma-separated flag value as a list of ``kind``."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"{name}: expected comma-separated numbers, got {text!r}") from e
+
+
 def _config_from_args(args) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else None
     flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     if flags["seeds"] is not None:
-        flags["seeds"] = tuple(int(s) for s in flags["seeds"].split(","))
+        flags["seeds"] = _parse_list(flags["seeds"], int, "seeds")
     elif getattr(args, "seed", None) is not None:
         flags["seeds"] = (args.seed,)
     return build_config(file_values, **flags)
@@ -181,7 +189,7 @@ def cmd_train(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _config_from_args(args)
-    sigmas = ([float(s) for s in args.sigmas.split(",")]
+    sigmas = (_parse_list(args.sigmas, float, "sigmas")
               if args.sigmas else [cfg.sigma])
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

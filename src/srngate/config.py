@@ -8,6 +8,7 @@ and an error names the offending field.
 
 import json
 from dataclasses import dataclass, fields
+from typing import get_args
 
 from .errors import ConfigError
 from .regularizer import RegConfig
@@ -44,6 +45,7 @@ class RunConfig:
     record_dynamics: bool = False  # also write dynamics.csv per run
 
     def __post_init__(self):
+        self._check_types()
         if self.task not in TASK_NAMES:
             raise ConfigError(
                 f"task: unknown task {self.task!r}; choose from "
@@ -75,15 +77,29 @@ class RunConfig:
         self.task_spec().validate()
         self.reg_config()  # RegConfig checks qmin < qmax and r0 > 0
 
+    def _check_types(self) -> None:
+        """Every field against its declared type; seeds become a tuple."""
+        if not (isinstance(self.seeds, (list, tuple)) and all(
+                isinstance(s, int) and not isinstance(s, bool) for s in self.seeds)):
+            raise ConfigError(f"seeds: expected a list of integers, got {self.seeds!r}")
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            accepted = get_args(f.type) or (f.type,)  # int | None: (int, NoneType)
+            if float in accepted:
+                accepted += (int,)
+            # bool subclasses int, but is no number here
+            if (not isinstance(value, accepted)
+                    or isinstance(value, bool) and bool not in accepted):
+                name = getattr(f.type, "__name__", str(f.type))
+                raise ConfigError(f"{f.name}: expected {name}, got {value!r}")
+
     def task_spec(self) -> TaskSpec:
         return TaskSpec(TASK_NAMES[self.task], self.T, self.tolerance)
 
     def reg_config(self) -> RegConfig:
         return RegConfig(h=self.h, q_min=self.qmin, q_max=self.qmax,
                          r0=self.r0, r0_absolute=self.r0_absolute)
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def load_config_file(path) -> dict:
@@ -95,7 +111,7 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config file {path}: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
-    unknown = set(doc) - set(_FIELD_TYPES)
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"config file {path}: unknown keys {sorted(unknown)}")
     return doc
@@ -113,6 +129,4 @@ def build_config(file_values: dict | None = None, **flag_values) -> RunConfig:
     for key, value in flag_values.items():
         if value is not None:
             merged[key] = value
-    if "seeds" in merged and not isinstance(merged["seeds"], tuple):
-        merged["seeds"] = tuple(merged["seeds"])
     return RunConfig(**merged)

@@ -16,6 +16,7 @@ produced.  A single sequence is a batch of one: ``seq[None]``.
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -77,19 +78,28 @@ class SrnParams:
 @dataclass
 class ForwardTrace:
     """Everything the forward pass saw over a batch of N sequences, kept for
-    backpropagation."""
+    backpropagation.  The states and their derivatives are built from ``a``
+    on first use, so scoring, which reads only ``y``, never pays for them."""
 
     inputs: np.ndarray   # (N, T, n_in)
     z0: np.ndarray       # (N, n_hid) initial states
     a: np.ndarray        # (N, T, n_hid) presynaptic activations
-    z: np.ndarray        # (N, T, n_hid) states, tanh(a)
-    fprime: np.ndarray   # (N, T, n_hid) = 1 - z**2
     y: np.ndarray        # (N, n_out) readout after the final step
     output_activation: OutputActivation
 
     @property
     def n_steps(self) -> int:
         return self.a.shape[1]
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        """(N, T, n_hid) states, tanh(a)."""
+        return np.tanh(self.a)
+
+    @cached_property
+    def fprime(self) -> np.ndarray:
+        """(N, T, n_hid) tanh derivatives, 1 - z**2."""
+        return 1.0 - self.z * self.z
 
 
 def init_gaussian(n_in: int, n_hid: int, n_out: int, sigma: float, seed,
@@ -142,23 +152,30 @@ def forward_batch(params: SrnParams, inputs: np.ndarray,
         raise DimensionError(f"z0 shape {z0.shape} does not match "
                              f"{inputs.shape[0]} sequences of n_hid={params.n_hid}") from e
 
-    a_steps = []
+    n_seqs, n_steps = inputs.shape[:2]
+    a = np.empty((n_seqs, n_steps, params.n_hid))
+    t = np.empty((n_seqs, params.n_hid))
+    r = np.empty_like(t)
     z_prev = z0
-    for k in range(inputs.shape[1]):
-        a_k = inputs[:, k, :] @ params.w_in + z_prev @ params.w_rec + params.b
-        z_prev = np.tanh(a_k)
-        a_steps.append(a_k)
-    a = np.stack(a_steps, axis=1)
+    for k in range(n_steps):
+        # (x @ w_in + z @ w_rec) + b in contiguous buffers: tanh on the strided
+        # a[:, k, :] runs several times slower.  The projection stays one
+        # product per step: numpy takes a one-row product through gemv, and a
+        # single GEMM over all steps would round a batch of one differently.
+        np.matmul(inputs[:, k, :], params.w_in, out=t)
+        t += np.matmul(z_prev, params.w_rec, out=r)
+        t += params.b
+        a[:, k, :] = t
+        z_prev = np.tanh(t)
     if not np.isfinite(a).all():
         bad = int(np.argwhere(~np.isfinite(a).all(axis=(0, 2)))[0][0])
         raise NumericalError(f"non-finite activation at step {bad + 1}")
-    z = np.tanh(a)
-    y_pre = z[:, -1, :] @ params.w_out
+    y_pre = z_prev @ params.w_out
     if params.output_activation is OutputActivation.SOFTMAX:
         y = _softmax(y_pre)
     else:
         y = y_pre
-    return ForwardTrace(inputs=inputs, z0=z0, a=a, z=z, fprime=1.0 - z * z, y=y,
+    return ForwardTrace(inputs=inputs, z0=z0, a=a, y=y,
                         output_activation=params.output_activation)
 
 
@@ -178,7 +195,8 @@ def loss_batch(trace: ForwardTrace, targets, kind: LossKind, tolerance: float = 
     E = -log y[class], delta = y - onehot(class), correct when argmax hits;
     class ids must lie in [0, n_out).
 
-    Returns (losses (N,), output_deltas (N, n_out), correct (N,) bool).
+    Returns (losses (N,), output_deltas (N, n_out), correct (N,) bool), or
+    raises NumericalError when a loss is not finite.
     """
     check_loss_pairing(kind, trace.output_activation)
     y = trace.y
@@ -186,11 +204,11 @@ def loss_batch(trace: ForwardTrace, targets, kind: LossKind, tolerance: float = 
         t = np.asarray(targets, dtype=np.float64)
         if t.shape != y.shape:
             raise DimensionError(f"targets shape {t.shape} does not match outputs {y.shape}")
-        diff = y - t
-        losses = 0.5 * np.sum(diff * diff, axis=-1)
-        correct = np.max(np.abs(diff), axis=-1) < tolerance
-        return losses, diff, correct
-    if kind is LossKind.CROSS_ENTROPY:
+        deltas = y - t
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            losses = 0.5 * np.sum(deltas * deltas, axis=-1)
+        correct = np.max(np.abs(deltas), axis=-1) < tolerance
+    elif kind is LossKind.CROSS_ENTROPY:
         cls = np.asarray(targets)
         if cls.shape != y.shape[:-1]:
             raise DimensionError(f"targets shape {cls.shape} does not match batch {y.shape[:-1]}")
@@ -198,12 +216,16 @@ def loss_batch(trace: ForwardTrace, targets, kind: LossKind, tolerance: float = 
             raise ConfigError(f"class ids must lie in [0, {y.shape[1]}), "
                               f"got {cls.min()}..{cls.max()}")
         rows = np.arange(y.shape[0])
-        p = np.maximum(y[rows, cls], 1e-300)
+        losses = -np.log(np.maximum(y[rows, cls], 1e-300))
         deltas = y.copy()
         deltas[rows, cls] -= 1.0
         correct = np.argmax(y, axis=-1) == cls
-        return -np.log(p), deltas, correct
-    raise ConfigError(f"unknown loss kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown loss kind {kind!r}")
+    if not np.isfinite(losses).all():
+        bad = int(np.argwhere(~np.isfinite(losses))[0][0])
+        raise NumericalError(f"non-finite loss for sequence {bad} of the batch")
+    return losses, deltas, correct
 
 
 def serialize(params: SrnParams, seed: int | None = None) -> bytes:

@@ -26,6 +26,7 @@ stream.
 """
 
 import json
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -253,27 +254,32 @@ def load_batch(path) -> SequenceBatch:
             header = json.loads(f.readline().decode("utf-8"))
             kind = TaskKind(header["task"])
             n, T, n_in = int(header["n"]), int(header["T"]), int(header["n_in"])
-            t_shape = tuple(header["targets_shape"])
+            t_shape = tuple(int(d) for d in header["targets_shape"])
             t_dtype = np.dtype(header["targets_dtype"])
-            payload = f.read()
         except (json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
             raise FormatError(f"malformed dataset header: {e}") from e
-    if n < 1:
-        raise FormatError(f"dataset holds {n} sequences; need at least one")
-    n_input_bytes = n * T * n_in * 8
-    expected = n_input_bytes + int(np.prod(t_shape)) * 8
-    if len(payload) != expected:
-        raise FormatError(f"dataset payload has {len(payload)} bytes, "
-                          f"expected {expected}")
-    inputs = np.frombuffer(payload[:n_input_bytes], dtype="<f8").reshape(n, T, n_in)
-    raw = np.frombuffer(payload[n_input_bytes:],
-                        dtype="<f8" if t_dtype.kind == "f" else "<i8")
-    targets = raw.reshape(t_shape).astype(t_dtype, copy=True)
+        if n < 1:
+            raise FormatError(f"dataset holds {n} sequences; need at least one")
+        if min((T, n_in) + t_shape) < 0:
+            raise FormatError(f"malformed dataset header: negative size in "
+                              f"T={T}, n_in={n_in}, targets_shape={list(t_shape)}")
+        payload_bytes = os.fstat(f.fileno()).st_size - f.tell()
+        expected = n * T * n_in * 8 + int(np.prod(t_shape)) * 8
+        if payload_bytes != expected:
+            raise FormatError(f"dataset payload has {payload_bytes} bytes, "
+                              f"expected {expected}")
+        # read straight into the arrays that are returned: no intermediate copy
+        inputs = np.empty((n, T, n_in), dtype="<f8")
+        raw = np.empty(t_shape, dtype="<f8" if t_dtype.kind == "f" else "<i8")
+        for block in (inputs, raw):
+            if f.readinto(block) != block.nbytes:
+                raise FormatError("dataset payload ended early")
+    targets = raw.astype(t_dtype, copy=False)
     if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
         raise FormatError("dataset holds non-finite inputs or targets")
     spec = TaskSpec(kind, T)
     if not spec.regression and ((targets < 0) | (targets >= spec.n_out)).any():
         raise FormatError(f"{kind.value} class ids must lie in [0, {spec.n_out})")
-    return SequenceBatch(inputs=inputs.copy(), targets=targets, task_kind=kind,
+    return SequenceBatch(inputs=inputs, targets=targets, task_kind=kind,
                          T=T, loss_kind=LossKind(header["loss_kind"]),
                          success_tolerance=float(header["success_tolerance"]))

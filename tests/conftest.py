@@ -3,7 +3,11 @@
 The product-form oracles here (``compute_g``, ``deep_norm_half_sq``,
 ``jacobian``) restate the horizon's boundary rule on their own, so that a
 wrong step index in the library cannot also hide in its reference.
+``forward_reference`` is the plain step-by-step forward pass that the
+library's forward must match bit for bit.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,6 +25,26 @@ def random_net(rng, n_in, n_hid, n_out, activation, scale=0.6):
         b=rng.standard_normal(n_hid) * 0.1,
         output_activation=activation,
     )
+
+
+def forward_reference(params, inputs, z0=None):
+    """Forward pass one step at a time: per step the input projection, the
+    recurrence and the bias, in that order, then tanh once more over all
+    steps.  Returns a, z, fprime and y."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    z_prev = np.broadcast_to(np.zeros(params.n_hid) if z0 is None else z0,
+                             (inputs.shape[0], params.n_hid))
+    a_steps = []
+    for k in range(inputs.shape[1]):
+        a_k = inputs[:, k, :] @ params.w_in + z_prev @ params.w_rec + params.b
+        z_prev = np.tanh(a_k)
+        a_steps.append(a_k)
+    a = np.stack(a_steps, axis=1)
+    z = np.tanh(a)
+    y = z[:, -1, :] @ params.w_out
+    if params.output_activation is OutputActivation.SOFTMAX:
+        y = model._softmax(y)
+    return SimpleNamespace(a=a, z=z, fprime=1.0 - z * z, y=y)
 
 
 def loss_of(params, seq, target, kind):

@@ -279,6 +279,27 @@ class TestUsageAndConfig:
         assert (tmp_path / "adding_T20_train.dat").exists()
         assert tasks.load_batch(tmp_path / "adding_T20_train.dat").n == 30
 
+    @pytest.mark.parametrize("doc, field", [({"T": "20"}, "T"), ({"seeds": 3}, "seeds")])
+    def test_wrong_type_in_config_file_is_input_error(self, tmp_path, capsys, doc, field):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, _, err = run_cli(["gen", "--config", str(cfg_path), "--out", str(out)],
+                               capsys)
+        assert code == cli.EXIT_INPUT
+        assert f"{field}: expected" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [(["train", "--seeds", "1,x"], "seeds"),
+                                             (["scan", "--sigmas", "0.01,y"], "sigmas")])
+    def test_bad_number_list_is_input_error(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "out"
+        code, _, err = run_cli(argv + ["--task", "adding", "--T", "15", "--out", str(out)],
+                               capsys)
+        assert code == cli.EXIT_INPUT
+        assert f"{field}: expected" in err
+        assert not out.exists()
+
     def test_unknown_config_key_is_input_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"task": "adding", "Tee": 20}))

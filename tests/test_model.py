@@ -5,7 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from srngate import model
+from conftest import forward_reference
+from srngate import model, tasks
 from srngate.errors import ConfigError, DimensionError, FormatError, NumericalError
 from srngate.model import LossKind, OutputActivation
 
@@ -137,12 +138,45 @@ class TestForward:
         with pytest.raises(DimensionError):
             model.forward_batch(p, np.zeros((1, 4, 2)), z0=np.zeros(2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_reports_step(self):
         p = tiny_params(12)
         seq = np.zeros((1, 5, 2))
         seq[0, 2, 0] = np.inf
         with pytest.raises(NumericalError, match="step 3"):
             model.forward_batch(p, seq)
+
+
+class TestForwardOracle:
+    """The forward pass against the step-by-step reference, bit for bit."""
+
+    def _assert_bit_equal(self, params, inputs, z0=None):
+        trace = model.forward_batch(params, inputs, z0)
+        ref = forward_reference(params, inputs, z0)
+        for name in ("a", "z", "fprime", "y"):
+            assert getattr(trace, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_temporal_order_chunk(self):
+        params = model.init_gaussian(6, 100, 4, 0.01, seed=1,
+                                     output_activation=OutputActivation.SOFTMAX)
+        self._assert_bit_equal(params, tasks.gen_temporal_order(T=100, n=512, seed=2).inputs)
+
+    def test_adding_long(self):
+        params = model.init_gaussian(2, 100, 1, 0.01, seed=3)
+        self._assert_bit_equal(params, tasks.gen_adding(T=200, n=10, seed=4).inputs)
+
+    def test_single_sequence_nonzero_start(self):
+        rng = np.random.default_rng(5)
+        params = tiny_params(6, n_in=3, n_hid=7, n_out=2)
+        self._assert_bit_equal(params, rng.standard_normal((1, 9, 3)),
+                               z0=rng.standard_normal(7))
+
+    def test_scoring_builds_no_states(self):
+        # loss_batch reads only y; the (N, T, n_hid) states stay unbuilt
+        params = tiny_params(7, n_out=3, activation=OutputActivation.SOFTMAX)
+        trace = model.forward_batch(params, np.random.default_rng(8).standard_normal((4, 6, 2)))
+        model.loss_batch(trace, np.array([0, 2, 1, 1]), LossKind.CROSS_ENTROPY)
+        assert "z" not in trace.__dict__ and "fprime" not in trace.__dict__
 
 
 class TestOutputLoss:
@@ -152,8 +186,7 @@ class TestOutputLoss:
         y = model._softmax(y_pre) if activation is OutputActivation.SOFTMAX else y_pre
         return model.ForwardTrace(
             inputs=np.zeros((1, 1, 1)), z0=np.zeros((1, 1)), a=np.zeros((1, 1, 1)),
-            z=np.zeros((1, 1, 1)), fprime=np.ones((1, 1, 1)), y=y,
-            output_activation=activation,
+            y=y, output_activation=activation,
         )
 
     def _loss(self, y_pre, activation, target, kind, tolerance=0.04):
@@ -222,6 +255,13 @@ class TestOutputLoss:
         tr = self._trace_with_ypre(np.zeros(3), OutputActivation.SOFTMAX)
         with pytest.raises(ConfigError):
             model.loss_batch(tr, np.zeros((1, 3)), LossKind.MSE)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_loss_fatal(self):
+        # 0.5 * (1e200)**2 overflows; the error names the loss, not a later delta
+        tr = self._trace_with_ypre(np.array([1e200]), OutputActivation.LINEAR)
+        with pytest.raises(NumericalError, match="non-finite loss"):
+            model.loss_batch(tr, np.zeros((1, 1)), LossKind.MSE)
 
     def test_class_id_out_of_range_fatal(self):
         # a class id of -1 must not wrap around to the last output

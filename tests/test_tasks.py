@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -219,6 +221,56 @@ class TestDumpLoad:
         bad.write_bytes(truncated)
         with pytest.raises(FormatError):
             tasks.load_batch(bad)
+
+    def _payload_case(self, tmp_path, extra: bytes, cut: int = 0):
+        """A saved file with ``cut`` payload bytes removed and ``extra`` appended;
+        returns its path and the payload size a valid file would have."""
+        batch = tasks.gen_adding(T=25, n=4, seed=21)
+        path = tmp_path / "case.dat"
+        tasks.save_batch(path, batch)
+        expected = batch.inputs.nbytes + batch.targets.nbytes
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) - cut] + extra)
+        return path, expected
+
+    def test_truncated_payload_names_both_sizes(self, tmp_path):
+        path, expected = self._payload_case(tmp_path, b"", cut=3)
+        with pytest.raises(FormatError, match=f"has {expected - 3} bytes, expected {expected}"):
+            tasks.load_batch(path)
+
+    def test_trailing_bytes_name_both_sizes(self, tmp_path):
+        path, expected = self._payload_case(tmp_path, b"\0" * 5)
+        with pytest.raises(FormatError, match=f"has {expected + 5} bytes, expected {expected}"):
+            tasks.load_batch(path)
+
+    def test_malformed_sizes_in_header_rejected(self, tmp_path):
+        # each pair of negative sizes multiplies out to the true payload size
+        path, _ = self._payload_case(tmp_path, b"")
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        for change in ({"targets_shape": ["x"]}, {"targets_shape": [-4, -1]},
+                       {"T": -25, "n_in": -2}):
+            doc = {**json.loads(header), **change}
+            path.write_bytes(b"\n".join([magic, json.dumps(doc).encode(), payload]))
+            with pytest.raises(FormatError, match="malformed dataset header"):
+                tasks.load_batch(path)
+
+    def test_loaded_arrays_are_owned_and_writeable(self, tmp_path):
+        for batch in (tasks.gen_adding(T=25, n=6, seed=25),
+                      tasks.gen_temporal_order(T=30, n=6, seed=26)):
+            path = tmp_path / f"{batch.task_kind.value}.dat"
+            tasks.save_batch(path, batch)
+            loaded = tasks.load_batch(path)
+            for arr in (loaded.inputs, loaded.targets):
+                assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata
+                assert arr.dtype.isnative
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        for batch in (tasks.gen_multiplication(T=25, n=7, seed=27),
+                      tasks.gen_temporal_order(T=30, n=7, seed=28, special_count=3)):
+            first, second = tmp_path / "first.dat", tmp_path / "second.dat"
+            tasks.save_batch(first, batch, seed=28)
+            tasks.save_batch(second, tasks.load_batch(first), seed=28)
+            assert first.read_bytes() == second.read_bytes()
 
     def test_non_finite_inputs_rejected(self, tmp_path):
         batch = tasks.gen_adding(T=25, n=4, seed=22)

@@ -232,6 +232,19 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 small_config(**kw)
 
+    def test_wrong_types_named(self):
+        for kw in (dict(T="12"), dict(hidden=True), dict(h=12.0), dict(alpha="0.1"),
+                   dict(sigma=None), dict(reg=1), dict(record_dynamics=1),
+                   dict(seeds=3), dict(seeds=[1, True]), dict(seeds=("0",))):
+            field = next(iter(kw))
+            with pytest.raises(ConfigError, match=f"^{field}: expected"):
+                small_config(**kw)
+
+    def test_int_for_float_and_list_of_seeds_accepted(self):
+        cfg = small_config(alpha=1, mu=0, seeds=[3, 1])
+        assert cfg.alpha == 1 and cfg.mu == 0
+        assert cfg.seeds == (3, 1)
+
 
 class TestMetricsCsv:
     def test_round_trip_exact(self, tmp_path):
