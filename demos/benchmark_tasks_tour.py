@@ -12,7 +12,7 @@ np.set_printoptions(precision=3, suppress=True)
 
 
 def show_marked_value_task(name, batch):
-    print(f"\n=== {name} (T={batch.T}) ===")
+    print(f"\n=== {name} (T={batch.spec.T}) ===")
     seq = batch.inputs[0]
     marked = np.flatnonzero(seq[:, 1] == 1.0)
     print(f"value channel, first 12 steps : {seq[:12, 0]}")
@@ -21,11 +21,11 @@ def show_marked_value_task(name, batch):
     print(f"marked values                 : {v1:.3f}, {v2:.3f}")
     print(f"target                        : {batch.targets[0, 0]:.3f}")
     print(f"success criterion             : |prediction - target| < "
-          f"{batch.success_tolerance}")
+          f"{batch.spec.success_tolerance}")
 
 
-def show_temporal_order_task(name, batch, specials):
-    print(f"\n=== {name} (T={batch.T}) ===")
+def show_temporal_order_task(name, batch):
+    print(f"\n=== {name} (T={batch.spec.T}) ===")
     symbols = np.argmax(batch.inputs[0], axis=1)
     letters = np.array(list("abcdXY"))
     text = "".join(letters[symbols])
@@ -33,19 +33,20 @@ def show_temporal_order_task(name, batch, specials):
     pos = np.flatnonzero(symbols >= tasks.SYMBOL_X)
     read = "".join(letters[symbols[pos]])
     print(f"specials      : {read!r} at steps {pos + 1} (1-based)")
-    print(f"class         : {batch.targets[0]} of {2 ** specials} "
+    print(f"class         : {batch.targets[0]} of {batch.spec.n_out} "
           f"(binary reading of the tuple, X=0, Y=1)")
 
 
 def main():
-    show_marked_value_task("adding", tasks.gen_adding(T=100, n=3, seed=0))
-    show_marked_value_task("multiplication",
-                           tasks.gen_multiplication(T=100, n=3, seed=1))
-    show_temporal_order_task("temporal order",
-                             tasks.gen_temporal_order(T=100, n=3, seed=2), 2)
-    show_temporal_order_task("temporal order, 3 specials",
-                             tasks.gen_temporal_order(T=100, n=3, seed=3,
-                                                      special_count=3), 3)
+    kinds = tasks.TaskKind
+    show_marked_value_task("adding", tasks.generate(
+        tasks.TaskSpec(kinds.ADDING, 100), 3, seed=0))
+    show_marked_value_task("multiplication", tasks.generate(
+        tasks.TaskSpec(kinds.MULTIPLICATION, 100), 3, seed=1))
+    show_temporal_order_task("temporal order", tasks.generate(
+        tasks.TaskSpec(kinds.TEMPORAL_ORDER, 100), 3, seed=2))
+    show_temporal_order_task("temporal order, 3 specials", tasks.generate(
+        tasks.TaskSpec(kinds.TEMPORAL_ORDER_3BIT, 100), 3, seed=3))
 
     print("\n=== split protocol ===")
     spec = tasks.TaskSpec(tasks.TaskKind.ADDING, 100)

@@ -13,8 +13,6 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import diagnostics, model, tasks, trainer
 from .config import RunConfig, build_config, load_config_file
 from .errors import ConfigError, NumericalError, SrnError
@@ -136,18 +134,18 @@ def _load_splits(data_dir: Path, cfg) -> dict:
         if not path.exists():
             raise ConfigError(f"dataset file {path} not found; run 'gen' first")
         splits[name] = tasks.load_batch(path)
-        if splits[name].T != cfg.T:
-            raise ConfigError(f"{path}: T={splits[name].T} does not match "
-                              f"config T={cfg.T}")
+        if splits[name].spec != cfg.task_spec():
+            raise ConfigError(f"{path} holds {splits[name].spec}; the config "
+                              f"asks for {cfg.task_spec()}")
     return splits
 
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
+    data = _load_splits(Path(args.data), cfg) if args.data else None
     out_root = Path(cfg.out)
     out_root.mkdir(parents=True, exist_ok=True)
     prefix = args.run_name or time.strftime("%Y%m%d-%H%M%S")
-    data = _load_splits(Path(args.data), cfg) if args.data else None
 
     results = {}
     for seed in cfg.seeds:
@@ -217,15 +215,14 @@ def cmd_eval(args) -> int:
     if batch.inputs.shape[2] != params.n_in:
         raise ConfigError(f"model expects {params.n_in} input channels, "
                           f"dataset has {batch.inputs.shape[2]}")
-    n_out_needed = tasks.TaskSpec(batch.task_kind, batch.T).n_out
-    if params.n_out != n_out_needed:
-        raise ConfigError(f"model has {params.n_out} outputs, {batch.task_kind.value} "
-                          f"needs {n_out_needed}")
+    if params.n_out != batch.spec.n_out:
+        raise ConfigError(f"model has {params.n_out} outputs, {batch.spec.kind.value} "
+                          f"needs {batch.spec.n_out}")
     accuracy = trainer.evaluate(params, batch)
     print(f"accuracy {accuracy:.6f} on {batch.n} sequences")
     if args.out:
         summary = {"model": str(args.model), "data": str(args.data),
-                   "task": batch.task_kind.value, "n": batch.n,
+                   "task": batch.spec.kind.value, "n": batch.n,
                    "accuracy": accuracy}
         with open(args.out, "w") as f:
             json.dump(summary, f, indent=1, sort_keys=True)

@@ -22,7 +22,7 @@ from . import model as model_mod
 from .bptt import BpttConfig, backward
 from .errors import DimensionError
 from .model import SrnParams
-from .trainer import read_table, write_table
+from .trainer import write_table
 
 PROFILE_COLUMNS = {"depth": int, "delta_norm": float, "gwin_norm": float,
                    "gwrec_norm": float}
@@ -59,8 +59,8 @@ def depth_scan(params: SrnParams, probes, h: int, chunk: int = 256) -> DepthProf
         for start in range(0, batch.n, chunk):
             part = batch.subset(slice(start, start + chunk))
             trace = model_mod.forward_batch(params, part.inputs)
-            _, deltas, _ = model_mod.loss_batch(trace, part.targets, part.loss_kind,
-                                                part.success_tolerance)
+            _, deltas, _ = model_mod.loss_batch(trace, part.targets, part.spec.loss_kind,
+                                                part.spec.success_tolerance)
             back = backward(params, trace, deltas, BpttConfig(h=h))
             n_steps = trace.n_steps
             delta_norms = back.delta_norms                      # (N, h+1)
@@ -116,13 +116,6 @@ def write_profile_csv(path, profile: DepthProfile) -> None:
          "gwrec_norm": None if np.isnan(gr) else float(gr)}
         for depth, dn, gi, gr in zip(profile.depths, profile.delta_norm,
                                      profile.gwin_norm, profile.gwrec_norm)))
-
-
-def read_profile_csv(path) -> DepthProfile:
-    rows = read_table(path, PROFILE_COLUMNS)
-    # the columns come in DepthProfile's field order; empty cells read as nan
-    return DepthProfile(*(np.array([np.nan if row[key] is None else row[key]
-                                    for row in rows]) for key in PROFILE_COLUMNS))
 
 
 class DynamicsRecorder:

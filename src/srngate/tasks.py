@@ -112,15 +112,15 @@ class TaskSpec:
                     f"previous one ending at {last_hi}")
             last_hi = hi
 
+    def __str__(self) -> str:
+        return f"{self.kind.value} T={self.T} tolerance={self.success_tolerance}"
+
 
 @dataclass
 class SequenceBatch:
     inputs: np.ndarray        # (n, T, n_in) float64
     targets: np.ndarray       # (n, n_out) float64 or (n,) int64 class ids
-    task_kind: TaskKind
-    T: int
-    loss_kind: LossKind
-    success_tolerance: float
+    spec: TaskSpec
 
     @property
     def n(self) -> int:
@@ -131,9 +131,9 @@ class SequenceBatch:
                        targets=self.targets[indices])
 
 
-def _marked_value_batch(spec: TaskSpec, n: int, seed, combine) -> SequenceBatch:
-    spec.validate()
-    rng = np.random.default_rng(seed)
+def _marked_value_data(spec: TaskSpec, n: int, rng) -> tuple:
+    """Values and markers; the target is the mean of the two marked values
+    for adding (so it stays inside [0, 1]) and their product otherwise."""
     T = spec.T
     values = rng.uniform(0.0, 1.0, size=(n, T))
     (lo1, hi1), (lo2, hi2) = spec.windows()
@@ -143,36 +143,14 @@ def _marked_value_batch(spec: TaskSpec, n: int, seed, combine) -> SequenceBatch:
     rows = np.arange(n)
     markers[rows, m1 - 1] = 1.0
     markers[rows, m2 - 1] = 1.0
-    inputs = np.stack([values, markers], axis=2)
-    targets = combine(values[rows, m1 - 1], values[rows, m2 - 1])[:, None]
-    return SequenceBatch(inputs=inputs, targets=targets, task_kind=spec.kind,
-                         T=T, loss_kind=LossKind.MSE,
-                         success_tolerance=spec.success_tolerance)
+    v1, v2 = values[rows, m1 - 1], values[rows, m2 - 1]
+    targets = (v1 + v2) / 2.0 if spec.kind is TaskKind.ADDING else v1 * v2
+    return np.stack([values, markers], axis=2), targets[:, None]
 
 
-def gen_adding(T: int, n: int, seed, tolerance: float = 0.04) -> SequenceBatch:
-    """Mean of the two marked values; targets stay inside [0, 1]."""
-    spec = TaskSpec(TaskKind.ADDING, T, tolerance)
-    return _marked_value_batch(spec, n, seed, lambda v1, v2: (v1 + v2) / 2.0)
-
-
-def gen_multiplication(T: int, n: int, seed, tolerance: float = 0.04) -> SequenceBatch:
-    """Product of the two marked values."""
-    spec = TaskSpec(TaskKind.MULTIPLICATION, T, tolerance)
-    return _marked_value_batch(spec, n, seed, lambda v1, v2: v1 * v2)
-
-
-def gen_temporal_order(T: int, n: int, seed, special_count: int = 2) -> SequenceBatch:
-    """Classify the ordered tuple of special symbols hidden in noise."""
-    if special_count == 2:
-        spec = TaskSpec(TaskKind.TEMPORAL_ORDER, T)
-    elif special_count == 3:
-        spec = TaskSpec(TaskKind.TEMPORAL_ORDER_3BIT, T)
-    else:
-        raise ConfigError(f"special_count must be 2 or 3, got {special_count}")
-    spec.validate()
-    rng = np.random.default_rng(seed)
-    symbols = rng.integers(0, N_DISTRACTORS, size=(n, T))
+def _temporal_order_data(spec: TaskSpec, n: int, rng) -> tuple:
+    """One-hot symbol streams and the class of their ordered specials."""
+    symbols = rng.integers(0, N_DISTRACTORS, size=(n, spec.T))
     rows = np.arange(n)
     classes = np.zeros(n, dtype=np.int64)
     for lo, hi in spec.windows():
@@ -180,19 +158,15 @@ def gen_temporal_order(T: int, n: int, seed, special_count: int = 2) -> Sequence
         bit = rng.integers(0, 2, size=n)  # 0 -> X, 1 -> Y
         symbols[rows, pos - 1] = SYMBOL_X + bit
         classes = classes * 2 + bit
-    inputs = np.eye(spec.n_in)[symbols]
-    return SequenceBatch(inputs=inputs, targets=classes, task_kind=spec.kind,
-                         T=T, loss_kind=LossKind.CROSS_ENTROPY,
-                         success_tolerance=spec.success_tolerance)
+    return np.eye(spec.n_in)[symbols], classes
 
 
 def generate(spec: TaskSpec, n: int, seed) -> SequenceBatch:
-    """Generate n sequences for any task spec."""
-    if spec.kind is TaskKind.ADDING:
-        return gen_adding(spec.T, n, seed, spec.success_tolerance)
-    if spec.kind is TaskKind.MULTIPLICATION:
-        return gen_multiplication(spec.T, n, seed, spec.success_tolerance)
-    return gen_temporal_order(spec.T, n, seed, spec.special_count)
+    """Generate n sequences for any task spec; the batch carries the spec."""
+    spec.validate()
+    build = _marked_value_data if spec.regression else _temporal_order_data
+    inputs, targets = build(spec, n, np.random.default_rng(seed))
+    return SequenceBatch(inputs=inputs, targets=targets, spec=spec)
 
 
 def make_splits(spec: TaskSpec, seed,
@@ -221,13 +195,13 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
     byte-identical files.
     """
     header = {
-        "task": batch.task_kind.value,
-        "T": batch.T,
+        "task": batch.spec.kind.value,
+        "T": batch.spec.T,
         "n": batch.n,
         "n_in": batch.inputs.shape[2],
         "seed": seed,
-        "loss_kind": batch.loss_kind.value,
-        "success_tolerance": batch.success_tolerance,
+        "loss_kind": batch.spec.loss_kind.value,
+        "success_tolerance": batch.spec.success_tolerance,
         "targets_dtype": str(batch.targets.dtype),
         "targets_shape": list(batch.targets.shape),
     }
@@ -242,9 +216,10 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
 def load_batch(path) -> SequenceBatch:
     """Read a file produced by save_batch.
 
-    Rejects with FormatError a file holding no sequences, non-finite inputs
-    or targets and, for the temporal-order tasks, class ids outside
-    [0, 2**specials).
+    The batch's spec comes from the header's task, T and success tolerance.
+    Rejects with FormatError a file whose loss_kind contradicts its task, a
+    file holding no sequences, non-finite inputs or targets and, for the
+    temporal-order tasks, class ids outside [0, 2**specials).
     """
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
@@ -252,12 +227,17 @@ def load_batch(path) -> SequenceBatch:
             raise FormatError(f"not a dataset file (bad magic {magic!r})")
         try:
             header = json.loads(f.readline().decode("utf-8"))
-            kind = TaskKind(header["task"])
             n, T, n_in = int(header["n"]), int(header["T"]), int(header["n_in"])
+            spec = TaskSpec(TaskKind(header["task"]), T,
+                            float(header["success_tolerance"]))
+            loss = LossKind(header["loss_kind"])
             t_shape = tuple(int(d) for d in header["targets_shape"])
             t_dtype = np.dtype(header["targets_dtype"])
         except (json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
             raise FormatError(f"malformed dataset header: {e}") from e
+        if loss is not spec.loss_kind:
+            raise FormatError(f"{spec.kind.value} is scored by "
+                              f"{spec.loss_kind.value}, header says {loss.value}")
         if n < 1:
             raise FormatError(f"dataset holds {n} sequences; need at least one")
         if min((T, n_in) + t_shape) < 0:
@@ -277,9 +257,6 @@ def load_batch(path) -> SequenceBatch:
     targets = raw.astype(t_dtype, copy=False)
     if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
         raise FormatError("dataset holds non-finite inputs or targets")
-    spec = TaskSpec(kind, T)
     if not spec.regression and ((targets < 0) | (targets >= spec.n_out)).any():
-        raise FormatError(f"{kind.value} class ids must lie in [0, {spec.n_out})")
-    return SequenceBatch(inputs=inputs, targets=targets, task_kind=kind,
-                         T=T, loss_kind=LossKind(header["loss_kind"]),
-                         success_tolerance=float(header["success_tolerance"]))
+        raise FormatError(f"{spec.kind.value} class ids must lie in [0, {spec.n_out})")
+    return SequenceBatch(inputs=inputs, targets=targets, spec=spec)

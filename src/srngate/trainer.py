@@ -25,7 +25,7 @@ from . import model as model_mod
 from . import tasks as tasks_mod
 from .bptt import PARAM_BLOCKS, BpttConfig, Gradients, backward
 from .config import RunConfig
-from .errors import FormatError, NumericalError
+from .errors import NumericalError
 from .model import SrnParams
 from .regularizer import Decision, RegReport, report_from_backward
 from .tasks import SequenceBatch
@@ -75,19 +75,17 @@ class TrainOutcome:
     total_corrections: int
 
 
-def sgd_step(state: TrainState, grads: Gradients, cfg: RunConfig) -> Gradients:
-    """Heavy-ball update: v <- mu*v - alpha*g, w <- w + v.  Returns applied dw."""
-    applied = {}
+def sgd_step(state: TrainState, grads: Gradients, cfg: RunConfig) -> None:
+    """Heavy-ball update: v <- mu*v - alpha*g, w <- w + v.  The applied dw
+    is the new state.velocity."""
     for name in PARAM_BLOCKS:
         v = cfg.mu * getattr(state.velocity, name) - cfg.alpha * getattr(grads, name)
         setattr(state.velocity, name, v)
         block = getattr(state.params, name)
         block += v
-        applied[name] = v.copy()
         if not np.isfinite(block).all():
             raise NumericalError(
                 f"non-finite {name} after update at iteration {state.iteration}")
-    return Gradients(**applied)
 
 
 def candidate_update(state: TrainState, grads: Gradients, cfg: RunConfig) -> np.ndarray:
@@ -100,8 +98,8 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
     """One minibatch draw: forward, backward, gate, maybe apply."""
     state.iteration += 1
     trace = model_mod.forward_batch(state.params, batch.inputs)
-    losses, deltas, _ = model_mod.loss_batch(trace, batch.targets, batch.loss_kind,
-                                             batch.success_tolerance)
+    losses, deltas, _ = model_mod.loss_batch(trace, batch.targets, batch.spec.loss_kind,
+                                             batch.spec.success_tolerance)
     back = backward(state.params, trace, deltas, BpttConfig(h=cfg.h))
     loss = float(losses.mean())
     norm_top = float(back.delta_norms[:, 0].mean())
@@ -133,8 +131,8 @@ def evaluate(params: SrnParams, batch: SequenceBatch, chunk: int = 512) -> float
     for start in range(0, batch.n, chunk):
         part = batch.subset(slice(start, start + chunk))
         trace = model_mod.forward_batch(params, part.inputs)
-        _, _, correct = model_mod.loss_batch(trace, part.targets, part.loss_kind,
-                                             part.success_tolerance)
+        _, _, correct = model_mod.loss_batch(trace, part.targets, part.spec.loss_kind,
+                                             part.spec.success_tolerance)
         hits += int(correct.sum())
     return hits / batch.n
 
@@ -246,24 +244,6 @@ def write_table(path, columns: dict, rows) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([format_value(row[c]) for c in columns])
-
-
-def read_table(path, columns: dict) -> list:
-    """Parse a write_table file back into typed rows (exact float round-trip);
-    an empty cell reads as None."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != list(columns):
-            raise FormatError(f"{path}: header {reader.fieldnames} does not match "
-                              f"columns {list(columns)}")
-        return [{key: _parse_cell(text, columns[key]) for key, text in raw.items()}
-                for raw in reader]
-
-
-def _parse_cell(text: str, kind):
-    if text == "":
-        return None
-    return text == "1" if kind is bool else kind(text)
 
 
 def write_metrics_csv(path, rows) -> None:

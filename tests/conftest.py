@@ -4,17 +4,56 @@ The product-form oracles here (``compute_g``, ``deep_norm_half_sq``,
 ``jacobian``) restate the horizon's boundary rule on their own, so that a
 wrong step index in the library cannot also hide in its reference.
 ``forward_reference`` is the plain step-by-step forward pass that the
-library's forward must match bit for bit.
+library's forward must match bit for bit.  ``read_table`` and
+``read_profile_csv`` parse back the CSV files that the library writes.
 """
 
+import csv
 from types import SimpleNamespace
 
 import numpy as np
 
-import linalg
 from srngate import bptt, model, regularizer as reg
-from srngate.errors import DimensionError
+from srngate.diagnostics import PROFILE_COLUMNS, DepthProfile
+from srngate.errors import DimensionError, FormatError
 from srngate.model import LossKind, OutputActivation, SrnParams
+from srngate.tasks import SequenceBatch, TaskKind, TaskSpec, generate
+
+
+def generate_task(task, T, n, seed):
+    """n sequences of the named task at length T, default tolerance."""
+    return generate(TaskSpec(TaskKind(task), T), n, seed)
+
+
+def mse_batch(inputs, targets):
+    """Arbitrary inputs and targets scored by squared error, as the
+    regression specs score them."""
+    return SequenceBatch(inputs, targets, TaskSpec(TaskKind.ADDING, inputs.shape[1]))
+
+
+def read_table(path, columns: dict) -> list:
+    """Parse a write_table file back into typed rows (exact float round-trip);
+    an empty cell reads as None."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames != list(columns):
+            raise FormatError(f"{path}: header {reader.fieldnames} does not match "
+                              f"columns {list(columns)}")
+        return [{key: _parse_cell(text, columns[key]) for key, text in raw.items()}
+                for raw in reader]
+
+
+def _parse_cell(text: str, kind):
+    if text == "":
+        return None
+    return text == "1" if kind is bool else kind(text)
+
+
+def read_profile_csv(path) -> DepthProfile:
+    rows = read_table(path, PROFILE_COLUMNS)
+    # the columns come in DepthProfile's field order; empty cells read as nan
+    return DepthProfile(*(np.array([np.nan if row[key] is None else row[key]
+                                    for row in rows]) for key in PROFILE_COLUMNS))
 
 
 def random_net(rng, n_in, n_hid, n_out, activation, scale=0.6):
@@ -77,7 +116,7 @@ def deep_norm_half_sq(params, trace, delta_top, h, w_rec=None):
 def jacobian(params, fprime_n):
     """State-to-state Jacobian J with delta[n] = delta[n-1] @ J: w_rec.T with
     its columns scaled by the tanh derivatives at the target step."""
-    return linalg.scale_cols_by(params.w_rec.T, fprime_n)
+    return params.w_rec.T * fprime_n[..., None, :]
 
 
 def delta_norm_profile(result):
@@ -90,8 +129,8 @@ def delta_norm_profile(result):
 def evaluate_minibatch(params, batch, cfg, candidate_dw_rec):
     """Forward, backward and gate report over a batch; mutates nothing."""
     trace = model.forward_batch(params, batch.inputs)
-    _, deltas, _ = model.loss_batch(trace, batch.targets, batch.loss_kind,
-                                    batch.success_tolerance)
+    _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind,
+                                    batch.spec.success_tolerance)
     back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=cfg.h))
     return reg.report_from_backward(params, trace, back, candidate_dw_rec, cfg)
 
@@ -128,14 +167,6 @@ def random_tiny_case(seed, activation, kind):
     return params, seq, target, T
 
 
-class _Minibatch:
-    def __init__(self, inputs, targets, loss_kind, success_tolerance=0.04):
-        self.inputs = inputs
-        self.targets = targets
-        self.loss_kind = loss_kind
-        self.success_tolerance = success_tolerance
-
-
 def theorem1_trial(seed, dw_scale=1e-5):
     """One sign-prediction trial: gate report vs actually applying the update.
 
@@ -156,8 +187,7 @@ def theorem1_trial(seed, dw_scale=1e-5):
     dw *= dw_scale / np.linalg.norm(dw)
 
     cfg = reg.RegConfig(h=h, r0=1e18, r0_absolute=True)
-    batch = _Minibatch(inputs, targets, LossKind.MSE)
-    report = evaluate_minibatch(params, batch, cfg, dw)
+    report = evaluate_minibatch(params, mse_batch(inputs, targets), cfg, dw)
 
     trace = model.forward_batch(params, inputs)
     _, deltas, _ = model.loss_batch(trace, targets, LossKind.MSE)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import generate_task, read_profile_csv, read_table
 from srngate import cli, diagnostics, model, tasks, trainer
 
 
@@ -39,6 +40,15 @@ class TestGen:
             fa = tmp_path / "a" / f"temporal_order_T30_{name}.dat"
             fb = tmp_path / "b" / f"temporal_order_T30_{name}.dat"
             assert fa.read_bytes() == fb.read_bytes()
+
+    @pytest.mark.parametrize("task", ["adding", "temporal_order"])
+    def test_header_records_configured_tolerance(self, tmp_path, capsys, task):
+        assert run_cli(["gen", "--task", task, "--T", "20", "--seed", "1",
+                        "--tolerance", "0.5", "--out", str(tmp_path)] + GEN_SMALL,
+                       capsys)[0] == 0
+        for name in ("train", "valid", "test"):
+            header = (tmp_path / f"{task}_T20_{name}.dat").read_bytes().split(b"\n")[1]
+            assert json.loads(header)["success_tolerance"] == 0.5
 
     def test_window_constraint_violation(self, tmp_path, capsys):
         code, _, err = run_cli(["gen", "--task", "temporal_order", "--T", "5",
@@ -119,15 +129,31 @@ class TestTrain:
         assert code == cli.EXIT_INPUT
         assert "0 sequences" in err
 
+    @pytest.mark.parametrize("task", ["adding", "temporal_order"])
+    def test_data_with_other_tolerance_is_input_error(self, tmp_path, capsys, task):
+        data_dir = tmp_path / "data"
+        assert run_cli(["gen", "--task", task, "--T", "20", "--seed", "1",
+                        "--out", str(data_dir)] + GEN_SMALL, capsys)[0] == 0
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"tolerance": 0.5}))
+        out = tmp_path / "out"
+        code, _, err = run_cli(["train", "--config", str(cfg_path), "--task", task,
+                                "--T", "20", "--seeds", "0", "--out", str(out),
+                                "--data", str(data_dir)] + TRAIN_SMALL, capsys)
+        assert code == cli.EXIT_INPUT
+        assert f"{task} T=20 tolerance=0.04" in err
+        assert f"{task} T=20 tolerance=0.5" in err
+        assert not out.exists()
+
     def test_record_dynamics(self, tmp_path, capsys):
         base = ["train", "--task", "adding", "--T", "15", "--seeds", "0",
                 "--out", str(tmp_path), "--run-name", "dyn",
                 "--record-dynamics"] + TRAIN_SMALL
         assert run_cli(base, capsys)[0] == 0
-        rows = trainer.read_table(tmp_path / "dyn_seed0" / "dynamics.csv",
-                                  diagnostics.DYNAMICS_COLUMNS)
-        metrics = trainer.read_table(tmp_path / "dyn_seed0" / "metrics.csv",
-                                     trainer.METRICS_COLUMNS)
+        rows = read_table(tmp_path / "dyn_seed0" / "dynamics.csv",
+                          diagnostics.DYNAMICS_COLUMNS)
+        metrics = read_table(tmp_path / "dyn_seed0" / "metrics.csv",
+                             trainer.METRICS_COLUMNS)
         assert len(rows) == len(metrics)
 
     def test_pregenerated_data_roundtrip(self, tmp_path, capsys):
@@ -157,7 +183,7 @@ class TestScan:
                               "--hidden", "8", "--probes", "10", "--seed", "2",
                               "--out", str(tmp_path)], capsys)
         assert code == 0
-        profile = diagnostics.read_profile_csv(tmp_path / "depth_profile_sigma0.01.csv")
+        profile = read_profile_csv(tmp_path / "depth_profile_sigma0.01.csv")
         assert len(profile.depths) == 2
 
     def test_repeat_identical(self, tmp_path, capsys):
@@ -192,7 +218,7 @@ class TestEval:
 
     def test_empty_dataset_is_input_error(self, tmp_path, capsys):
         data_path = tmp_path / "empty.dat"
-        tasks.save_batch(data_path, tasks.gen_temporal_order(T=30, n=3, seed=1)
+        tasks.save_batch(data_path, generate_task("temporal_order", 30, 3, 1)
                          .subset(slice(0, 0)))
         params = model.init_gaussian(6, 5, 4, 0.1, seed=0,
                                      output_activation=model.OutputActivation.SOFTMAX)

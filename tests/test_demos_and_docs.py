@@ -1,6 +1,7 @@
-"""The demos run and FORMATS.md names every config field, so a rename in
-the package cannot leave either behind unnoticed."""
+"""The demos run and FORMATS.md names every config field and dataset header
+key, so a rename in the package cannot leave either behind unnoticed."""
 
+import json
 import os
 import re
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import generate_task
+from srngate import tasks
 from srngate.config import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,3 +31,12 @@ def test_formats_lists_every_config_field():
     section = text.split("## Config file (`--config`)", 1)[1].split("\n## ", 1)[0]
     documented = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
     assert documented == [f.name for f in fields(RunConfig)]
+
+
+def test_formats_lists_every_dataset_header_key(tmp_path):
+    text = (ROOT / "FORMATS.md").read_text()
+    item = text.split("one JSON header line:", 1)[1].split("\n3. ", 1)[0]
+    path = tmp_path / "adding.dat"
+    tasks.save_batch(path, generate_task("adding", 20, 2, 0))
+    written = json.loads(path.read_bytes().split(b"\n")[1])
+    assert re.findall(r"`(\w+)`", item) == list(written)

@@ -2,13 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from srngate import bptt, diagnostics as diag, model, tasks, trainer
+from conftest import generate_task, read_profile_csv, read_table
+from srngate import bptt, diagnostics as diag, model, trainer
 from srngate.config import RunConfig
 from srngate.model import LossKind, OutputActivation
 
 
 def probe_batch(T=40, n=30, seed=0):
-    return tasks.gen_temporal_order(T=T, n=n, seed=seed)
+    return generate_task("temporal_order", T, n, seed)
 
 
 class TestDepthScan:
@@ -17,7 +18,7 @@ class TestDepthScan:
         params = model.SrnParams(np.zeros((2, 3)), np.zeros((3, 3)),
                                  np.zeros((3, 1)), np.zeros(3),
                                  OutputActivation.LINEAR)
-        batch = tasks.gen_adding(T=20, n=10, seed=1)
+        batch = generate_task("adding", 20, 10, 1)
         batch.targets[:] = 0.0
         profile = diag.depth_scan(params, batch, h=20)
         npt.assert_array_equal(profile.delta_norm, np.zeros(21))
@@ -28,7 +29,7 @@ class TestDepthScan:
         batch = probe_batch(T=30, n=25, seed=3)
         profile = diag.depth_scan(params, batch, h=30)
         trace = model.forward_batch(params, batch.inputs)
-        _, deltas, _ = model.loss_batch(trace, batch.targets, batch.loss_kind)
+        _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind)
         back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=30))
         npt.assert_allclose(profile.delta_norm[0],
                             back.delta_norms[:, 0].mean(), rtol=1e-12)
@@ -113,7 +114,7 @@ class TestProfileCsv:
         profile = diag.depth_scan(params, probe_batch(T=15, n=10, seed=17), h=15)
         path = tmp_path / "profile.csv"
         diag.write_profile_csv(path, profile)
-        loaded = diag.read_profile_csv(path)
+        loaded = read_profile_csv(path)
         npt.assert_array_equal(loaded.depths, profile.depths)
         npt.assert_array_equal(loaded.delta_norm, profile.delta_norm)
         npt.assert_array_equal(loaded.gwrec_norm[:-1], profile.gwrec_norm[:-1])
@@ -140,7 +141,7 @@ class TestDynamicsRecorder:
         recorder, _ = self._run()
         path = tmp_path / "dynamics.csv"
         recorder.write(path)
-        loaded = trainer.read_table(path, diag.DYNAMICS_COLUMNS)
+        loaded = read_table(path, diag.DYNAMICS_COLUMNS)
         assert len(loaded) == len(recorder.rows)
         for raw, back in zip(recorder.rows, loaded):
             for key in diag.DYNAMICS_COLUMNS:
@@ -153,9 +154,9 @@ class TestDynamicsRecorder:
                                  rng.standard_normal((10, 10)) * 20.0,
                                  rng.standard_normal((10, 1)),
                                  np.zeros(10), OutputActivation.LINEAR)
-        batch = tasks.gen_adding(T=15, n=8, seed=19)
+        batch = generate_task("adding", 15, 8, 19)
         trace = model.forward_batch(params, batch.inputs)
-        _, deltas, _ = model.loss_batch(trace, batch.targets, batch.loss_kind)
+        _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind)
         back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=15))
         recorder = diag.DynamicsRecorder(h=15)
 

@@ -5,8 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import forward_reference
-from srngate import model, tasks
+from conftest import forward_reference, generate_task
+from srngate import model
 from srngate.errors import ConfigError, DimensionError, FormatError, NumericalError
 from srngate.model import LossKind, OutputActivation
 
@@ -159,11 +159,11 @@ class TestForwardOracle:
     def test_temporal_order_chunk(self):
         params = model.init_gaussian(6, 100, 4, 0.01, seed=1,
                                      output_activation=OutputActivation.SOFTMAX)
-        self._assert_bit_equal(params, tasks.gen_temporal_order(T=100, n=512, seed=2).inputs)
+        self._assert_bit_equal(params, generate_task("temporal_order", 100, 512, 2).inputs)
 
     def test_adding_long(self):
         params = model.init_gaussian(2, 100, 1, 0.01, seed=3)
-        self._assert_bit_equal(params, tasks.gen_adding(T=200, n=10, seed=4).inputs)
+        self._assert_bit_equal(params, generate_task("adding", 200, 10, 4).inputs)
 
     def test_single_sequence_nonzero_start(self):
         rng = np.random.default_rng(5)

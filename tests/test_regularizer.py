@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import (_Minibatch, compute_g, deep_norm_half_sq, evaluate_minibatch,
+from conftest import (compute_g, deep_norm_half_sq, evaluate_minibatch, mse_batch,
                       random_net, theorem1_hit_rate)
 
 from srngate import bptt, model, regularizer as reg
@@ -240,7 +240,7 @@ class TestEvaluateMinibatch:
     def _batch(self, rng, params, n=4, T=6):
         inputs = rng.standard_normal((n, T, params.n_in))
         targets = rng.standard_normal((n, params.n_out))
-        return _Minibatch(inputs, targets, LossKind.MSE)
+        return mse_batch(inputs, targets)
 
     def test_zero_candidate_gives_zero_ds(self):
         rng = np.random.default_rng(40)
@@ -258,9 +258,9 @@ class TestEvaluateMinibatch:
         target = rng.standard_normal(2)
         dw = rng.standard_normal((4, 4)) * 1e-3
         cfg = RegConfig(h=6)
-        batch = _Minibatch(np.repeat(seq[None], 5, axis=0),
-                           np.repeat(target[None], 5, axis=0), LossKind.MSE)
-        single = _Minibatch(seq[None], target[None], LossKind.MSE)
+        batch = mse_batch(np.repeat(seq[None], 5, axis=0),
+                          np.repeat(target[None], 5, axis=0))
+        single = mse_batch(seq[None], target[None])
         rb = evaluate_minibatch(params, batch, cfg, dw)
         rs = evaluate_minibatch(params, single, cfg, dw)
         npt.assert_allclose(rb.g, rs.g, rtol=1e-12)

@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 from scipy import stats
 
+from conftest import generate_task
+
 from srngate import tasks
 from srngate.errors import ConfigError, FormatError
 from srngate.model import LossKind
@@ -18,7 +20,7 @@ def marker_positions(seq):
 
 class TestAdding:
     def test_targets_recomputable_from_inputs(self):
-        batch = tasks.gen_adding(T=100, n=500, seed=0)
+        batch = generate_task("adding", 100, 500, 0)
         for i in range(batch.n):
             pos = marker_positions(batch.inputs[i])
             assert len(pos) == 2
@@ -27,42 +29,42 @@ class TestAdding:
 
     def test_marker_windows_respected(self):
         T = 100
-        batch = tasks.gen_adding(T=T, n=2000, seed=1)
+        batch = generate_task("adding", T, 2000, 1)
         for i in range(batch.n):
             p1, p2 = marker_positions(batch.inputs[i]) + 1  # 1-based
             assert 1 <= p1 <= T // 10
             assert T // 10 < p2 <= T // 2
 
     def test_targets_in_unit_interval(self):
-        batch = tasks.gen_adding(T=50, n=5000, seed=2)
+        batch = generate_task("adding", 50, 5000, 2)
         assert np.all(batch.targets >= 0.0) and np.all(batch.targets <= 1.0)
 
     def test_target_mean(self):
-        batch = tasks.gen_adding(T=100, n=100_000, seed=3)
+        batch = generate_task("adding", 100, 100_000, 3)
         assert abs(batch.targets.mean() - 0.5) < 0.005
 
     def test_deterministic(self):
-        b1 = tasks.gen_adding(T=30, n=50, seed=4)
-        b2 = tasks.gen_adding(T=30, n=50, seed=4)
+        b1 = generate_task("adding", 30, 50, 4)
+        b2 = generate_task("adding", 30, 50, 4)
         assert b1.inputs.tobytes() == b2.inputs.tobytes()
         assert b1.targets.tobytes() == b2.targets.tobytes()
 
     def test_too_short_fatal(self):
         with pytest.raises(ConfigError):
-            tasks.gen_adding(T=9, n=10, seed=0)
+            generate_task("adding", 9, 10, 0)
 
     def test_metadata(self):
-        batch = tasks.gen_adding(T=20, n=3, seed=5)
-        assert batch.loss_kind is LossKind.MSE
-        assert batch.task_kind is TaskKind.ADDING
+        batch = generate_task("adding", 20, 3, 5)
+        assert batch.spec == TaskSpec(TaskKind.ADDING, 20)
+        assert batch.spec.loss_kind is LossKind.MSE
         assert batch.inputs.shape == (3, 20, 2)
         assert batch.targets.shape == (3, 1)
-        assert batch.success_tolerance == 0.04
+        assert batch.spec.success_tolerance == 0.04
 
 
 class TestMultiplication:
     def test_targets_recomputable_from_inputs(self):
-        batch = tasks.gen_multiplication(T=60, n=500, seed=6)
+        batch = generate_task("multiplication", 60, 500, 6)
         for i in range(batch.n):
             pos = marker_positions(batch.inputs[i])
             v1, v2 = batch.inputs[i, pos, 0]
@@ -70,7 +72,7 @@ class TestMultiplication:
 
     def test_target_mean(self):
         # product of two independent uniforms has mean 1/4
-        batch = tasks.gen_multiplication(T=100, n=100_000, seed=7)
+        batch = generate_task("multiplication", 100, 100_000, 7)
         assert abs(batch.targets.mean() - 0.25) < 0.005
 
 
@@ -101,40 +103,40 @@ class TestTemporalOrder:
                 assert lo <= pos <= hi
 
     def test_one_hot_rows(self):
-        batch = tasks.gen_temporal_order(T=40, n=100, seed=10)
+        batch = generate_task("temporal_order", 40, 100, 10)
         npt.assert_array_equal(batch.inputs.sum(axis=2), np.ones((100, 40)))
         assert set(np.unique(batch.inputs)) == {0.0, 1.0}
 
     def test_class_histogram_uniform(self):
-        for count, classes in ((2, 4), (3, 8)):
-            batch = tasks.gen_temporal_order(T=100, n=100_000, seed=11,
-                                             special_count=count)
+        for task, classes in (("temporal_order", 4), ("temporal_order_3bit", 8)):
+            batch = generate_task(task, 100, 100_000, 11)
             histogram = np.bincount(batch.targets, minlength=classes)
             p = stats.chisquare(histogram).pvalue
-            assert p > 0.01, f"count={count}: histogram {histogram}, p={p}"
+            assert p > 0.01, f"{task}: histogram {histogram}, p={p}"
 
     def test_distractors_only_elsewhere(self):
-        batch = tasks.gen_temporal_order(T=30, n=200, seed=12)
+        batch = generate_task("temporal_order", 30, 200, 12)
         symbols = np.argmax(batch.inputs, axis=2)
         n_specials = (symbols >= SYMBOL_X).sum(axis=1)
         npt.assert_array_equal(n_specials, np.full(200, 2))
 
     def test_window_collision_fatal(self):
         with pytest.raises(ConfigError, match="window"):
-            tasks.gen_temporal_order(T=5, n=10, seed=0)
+            generate_task("temporal_order", 5, 10, 0)
         with pytest.raises(ConfigError, match="window"):
-            tasks.gen_temporal_order(T=9, n=10, seed=0, special_count=3)
+            generate_task("temporal_order_3bit", 9, 10, 0)
 
-    def test_bad_special_count(self):
-        with pytest.raises(ConfigError):
-            tasks.gen_temporal_order(T=100, n=10, seed=0, special_count=4)
+    def test_generate_validates_tolerance(self):
+        spec = TaskSpec(TaskKind.TEMPORAL_ORDER, 100, success_tolerance=0.0)
+        with pytest.raises(ConfigError, match="tolerance"):
+            tasks.generate(spec, 10, seed=0)
 
     def test_metadata(self):
-        batch = tasks.gen_temporal_order(T=50, n=4, seed=13, special_count=3)
+        batch = generate_task("temporal_order_3bit", 50, 4, 13)
         assert batch.inputs.shape == (4, 50, 6)
         assert batch.targets.shape == (4,)
         assert batch.targets.dtype == np.int64
-        assert batch.loss_kind is LossKind.CROSS_ENTROPY
+        assert batch.spec.loss_kind is LossKind.CROSS_ENTROPY
 
 
 class TestMakeSplits:
@@ -170,27 +172,25 @@ class TestMakeSplits:
 
 class TestSubset:
     def test_subset_slices_consistently(self):
-        batch = tasks.gen_temporal_order(T=20, n=30, seed=17)
+        batch = generate_task("temporal_order", 20, 30, 17)
         sub = batch.subset(np.arange(5, 10))
         npt.assert_array_equal(sub.inputs, batch.inputs[5:10])
         npt.assert_array_equal(sub.targets, batch.targets[5:10])
-        assert sub.task_kind is batch.task_kind
+        assert sub.spec is batch.spec
 
 
 class TestDumpLoad:
     def test_round_trip_regression(self, tmp_path):
-        batch = tasks.gen_adding(T=25, n=40, seed=18)
+        batch = generate_task("adding", 25, 40, 18)
         path = tmp_path / "adding.dat"
         tasks.save_batch(path, batch, seed=18)
         loaded = tasks.load_batch(path)
         assert loaded.inputs.tobytes() == batch.inputs.tobytes()
         assert loaded.targets.tobytes() == batch.targets.tobytes()
-        assert loaded.task_kind is batch.task_kind
-        assert loaded.loss_kind is batch.loss_kind
-        assert loaded.success_tolerance == batch.success_tolerance
+        assert loaded.spec == batch.spec
 
     def test_round_trip_classification(self, tmp_path):
-        batch = tasks.gen_temporal_order(T=30, n=25, seed=19, special_count=3)
+        batch = generate_task("temporal_order_3bit", 30, 25, 19)
         path = tmp_path / "order.dat"
         tasks.save_batch(path, batch)
         loaded = tasks.load_batch(path)
@@ -199,10 +199,10 @@ class TestDumpLoad:
         npt.assert_array_equal(loaded.inputs, batch.inputs)
 
     def test_identical_files_for_identical_batches(self, tmp_path):
-        b = tasks.gen_adding(T=25, n=40, seed=20)
+        b = generate_task("adding", 25, 40, 20)
         p1, p2 = tmp_path / "a.dat", tmp_path / "b.dat"
         tasks.save_batch(p1, b, seed=20)
-        tasks.save_batch(p2, tasks.gen_adding(T=25, n=40, seed=20), seed=20)
+        tasks.save_batch(p2, generate_task("adding", 25, 40, 20), seed=20)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_files(self, tmp_path):
@@ -213,7 +213,7 @@ class TestDumpLoad:
         path.write_bytes(tasks.DATA_MAGIC + b"\nnot json\n")
         with pytest.raises(FormatError):
             tasks.load_batch(path)
-        batch = tasks.gen_adding(T=25, n=4, seed=21)
+        batch = generate_task("adding", 25, 4, 21)
         good = tmp_path / "good.dat"
         tasks.save_batch(good, batch)
         truncated = good.read_bytes()[:-16]
@@ -225,7 +225,7 @@ class TestDumpLoad:
     def _payload_case(self, tmp_path, extra: bytes, cut: int = 0):
         """A saved file with ``cut`` payload bytes removed and ``extra`` appended;
         returns its path and the payload size a valid file would have."""
-        batch = tasks.gen_adding(T=25, n=4, seed=21)
+        batch = generate_task("adding", 25, 4, 21)
         path = tmp_path / "case.dat"
         tasks.save_batch(path, batch)
         expected = batch.inputs.nbytes + batch.targets.nbytes
@@ -254,10 +254,20 @@ class TestDumpLoad:
             with pytest.raises(FormatError, match="malformed dataset header"):
                 tasks.load_batch(path)
 
+    def test_loss_contradicting_task_rejected(self, tmp_path):
+        for task, loss in (("temporal_order", "mse"), ("adding", "cross_entropy")):
+            path = tmp_path / f"{task}.dat"
+            tasks.save_batch(path, generate_task(task, 30, 4, 29))
+            magic, header, payload = path.read_bytes().split(b"\n", 2)
+            doc = {**json.loads(header), "loss_kind": loss}
+            path.write_bytes(b"\n".join([magic, json.dumps(doc).encode(), payload]))
+            with pytest.raises(FormatError, match=f"{task} .*{loss}"):
+                tasks.load_batch(path)
+
     def test_loaded_arrays_are_owned_and_writeable(self, tmp_path):
-        for batch in (tasks.gen_adding(T=25, n=6, seed=25),
-                      tasks.gen_temporal_order(T=30, n=6, seed=26)):
-            path = tmp_path / f"{batch.task_kind.value}.dat"
+        for batch in (generate_task("adding", 25, 6, 25),
+                      generate_task("temporal_order", 30, 6, 26)):
+            path = tmp_path / f"{batch.spec.kind.value}.dat"
             tasks.save_batch(path, batch)
             loaded = tasks.load_batch(path)
             for arr in (loaded.inputs, loaded.targets):
@@ -265,15 +275,15 @@ class TestDumpLoad:
                 assert arr.dtype.isnative
 
     def test_save_load_save_byte_identical(self, tmp_path):
-        for batch in (tasks.gen_multiplication(T=25, n=7, seed=27),
-                      tasks.gen_temporal_order(T=30, n=7, seed=28, special_count=3)):
+        for batch in (generate_task("multiplication", 25, 7, 27),
+                      generate_task("temporal_order_3bit", 30, 7, 28)):
             first, second = tmp_path / "first.dat", tmp_path / "second.dat"
             tasks.save_batch(first, batch, seed=28)
             tasks.save_batch(second, tasks.load_batch(first), seed=28)
             assert first.read_bytes() == second.read_bytes()
 
     def test_non_finite_inputs_rejected(self, tmp_path):
-        batch = tasks.gen_adding(T=25, n=4, seed=22)
+        batch = generate_task("adding", 25, 4, 22)
         batch.inputs[1, 3, 0] = np.nan
         path = tmp_path / "nan_inputs.dat"
         tasks.save_batch(path, batch)
@@ -281,7 +291,7 @@ class TestDumpLoad:
             tasks.load_batch(path)
 
     def test_non_finite_targets_rejected(self, tmp_path):
-        batch = tasks.gen_multiplication(T=25, n=4, seed=23)
+        batch = generate_task("multiplication", 25, 4, 23)
         batch.targets[2, 0] = np.inf
         path = tmp_path / "inf_targets.dat"
         tasks.save_batch(path, batch)
@@ -290,12 +300,12 @@ class TestDumpLoad:
 
     def test_class_ids_out_of_range_rejected(self, tmp_path):
         # 2 specials give classes 0..3, 3 specials 0..7
-        for special_count, bad_ids in ((2, (-1, 4)), (3, (-1, 8))):
+        for task, bad_ids in (("temporal_order", (-1, 4)),
+                              ("temporal_order_3bit", (-1, 8))):
             for bad in bad_ids:
-                batch = tasks.gen_temporal_order(T=30, n=5, seed=24,
-                                                 special_count=special_count)
+                batch = generate_task(task, 30, 5, 24)
                 batch.targets[3] = bad
-                path = tmp_path / f"order{special_count}_{bad}.dat"
+                path = tmp_path / f"{task}_{bad}.dat"
                 tasks.save_batch(path, batch)
                 with pytest.raises(FormatError, match="class ids"):
                     tasks.load_batch(path)

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import generate_task, read_table
 from srngate import model, tasks, trainer
 from srngate.bptt import Gradients
 from srngate.config import RunConfig
@@ -38,18 +39,19 @@ class TestSgdStep:
     def test_single_step_plain_sgd(self):
         state = scalar_state()
         cfg = small_config(mu=0.0, alpha=0.1)
-        applied = trainer.sgd_step(state, unit_grads(), cfg)
-        npt.assert_allclose(applied.w_rec, [[-0.1]], rtol=1e-15)
+        assert trainer.sgd_step(state, unit_grads(), cfg) is None
+        npt.assert_allclose(state.velocity.w_rec, [[-0.1]], rtol=1e-15)
         npt.assert_allclose(state.params.w_rec, [[0.9]], rtol=1e-15)
 
     def test_two_steps_hand_computed(self):
         # alpha=0.1, mu=0.9, g=1 twice: v = -0.1 then -0.19
         state = scalar_state()
         cfg = small_config(mu=0.9, alpha=0.1)
-        a1 = trainer.sgd_step(state, unit_grads(), cfg)
-        npt.assert_allclose(a1.w_rec, [[-0.1]], rtol=1e-14)
-        a2 = trainer.sgd_step(state, unit_grads(), cfg)
-        npt.assert_allclose(a2.w_rec, [[-0.19]], rtol=1e-14)
+        trainer.sgd_step(state, unit_grads(), cfg)
+        npt.assert_allclose(state.velocity.w_rec, [[-0.1]], rtol=1e-14)
+        trainer.sgd_step(state, unit_grads(), cfg)
+        npt.assert_allclose(state.velocity.w_rec, [[-0.19]], rtol=1e-14)
+        npt.assert_allclose(state.params.w_rec, [[1.0 - 0.1 - 0.19]], rtol=1e-14)
 
     def test_velocity_decays_geometrically(self):
         state = scalar_state()
@@ -83,8 +85,10 @@ class TestCandidateUpdate:
             dw = trainer.candidate_update(state, grads, cfg)
             assert state.params.w_rec.tobytes() == before_w
             assert state.velocity.w_rec.tobytes() == before_v
-            applied = trainer.sgd_step(state, grads, cfg)
-            npt.assert_array_equal(dw, applied.w_rec)
+            trainer.sgd_step(state, grads, cfg)
+            npt.assert_array_equal(dw, state.velocity.w_rec)
+            npt.assert_array_equal(state.params.w_rec,
+                                   np.frombuffer(before_w).reshape(4, 4) + dw)
 
 
 class TestTrainIteration:
@@ -127,8 +131,8 @@ class TestTrainIteration:
         twin = TrainState.fresh(state.params.copy())
         trace = model.forward_batch(state.params, batch.inputs)
         from srngate.bptt import BpttConfig, backward
-        _, deltas, _ = model.loss_batch(trace, batch.targets, batch.loss_kind,
-                                        batch.success_tolerance)
+        _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind,
+                                        batch.spec.success_tolerance)
         back = backward(state.params, trace, deltas, BpttConfig(h=cfg.h))
         trainer.train_iteration(state, batch, cfg)
         trainer.sgd_step(twin, back.grads, cfg)
@@ -144,7 +148,7 @@ class TestEvaluate:
                                  np.zeros((4, 4)), np.ones(4),
                                  OutputActivation.SOFTMAX)
         params.w_out[:, 0] = 5.0
-        batch = tasks.gen_temporal_order(T=20, n=64, seed=5)
+        batch = generate_task("temporal_order", 20, 64, 5)
         batch.targets[:] = 0
         assert trainer.evaluate(params, batch) == 1.0
 
@@ -152,7 +156,7 @@ class TestEvaluate:
         params = model.SrnParams(np.zeros((6, 4)), np.zeros((4, 4)),
                                  np.zeros((4, 4)), np.zeros(4),
                                  OutputActivation.SOFTMAX)
-        batch = tasks.gen_temporal_order(T=20, n=4096, seed=6)
+        batch = generate_task("temporal_order", 20, 4096, 6)
         acc = trainer.evaluate(params, batch)
         # argmax of a uniform softmax is class 0; 3 sigma binomial band
         sigma = np.sqrt(0.25 * 0.75 / 4096)
@@ -160,12 +164,12 @@ class TestEvaluate:
 
     def test_untrained_net_fails_adding(self):
         params = model.init_gaussian(2, 10, 1, 0.05, seed=7)
-        batch = tasks.gen_adding(T=20, n=2000, seed=8)
+        batch = generate_task("adding", 20, 2000, 8)
         assert trainer.evaluate(params, batch) < 0.2
 
     def test_chunking_invariant(self):
         params = model.init_gaussian(2, 6, 1, 0.05, seed=9)
-        batch = tasks.gen_adding(T=15, n=100, seed=10)
+        batch = generate_task("adding", 15, 100, 10)
         assert (trainer.evaluate(params, batch, chunk=7)
                 == trainer.evaluate(params, batch, chunk=100))
 
@@ -251,7 +255,7 @@ class TestMetricsCsv:
         outcome = train_quietly(small_config(epochs=2))
         path = tmp_path / "metrics.csv"
         trainer.write_metrics_csv(path, outcome.rows)
-        parsed = trainer.read_table(path, trainer.METRICS_COLUMNS)
+        parsed = read_table(path, trainer.METRICS_COLUMNS)
         assert len(parsed) == len(outcome.rows)
         for raw, back in zip(outcome.rows, parsed):
             for key in trainer.METRICS_COLUMNS:
@@ -268,7 +272,7 @@ class TestMetricsCsv:
         outcome = train_quietly(small_config(epochs=1, reg="off"))
         path = tmp_path / "metrics.csv"
         trainer.write_metrics_csv(path, outcome.rows)
-        parsed = trainer.read_table(path, trainer.METRICS_COLUMNS)
+        parsed = read_table(path, trainer.METRICS_COLUMNS)
         assert all(row["dS"] is None and row["decision"] is None for row in parsed)
         assert all(row["delta_norm_top"] is not None for row in parsed)
 
@@ -276,4 +280,4 @@ class TestMetricsCsv:
         path = tmp_path / "metrics.csv"
         trainer.write_metrics_csv(path, train_quietly(small_config(epochs=1)).rows)
         with pytest.raises(FormatError, match="header"):
-            trainer.read_table(path, {"iter": int})
+            read_table(path, {"iter": int})
