@@ -43,6 +43,13 @@ def _add_model_flags(p):
     p.add_argument("--h", type=int, help="BPTT horizon")
 
 
+def _add_data_flags(p):
+    p.add_argument("--train-size", type=int, dest="train_size")
+    p.add_argument("--valid-size", type=int, dest="valid_size")
+    p.add_argument("--test-size", type=int, dest="test_size")
+    p.add_argument("--tolerance", type=float, help="regression success tolerance")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="srngate",
                      description="train recurrent nets with gradient-norm-gated "
@@ -51,10 +58,7 @@ def build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="generate train/valid/test dataset files")
     _add_common(gen)
-    gen.add_argument("--train-size", type=int, dest="train_size")
-    gen.add_argument("--valid-size", type=int, dest="valid_size")
-    gen.add_argument("--test-size", type=int, dest="test_size")
-    gen.add_argument("--tolerance", type=float)
+    _add_data_flags(gen)
 
     train = sub.add_parser("train", help="run the training protocol")
     _add_common(train)
@@ -71,9 +75,7 @@ def build_parser() -> _Parser:
     train.add_argument("--r0-absolute", action="store_true", default=None,
                        dest="r0_absolute")
     train.add_argument("--seeds", help="comma-separated seed list")
-    train.add_argument("--train-size", type=int, dest="train_size")
-    train.add_argument("--valid-size", type=int, dest="valid_size")
-    train.add_argument("--test-size", type=int, dest="test_size")
+    _add_data_flags(train)
     train.add_argument("--data", help="directory of dataset files from 'gen'")
     train.add_argument("--run-name", help="run directory prefix instead of a timestamp")
     train.add_argument("--record-dynamics", action="store_true", default=None,
@@ -155,17 +157,18 @@ def cmd_train(args) -> int:
                               f"outputs are append-only")
         run_dir.mkdir(parents=True)
         recorder = diagnostics.DynamicsRecorder(cfg.h) if cfg.record_dynamics else None
-        outcome = trainer.train(cfg, seed, data=data, hook=recorder, log=print)
-        trainer.write_metrics_csv(run_dir / "metrics.csv", outcome.rows)
-        model.save_model(run_dir / "model.json", outcome.best_params, seed=seed)
+        state, test_accuracy = trainer.train(cfg, seed, data=data, hook=recorder,
+                                             log=print)
+        trainer.write_metrics_csv(run_dir / "metrics.csv", state.rows)
+        model.save_model(run_dir / "model.json", state.best_params, seed=seed)
         if recorder is not None:
             recorder.write(run_dir / "dynamics.csv")
-        results[seed] = {"best_valid_accuracy": outcome.best_valid_accuracy,
-                         "test_accuracy": outcome.test_accuracy,
-                         "corrections": outcome.total_corrections,
-                         "starvation_events": outcome.starvation_events}
-        print(f"seed {seed}: best valid {outcome.best_valid_accuracy:.4f}, "
-              f"test {outcome.test_accuracy:.4f} -> {run_dir}")
+        results[seed] = {"best_valid_accuracy": state.best_valid_accuracy,
+                         "test_accuracy": test_accuracy,
+                         "corrections": state.corrections,
+                         "starvation_events": state.starvation_events}
+        print(f"seed {seed}: best valid {state.best_valid_accuracy:.4f}, "
+              f"test {test_accuracy:.4f} -> {run_dir}")
 
     tests = [results[s]["test_accuracy"] for s in cfg.seeds]
     summary = {
@@ -192,13 +195,13 @@ def cmd_scan(args) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = cfg.task_spec()
+    probes = tasks.generate(spec, cfg.probes, seed=cfg.seeds[0])
     for sigma in sigmas:
         if sigma <= 0:
             raise ConfigError(f"sigma: must be positive, got {sigma}")
         params = model.init_gaussian(spec.n_in, cfg.hidden, spec.n_out, sigma,
                                      seed=cfg.seeds[0],
                                      output_activation=spec.output_activation)
-        probes = tasks.generate(spec, cfg.probes, seed=cfg.seeds[0])
         profile = diagnostics.depth_scan(params, probes, cfg.h)
         path = out_dir / f"depth_profile_sigma{sigma:g}.csv"
         diagnostics.write_profile_csv(path, profile)

@@ -22,6 +22,7 @@ from . import model as model_mod
 from .bptt import BpttConfig, backward
 from .errors import DimensionError
 from .model import SrnParams
+from .tasks import SequenceBatch
 from .trainer import write_table
 
 PROFILE_COLUMNS = {"depth": int, "delta_norm": float, "gwin_norm": float,
@@ -43,48 +44,43 @@ class DepthProfile:
         return len(self.depths) - 1
 
 
-def depth_scan(params: SrnParams, probes, h: int, chunk: int = 256) -> DepthProfile:
+def depth_scan(params: SrnParams, probes: SequenceBatch, h: int,
+               chunk: int = 256) -> DepthProfile:
     """Average delta and weight-contribution norms per depth over probe data.
 
-    ``probes`` is one SequenceBatch or a list of them; error is injected
-    through the task loss exactly as during training.  Depth n corresponds
-    to forward step T - n; at n = h = T there is no step left, so the weight
-    contributions are recorded as nan.
+    Error is injected through the task loss exactly as during training.
+    Depth n corresponds to forward step T - n; at n = h = T there is no step
+    left, so the weight contributions are recorded as nan.
     """
-    if not isinstance(probes, (list, tuple)):
-        probes = [probes]
-    sums = None
-    count = 0
-    for batch in probes:
-        for start in range(0, batch.n, chunk):
-            part = batch.subset(slice(start, start + chunk))
-            trace = model_mod.forward_batch(params, part.inputs)
-            _, deltas, _ = model_mod.loss_batch(trace, part.targets, part.spec.loss_kind,
-                                                part.spec.success_tolerance)
-            back = backward(params, trace, deltas, BpttConfig(h=h))
-            n_steps = trace.n_steps
-            delta_norms = back.delta_norms                      # (N, h+1)
-            input_norms = np.sqrt(np.sum(trace.inputs ** 2, axis=2))  # (N, T)
-            state_norms = np.sqrt(np.sum(trace.z ** 2, axis=2))       # (N, T)
-            z0_norms = np.sqrt(np.sum(trace.z0 ** 2, axis=1))
-
-            gwin = np.full_like(delta_norms, np.nan)
-            gwrec = np.full_like(delta_norms, np.nan)
-            for n in range(h + 1):
-                step = n_steps - n  # 1-based
-                if step < 1:
-                    continue
-                # rank-one contribution: ||outer(u, d)||_F = ||u|| * ||d||
-                gwin[:, n] = input_norms[:, step - 1] * delta_norms[:, n]
-                prev = state_norms[:, step - 2] if step >= 2 else z0_norms
-                gwrec[:, n] = prev * delta_norms[:, n]
-            part_sums = np.stack([delta_norms.sum(axis=0), gwin.sum(axis=0),
-                                  gwrec.sum(axis=0)])
-            sums = part_sums if sums is None else sums + part_sums
-            count += part.n
-    if count == 0:
+    if probes.n == 0:
         raise DimensionError("depth_scan needs at least one probe sequence")
-    means = sums / count
+    sums = None
+    for start in range(0, probes.n, chunk):
+        part = probes.subset(slice(start, start + chunk))
+        trace = model_mod.forward_batch(params, part.inputs)
+        _, deltas, _ = model_mod.loss_batch(trace, part.targets, part.spec.loss_kind,
+                                            part.spec.success_tolerance)
+        back = backward(params, trace, deltas, BpttConfig(h=h))
+        n_steps = trace.n_steps
+        delta_norms = back.delta_norms                      # (N, h+1)
+        input_norms = np.sqrt(np.sum(trace.inputs ** 2, axis=2))  # (N, T)
+        state_norms = np.sqrt(np.sum(trace.z ** 2, axis=2))       # (N, T)
+        z0_norms = np.sqrt(np.sum(trace.z0 ** 2, axis=1))
+
+        gwin = np.full_like(delta_norms, np.nan)
+        gwrec = np.full_like(delta_norms, np.nan)
+        for n in range(h + 1):
+            step = n_steps - n  # 1-based
+            if step < 1:
+                continue
+            # rank-one contribution: ||outer(u, d)||_F = ||u|| * ||d||
+            gwin[:, n] = input_norms[:, step - 1] * delta_norms[:, n]
+            prev = state_norms[:, step - 2] if step >= 2 else z0_norms
+            gwrec[:, n] = prev * delta_norms[:, n]
+        part_sums = np.stack([delta_norms.sum(axis=0), gwin.sum(axis=0),
+                              gwrec.sum(axis=0)])
+        sums = part_sums if sums is None else sums + part_sums
+    means = sums / probes.n
     return DepthProfile(depths=np.arange(h + 1), delta_norm=means[0],
                         gwin_norm=means[1], gwrec_norm=means[2])
 

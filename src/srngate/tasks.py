@@ -218,8 +218,9 @@ def load_batch(path) -> SequenceBatch:
 
     The batch's spec comes from the header's task, T and success tolerance.
     Rejects with FormatError a file whose loss_kind contradicts its task, a
-    file holding no sequences, non-finite inputs or targets and, for the
-    temporal-order tasks, class ids outside [0, 2**specials).
+    file holding no sequences, a spec that fails TaskSpec.validate, non-finite
+    inputs or targets and, for the temporal-order tasks, class ids outside
+    [0, 2**specials).
     """
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
@@ -243,6 +244,10 @@ def load_batch(path) -> SequenceBatch:
         if min((T, n_in) + t_shape) < 0:
             raise FormatError(f"malformed dataset header: negative size in "
                               f"T={T}, n_in={n_in}, targets_shape={list(t_shape)}")
+        try:
+            spec.validate()
+        except ConfigError as e:
+            raise FormatError(f"dataset header: {e}") from e
         payload_bytes = os.fstat(f.fileno()).st_size - f.tell()
         expected = n * T * n_in * 8 + int(np.prod(t_shape)) * 8
         if payload_bytes != expected:

@@ -1,23 +1,28 @@
 """SGD-with-momentum training loop with the minibatch gate in the inner loop.
 
+A ``TrainState`` owns the run: parameters, velocity, shuffle generator,
+counters, best snapshot and metrics rows.  ``train`` builds the starting
+state with ``start_run`` and calls ``run_epoch`` on it once per epoch.
+
 An epoch draws minibatches from a shuffled pool until the configured number
 of *accepted* corrections has been applied; rejected batches go back to the
 end of the pool and stay eligible (they may be usable later once the
 network's gradient flow has moved).  A starvation guard force-accepts the
 next draw after too many consecutive rejections, so an epoch always
-terminates.  After each epoch the current network is scored on the
-validation split and the best snapshot so far is kept; that snapshot is what
-gets scored on the test split at the end.
+terminates.  The pool and the guard start afresh every epoch, so they are
+locals of ``run_epoch``.  After each epoch the current network is scored on
+the validation split and the best snapshot so far is kept; that snapshot is
+what gets scored on the test split at the end.
 
-Each draw appends one row to the metrics log: iteration and epoch counters,
-batch loss, the gate evidence (dS, S, Q, decision), the top and deep delta
-norms, and per-block gradient norms.  Rows are written with full float
-precision, so a metrics file is a bit-exact record of the run.
+Each draw appends its own row to ``state.rows``: iteration and epoch
+counters, batch loss, the gate evidence (dS, S, Q, decision), the top and
+deep delta norms, and per-block gradient norms.  Rows are written with full
+float precision, so a metrics file is a bit-exact record of the run.
 """
 
 import csv
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,36 +48,26 @@ METRICS_COLUMNS = {
 class TrainState:
     params: SrnParams
     velocity: Gradients
+    shuffle_rng: np.random.Generator
     iteration: int = 0
     epoch: int = 0
+    corrections: int = 0          # applied updates, forced ones included
+    starvation_events: int = 0
     best_params: SrnParams | None = None
     best_valid_accuracy: float = -1.0
+    rows: list = field(default_factory=list)  # one METRICS_COLUMNS row per draw
 
     @staticmethod
-    def fresh(params: SrnParams) -> "TrainState":
-        return TrainState(params=params, velocity=Gradients.zeros_like(params))
+    def fresh(params: SrnParams, shuffle_seed=None) -> "TrainState":
+        return TrainState(params=params, velocity=Gradients.zeros_like(params),
+                          shuffle_rng=np.random.default_rng(shuffle_seed))
 
 
 @dataclass
 class IterationResult:
     applied: bool
-    loss: float
     report: RegReport | None
-    grad_norms: dict
-    norm_top: float
-    norm_deep: float
     forced: bool = False
-
-
-@dataclass
-class TrainOutcome:
-    best_valid_accuracy: float
-    test_accuracy: float
-    rows: list
-    starvation_events: int
-    final_params: SrnParams
-    best_params: SrnParams
-    total_corrections: int
 
 
 def sgd_step(state: TrainState, grads: Gradients, cfg: RunConfig) -> None:
@@ -95,15 +90,12 @@ def candidate_update(state: TrainState, grads: Gradients, cfg: RunConfig) -> np.
 
 def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
                     force_accept: bool = False, hook=None) -> IterationResult:
-    """One minibatch draw: forward, backward, gate, maybe apply."""
+    """One minibatch draw: forward, backward, gate, maybe apply, log a row."""
     state.iteration += 1
     trace = model_mod.forward_batch(state.params, batch.inputs)
     losses, deltas, _ = model_mod.loss_batch(trace, batch.targets, batch.spec.loss_kind,
                                              batch.spec.success_tolerance)
     back = backward(state.params, trace, deltas, BpttConfig(h=cfg.h))
-    loss = float(losses.mean())
-    norm_top = float(back.delta_norms[:, 0].mean())
-    norm_deep = float(back.delta_norms[:, cfg.h].mean())
 
     report = None
     if cfg.reg == "on":
@@ -115,11 +107,19 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
         applied = True
     if applied:
         sgd_step(state, back.grads, cfg)
+        state.corrections += 1
 
-    result = IterationResult(applied=applied, loss=loss, report=report,
-                             grad_norms=back.grads.block_norms(),
-                             norm_top=norm_top, norm_deep=norm_deep,
-                             forced=force_accept)
+    row = {"iter": state.iteration, "epoch": state.epoch, "loss": float(losses.mean()),
+           "dS": None, "S": None, "q": None, "decision": None, "applied": applied,
+           "delta_norm_top": float(back.delta_norms[:, 0].mean()),
+           "delta_norm_deep": float(back.delta_norms[:, cfg.h].mean())}
+    if report is not None:
+        row.update(dS=report.dS, S=report.S, q=report.q, decision=report.decision.value)
+    for name, norm in back.grads.block_norms().items():
+        row[f"gnorm_{name}"] = norm
+    state.rows.append(row)
+
+    result = IterationResult(applied=applied, report=report, forced=force_accept)
     if hook is not None:
         hook(state, result, trace, back)
     return result
@@ -137,92 +137,74 @@ def evaluate(params: SrnParams, batch: SequenceBatch, chunk: int = 512) -> float
     return hits / batch.n
 
 
-def _iteration_row(state: TrainState, res: IterationResult) -> dict:
-    row = {
-        "iter": state.iteration,
-        "epoch": state.epoch,
-        "loss": res.loss,
-        "dS": res.report.dS if res.report else None,
-        "S": res.report.S if res.report else None,
-        "q": res.report.q if res.report else None,
-        "decision": res.report.decision.value if res.report else None,
-        "applied": res.applied,
-        "delta_norm_top": res.norm_top,
-        "delta_norm_deep": res.norm_deep,
-    }
-    for name in PARAM_BLOCKS:
-        row[f"gnorm_{name}"] = res.grad_norms[name]
-    return row
+def start_run(cfg: RunConfig, seed: int, data: dict | None = None) -> tuple:
+    """The starting state of a run and its {train, valid, test} splits.
 
-
-def train(cfg: RunConfig, seed: int, data: dict | None = None,
-          hook=None, log=print) -> TrainOutcome:
-    """Run the full protocol and report validation-selected test accuracy.
-
-    ``data`` may carry pre-generated {train, valid, test} splits; otherwise
-    they are derived from ``seed``.  ``hook`` (if given) is called after
-    every draw with (state, result, trace, backward result).
+    ``SeedSequence(seed).spawn(3)`` gives the data, init and shuffle seeds;
+    ``data`` may carry pre-generated splits, otherwise they are derived from
+    the data seed.  The initial network is the first best snapshot.
     """
     spec = cfg.task_spec()
     data_seed, init_seed, shuffle_seed = np.random.SeedSequence(seed).spawn(3)
     if data is None:
         data = tasks_mod.make_splits(spec, data_seed,
                                      (cfg.train_size, cfg.valid_size, cfg.test_size))
-
     params = model_mod.init_gaussian(
         spec.n_in, cfg.hidden, spec.n_out, cfg.sigma,
         seed=init_seed, output_activation=spec.output_activation)
-    state = TrainState.fresh(params)
+    state = TrainState.fresh(params, shuffle_seed)
     state.best_params = params.copy()
     state.best_valid_accuracy = evaluate(params, data["valid"])
+    return state, data
 
-    shuffle_rng = np.random.default_rng(shuffle_seed)
+
+def run_epoch(state: TrainState, data: dict, cfg: RunConfig, hook=None,
+              log=print) -> float:
+    """One epoch: shuffle, draw until cfg.iters updates are applied, then
+    validate and keep the best snapshot.  Returns the validation accuracy.
+
+    ``hook`` (if given) is called after every draw with (state, result,
+    trace, backward result).
+    """
+    state.epoch += 1
     train_set = data["train"]
-    n_batches = (train_set.n + cfg.batch - 1) // cfg.batch
-    rows = []
-    starvation_events = 0
-    total_corrections = 0
-
-    for epoch in range(1, cfg.epochs + 1):
-        state.epoch = epoch
-        order = shuffle_rng.permutation(train_set.n)
-        pool = deque(order[i * cfg.batch:(i + 1) * cfg.batch]
-                     for i in range(n_batches))
-        accepted = 0
-        consecutive_rejects = 0
+    order = state.shuffle_rng.permutation(train_set.n)
+    pool = deque(order[start:start + cfg.batch]
+                 for start in range(0, train_set.n, cfg.batch))
+    target = state.corrections + cfg.iters
+    consecutive_rejects = 0
+    force_next = False
+    while state.corrections < target:
+        idx = pool.popleft()
+        res = train_iteration(state, train_set.subset(idx), cfg,
+                              force_accept=force_next, hook=hook)
         force_next = False
-        while accepted < cfg.iters:
-            idx = pool.popleft()
-            batch = train_set.subset(idx)
-            res = train_iteration(state, batch, cfg, force_accept=force_next,
-                                  hook=hook)
-            force_next = False
-            rows.append(_iteration_row(state, res))
-            if res.applied:
-                accepted += 1
-                total_corrections += 1
+        if res.applied:
+            consecutive_rejects = 0
+        else:
+            pool.append(idx)  # rejected batches stay eligible later
+            consecutive_rejects += 1
+            if consecutive_rejects >= cfg.max_consecutive_rejects:
+                state.starvation_events += 1
                 consecutive_rejects = 0
-            else:
-                pool.append(idx)  # rejected batches stay eligible later
-                consecutive_rejects += 1
-                if consecutive_rejects >= cfg.max_consecutive_rejects:
-                    starvation_events += 1
-                    consecutive_rejects = 0
-                    force_next = True
-                    log(f"warning: epoch {epoch}: {cfg.max_consecutive_rejects} "
-                        f"consecutive rejections, force-accepting next batch")
-        valid_acc = evaluate(state.params, data["valid"])
-        if valid_acc > state.best_valid_accuracy:
-            state.best_valid_accuracy = valid_acc
-            state.best_params = state.params.copy()
+                force_next = True
+                log(f"warning: epoch {state.epoch}: {cfg.max_consecutive_rejects} "
+                    f"consecutive rejections, force-accepting next batch")
+    valid_acc = evaluate(state.params, data["valid"])
+    if valid_acc > state.best_valid_accuracy:
+        state.best_valid_accuracy = valid_acc
+        state.best_params = state.params.copy()
+    return valid_acc
 
-    test_accuracy = evaluate(state.best_params, data["test"])
-    return TrainOutcome(best_valid_accuracy=state.best_valid_accuracy,
-                        test_accuracy=test_accuracy, rows=rows,
-                        starvation_events=starvation_events,
-                        final_params=state.params,
-                        best_params=state.best_params,
-                        total_corrections=total_corrections)
+
+def train(cfg: RunConfig, seed: int, data: dict | None = None,
+          hook=None, log=print) -> tuple:
+    """Run the full protocol; returns (final state, test accuracy of the
+    validation-selected best snapshot).  See start_run and run_epoch."""
+    state, data = start_run(cfg, seed, data)
+    for _ in range(cfg.epochs):
+        run_epoch(state, data, cfg, hook, log)
+    return state, evaluate(state.best_params, data["test"])
 
 
 def format_value(value) -> str:

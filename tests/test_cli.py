@@ -145,6 +145,18 @@ class TestTrain:
         assert f"{task} T=20 tolerance=0.5" in err
         assert not out.exists()
 
+    def test_tolerance_flag_trains_on_matching_data(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert run_cli(["gen", "--task", "adding", "--T", "15", "--seed", "1",
+                        "--tolerance", "0.1", "--out", str(data_dir)] + GEN_SMALL,
+                       capsys)[0] == 0
+        code, _, _ = run_cli(["train", "--task", "adding", "--T", "15",
+                              "--tolerance", "0.1", "--seeds", "0",
+                              "--out", str(tmp_path), "--run-name", "tol",
+                              "--data", str(data_dir)] + TRAIN_SMALL, capsys)
+        assert code == 0
+        assert (tmp_path / "tol_seed0" / "metrics.csv").exists()
+
     def test_record_dynamics(self, tmp_path, capsys):
         base = ["train", "--task", "adding", "--T", "15", "--seeds", "0",
                 "--out", str(tmp_path), "--run-name", "dyn",
@@ -185,6 +197,21 @@ class TestScan:
         assert code == 0
         profile = read_profile_csv(tmp_path / "depth_profile_sigma0.01.csv")
         assert len(profile.depths) == 2
+
+    def test_probe_batch_built_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting_generate(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        generate = tasks.generate
+        monkeypatch.setattr(tasks, "generate", counting_generate)
+        code, _, _ = run_cli(["scan", "--task", "adding", "--T", "20", "--hidden", "8",
+                              "--sigmas", "0.01,0.02,0.03", "--probes", "10",
+                              "--seed", "2", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_repeat_identical(self, tmp_path, capsys):
         args = ["scan", "--task", "adding", "--T", "20", "--hidden", "8",

@@ -127,12 +127,12 @@ class TestDynamicsRecorder:
                         batch=5, epochs=epochs, iters=3, h=12, reg=reg,
                         train_size=60, valid_size=20, test_size=30)
         recorder = diag.DynamicsRecorder(h=cfg.h)
-        outcome = trainer.train(cfg, seed, hook=recorder, log=lambda *_: None)
-        return recorder, outcome
+        state, _ = trainer.train(cfg, seed, hook=recorder, log=lambda *_: None)
+        return recorder, state
 
     def test_rows_ordered_per_iteration(self):
-        recorder, outcome = self._run()
-        assert len(recorder.rows) == len(outcome.rows)
+        recorder, state = self._run()
+        assert len(recorder.rows) == len(state.rows)
         iters = [row["iter"] for row in recorder.rows]
         assert iters == sorted(iters)
         assert len(set(iters)) == len(iters)

@@ -264,6 +264,20 @@ class TestDumpLoad:
             with pytest.raises(FormatError, match=f"{task} .*{loss}"):
                 tasks.load_batch(path)
 
+    @pytest.mark.parametrize("task, change, message", [
+        ("adding", {"success_tolerance": -1.0}, "tolerance must be positive"),
+        ("temporal_order", {"T": 4, "n_in": 45}, "does not fit"),
+    ])
+    def test_header_spec_validated(self, tmp_path, task, change, message):
+        # the changed T * n_in keeps the payload size right: only the spec is bad
+        path = tmp_path / f"{task}.dat"
+        tasks.save_batch(path, generate_task(task, 30, 4, 30))
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        doc = {**json.loads(header), **change}
+        path.write_bytes(b"\n".join([magic, json.dumps(doc).encode(), payload]))
+        with pytest.raises(FormatError, match=message):
+            tasks.load_batch(path)
+
     def test_loaded_arrays_are_owned_and_writeable(self, tmp_path):
         for batch in (generate_task("adding", 25, 6, 25),
                       generate_task("temporal_order", 30, 6, 26)):

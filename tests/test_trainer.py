@@ -31,8 +31,19 @@ def small_config(**kw):
     return RunConfig(**defaults)
 
 
+def order_config():
+    """A 4-epoch gated temporal-order run that rejects draws and whose
+    validation accuracy moves between epochs."""
+    return small_config(task="temporal_order", T=10, h=10, alpha=0.05, epochs=4)
+
+
+def quiet(*_):
+    pass
+
+
 def train_quietly(cfg, seed=1):
-    return trainer.train(cfg, seed, log=lambda *_: None)
+    """(final state, test accuracy) of a run that logs nothing."""
+    return trainer.train(cfg, seed, log=quiet)
 
 
 class TestSgdStep:
@@ -126,6 +137,15 @@ class TestTrainIteration:
         res = trainer.train_iteration(state, batch, cfg, force_accept=True)
         assert res.applied and res.forced
 
+    def test_each_draw_logs_one_row(self):
+        cfg, batch, state = self._setup(r0=1e-300, r0_absolute=True)
+        trainer.train_iteration(state, batch, cfg)
+        trainer.train_iteration(state, batch, cfg, force_accept=True)
+        assert [row["iter"] for row in state.rows] == [1, 2]
+        assert [row["applied"] for row in state.rows] == [False, True]
+        assert state.corrections == 1
+        assert set(state.rows[0]) == set(trainer.METRICS_COLUMNS)
+
     def test_accept_applies_exactly_sgd_step(self):
         cfg, batch, state = self._setup(reg="off")
         twin = TrainState.fresh(state.params.copy())
@@ -176,37 +196,37 @@ class TestEvaluate:
 
 class TestTrain:
     def test_zero_epochs_returns_initial_accuracies(self):
-        outcome = train_quietly(small_config(epochs=0))
-        assert outcome.rows == []
-        assert outcome.total_corrections == 0
-        assert 0.0 <= outcome.test_accuracy <= 1.0
-        assert outcome.best_valid_accuracy >= 0.0
+        state, test_accuracy = train_quietly(small_config(epochs=0))
+        assert state.rows == []
+        assert state.corrections == 0
+        assert 0.0 <= test_accuracy <= 1.0
+        assert state.best_valid_accuracy >= 0.0
 
     def test_deterministic_given_seed(self):
         cfg = small_config(epochs=2, reg="on")
-        o1 = train_quietly(cfg)
-        o2 = train_quietly(cfg)
-        assert o1.rows == o2.rows
-        assert o1.test_accuracy == o2.test_accuracy
+        s1, test1 = train_quietly(cfg)
+        s2, test2 = train_quietly(cfg)
+        assert s1.rows == s2.rows
+        assert test1 == test2
         for n in trainer.PARAM_BLOCKS:
-            assert (getattr(o1.final_params, n).tobytes()
-                    == getattr(o2.final_params, n).tobytes())
+            assert (getattr(s1.params, n).tobytes()
+                    == getattr(s2.params, n).tobytes())
 
     def test_accepted_iterations_per_epoch_exact(self):
-        outcome = train_quietly(small_config(epochs=3, iters=5))
-        assert outcome.total_corrections == 15
+        state, _ = train_quietly(small_config(epochs=3, iters=5))
+        assert state.corrections == 15
         by_epoch = {}
-        for row in outcome.rows:
+        for row in state.rows:
             by_epoch.setdefault(row["epoch"], 0)
             by_epoch[row["epoch"]] += 1 if row["applied"] else 0
         assert all(v == 5 for v in by_epoch.values())
 
     def test_gate_audit_on_logged_rows(self):
         cfg = small_config(epochs=3, reg="on")
-        outcome = train_quietly(cfg)
+        state, _ = train_quietly(cfg)
         reg_cfg = cfg.reg_config()
-        assert any(row["decision"] is not None for row in outcome.rows)
-        for row in outcome.rows:
+        assert any(row["decision"] is not None for row in state.rows)
+        for row in state.rows:
             if row["decision"] != Decision.ACCEPT.value:
                 continue
             r0_eff = reg_cfg.r0 * row["S"]
@@ -222,8 +242,42 @@ class TestTrain:
             small_config(h=50)
 
     def test_best_snapshot_beats_or_ties_validation_history(self):
-        outcome = train_quietly(small_config(epochs=4))
-        assert 0.0 <= outcome.best_valid_accuracy <= 1.0
+        # seed 1 falls below its initial accuracy, seed 2 climbs above it
+        cfg = order_config()
+        for seed in (1, 2):
+            state, data = trainer.start_run(cfg, seed)
+            history = [state.best_valid_accuracy]
+            for _ in range(cfg.epochs):
+                valid_acc = trainer.run_epoch(state, data, cfg, log=quiet)
+                history.append(valid_acc)
+                assert valid_acc == trainer.evaluate(state.params, data["valid"])
+                assert state.best_valid_accuracy >= valid_acc
+                assert state.best_valid_accuracy == max(history)
+                assert (state.best_valid_accuracy
+                        == trainer.evaluate(state.best_params, data["valid"]))
+            assert len(set(history)) > 1
+
+    def test_epochs_in_two_calls_equal_one_run(self):
+        # rejects and a starvation event cross the epoch boundaries
+        cfg = order_config()
+        whole, _ = train_quietly(cfg)
+        assert whole.starvation_events > 0
+        assert not all(row["applied"] for row in whole.rows)
+        state, data = trainer.start_run(cfg, 1)
+        for _ in range(2):
+            trainer.run_epoch(state, data, cfg, log=quiet)
+        for _ in range(2):
+            trainer.run_epoch(state, data, cfg, log=quiet)
+        assert state.rows == whole.rows
+        for snapshot in ("params", "velocity", "best_params"):
+            for n in trainer.PARAM_BLOCKS:
+                assert (getattr(getattr(state, snapshot), n).tobytes()
+                        == getattr(getattr(whole, snapshot), n).tobytes())
+        for counter in ("iteration", "epoch", "corrections", "starvation_events",
+                        "best_valid_accuracy"):
+            assert getattr(state, counter) == getattr(whole, counter)
+        assert (state.shuffle_rng.permutation(data["train"].n).tobytes()
+                == whole.shuffle_rng.permutation(data["train"].n).tobytes())
 
 
 class TestConfigValidation:
@@ -252,32 +306,32 @@ class TestConfigValidation:
 
 class TestMetricsCsv:
     def test_round_trip_exact(self, tmp_path):
-        outcome = train_quietly(small_config(epochs=2))
+        state, _ = train_quietly(small_config(epochs=2))
         path = tmp_path / "metrics.csv"
-        trainer.write_metrics_csv(path, outcome.rows)
+        trainer.write_metrics_csv(path, state.rows)
         parsed = read_table(path, trainer.METRICS_COLUMNS)
-        assert len(parsed) == len(outcome.rows)
-        for raw, back in zip(outcome.rows, parsed):
+        assert len(parsed) == len(state.rows)
+        for raw, back in zip(state.rows, parsed):
             for key in trainer.METRICS_COLUMNS:
                 assert back[key] == raw[key], key
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = small_config(epochs=2)
         p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-        trainer.write_metrics_csv(p1, train_quietly(cfg).rows)
-        trainer.write_metrics_csv(p2, train_quietly(cfg).rows)
+        trainer.write_metrics_csv(p1, train_quietly(cfg)[0].rows)
+        trainer.write_metrics_csv(p2, train_quietly(cfg)[0].rows)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_reg_off_leaves_gate_columns_empty(self, tmp_path):
-        outcome = train_quietly(small_config(epochs=1, reg="off"))
+        state, _ = train_quietly(small_config(epochs=1, reg="off"))
         path = tmp_path / "metrics.csv"
-        trainer.write_metrics_csv(path, outcome.rows)
+        trainer.write_metrics_csv(path, state.rows)
         parsed = read_table(path, trainer.METRICS_COLUMNS)
         assert all(row["dS"] is None and row["decision"] is None for row in parsed)
         assert all(row["delta_norm_top"] is not None for row in parsed)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        trainer.write_metrics_csv(path, train_quietly(small_config(epochs=1)).rows)
+        trainer.write_metrics_csv(path, train_quietly(small_config(epochs=1))[0].rows)
         with pytest.raises(FormatError, match="header"):
             read_table(path, {"iter": int})
