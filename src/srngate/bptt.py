@@ -60,8 +60,12 @@ class Gradients:
 class BpttResult:
     """Deltas for depths 0..h plus accumulated parameter gradients.
 
-    ``deltas`` is (N, h+1, n_hid), ``delta_norms`` (N, h+1), and ``grads``
-    holds the mean over the N sequences.
+    ``deltas`` is (N, h+1, n_hid), a transposed view of a depth-major
+    (h+1, N, n_hid) buffer, so each ``deltas[:, n, :]`` is contiguous.
+    ``delta_norms`` (N, h+1) is C-ordered on purpose: callers sum it over
+    the sequence axis, and numpy sums a contiguous axis pairwise but a
+    strided one row by row, so a depth-major layout would change those sums
+    in their last bits.  ``grads`` holds the mean over the N sequences.
     """
 
     deltas: np.ndarray
@@ -91,15 +95,18 @@ def backward(params: SrnParams, trace: ForwardTrace, output_delta: np.ndarray,
         raise DimensionError(
             f"output delta {output_delta.shape} does not match outputs {trace.y.shape}")
 
-    delta = (output_delta @ params.w_out.T) * trace.fprime[:, n_steps - 1, :]
-    deltas = [delta]
+    # step-major deltas, as in ForwardTrace: steps[n] is one contiguous
+    # (N, n_hid) block, written in place and read back by the gradient loop
+    n_seqs = trace.a.shape[0]
+    steps = np.empty((h + 1, n_seqs, params.n_hid))
+    np.matmul(output_delta, params.w_out.T, out=steps[0])
+    steps[0] *= trace.fprime[:, n_steps - 1, :]
     for n in range(1, h + 1):
-        delta = (delta @ params.w_rec.T) * step_fprime(trace, n_steps - n)
-        deltas.append(delta)
-    deltas = np.stack(deltas, axis=1)
-    if not np.isfinite(deltas).all():
-        bad = int(np.argwhere(~np.isfinite(deltas).all(axis=(0, 2)))[0][0])
-        raise NumericalError(f"non-finite delta at depth {bad}")
+        np.matmul(steps[n - 1], params.w_rec.T, out=steps[n])
+        steps[n] *= step_fprime(trace, n_steps - n)
+    finite = np.isfinite(steps).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"non-finite delta at depth {int(np.argmin(finite))}")
 
     # outer products summed over the batch rows, then divided through for a
     # per-sequence mean
@@ -107,14 +114,14 @@ def backward(params: SrnParams, trace: ForwardTrace, output_delta: np.ndarray,
     grads.w_out += trace.z[:, n_steps - 1, :].T @ output_delta
     for n in range(h):
         step = n_steps - n
-        delta_n = deltas[:, n, :]
+        delta_n = steps[n]
         z_prev = trace.z[:, step - 2, :] if step >= 2 else trace.z0
         grads.w_rec += z_prev.T @ delta_n
         grads.w_in += trace.inputs[:, step - 1, :].T @ delta_n
         grads.b += delta_n.sum(axis=0)
-    n_seqs = trace.a.shape[0]
     for name in PARAM_BLOCKS:
         setattr(grads, name, getattr(grads, name) / n_seqs)
 
+    deltas = steps.transpose(1, 0, 2)
     return BpttResult(deltas=deltas, grads=grads,
-                      delta_norms=np.sqrt(np.sum(deltas * deltas, axis=-1)))
+                      delta_norms=np.sqrt(np.sum(deltas * deltas, axis=-1), order="C"))

@@ -1,9 +1,11 @@
 """Command-line entry point: dataset generation, training, scans, evaluation.
 
 Exit codes: 0 success, 1 usage error, 2 input/config error, 3 numerical
-failure.  Every command is reproducible bit-for-bit given the same seed; run
-directories are named by timestamp and seed (override with --run-name) so
-sweeps never overwrite each other.
+failure.  ``train`` runs every seed even when one fails numerically, keeps
+the failed seed's partial records, and then exits 3.  Every command is
+reproducible bit-for-bit given the same seed; run directories are named by
+timestamp and seed (override with --run-name) so sweeps never overwrite
+each other.
 """
 
 import argparse
@@ -149,7 +151,7 @@ def cmd_train(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     prefix = args.run_name or time.strftime("%Y%m%d-%H%M%S")
 
-    results = {}
+    results, failed = {}, []
     for seed in cfg.seeds:
         run_dir = out_root / f"{prefix}_seed{seed}"
         if run_dir.exists():
@@ -157,8 +159,13 @@ def cmd_train(args) -> int:
                               f"outputs are append-only")
         run_dir.mkdir(parents=True)
         recorder = diagnostics.DynamicsRecorder(cfg.h) if cfg.record_dynamics else None
-        state, test_accuracy = trainer.train(cfg, seed, data=data, hook=recorder,
-                                             log=print)
+        try:
+            state, test_accuracy = trainer.train(cfg, seed, data=data, hook=recorder,
+                                                 log=print)
+        except trainer.RunFailed as e:
+            _write_failure(run_dir, seed, e, recorder)
+            failed.append(seed)
+            continue
         trainer.write_metrics_csv(run_dir / "metrics.csv", state.rows)
         model.save_model(run_dir / "model.json", state.best_params, seed=seed)
         if recorder is not None:
@@ -170,22 +177,46 @@ def cmd_train(args) -> int:
         print(f"seed {seed}: best valid {state.best_valid_accuracy:.4f}, "
               f"test {test_accuracy:.4f} -> {run_dir}")
 
-    tests = [results[s]["test_accuracy"] for s in cfg.seeds]
+    tests = [results[s]["test_accuracy"] for s in results]
     summary = {
         "task": cfg.task, "T": cfg.T, "reg": cfg.reg,
         "seeds": list(cfg.seeds),
-        "per_seed": {str(s): results[s] for s in cfg.seeds},
-        "test_accuracy_best": max(tests),
-        "test_accuracy_mean": sum(tests) / len(tests),
+        "per_seed": {str(s): results[s] for s in results},
+        "test_accuracy_best": max(tests) if tests else None,
+        "test_accuracy_mean": sum(tests) / len(tests) if tests else None,
     }
+    if failed:
+        summary["failed_seeds"] = failed
     summary_path = out_root / f"{prefix}_summary.json"
-    with open(summary_path, "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_json(summary_path, summary)
+    if failed:
+        print(f"{cfg.task} T={cfg.T} reg={cfg.reg}: {len(results)} of "
+              f"{len(cfg.seeds)} seeds finished, failed seeds {failed} -> {summary_path}")
+        return EXIT_NUMERICAL
     print(f"{cfg.task} T={cfg.T} reg={cfg.reg}: "
           f"best {summary['test_accuracy_best']:.4f}, "
           f"mean {summary['test_accuracy_mean']:.4f} -> {summary_path}")
     return 0
+
+
+def _write_failure(run_dir: Path, seed: int, error: trainer.RunFailed,
+                   recorder) -> None:
+    """Keep a failed seed's evidence: the rows drawn so far, the dynamics
+    recorded so far, and failure.json naming where and why it failed."""
+    state = error.state
+    trainer.write_metrics_csv(run_dir / "metrics.csv", state.rows if state else [])
+    if recorder is not None:
+        recorder.write(run_dir / "dynamics.csv")
+    _write_json(run_dir / "failure.json", {
+        "seed": seed, "epoch": state.epoch if state else 0,
+        "iteration": state.iteration if state else 0, "message": str(error)})
+    print(f"numerical failure: seed {seed}: {error} -> {run_dir}", file=sys.stderr)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 def cmd_scan(args) -> int:
@@ -227,9 +258,7 @@ def cmd_eval(args) -> int:
         summary = {"model": str(args.model), "data": str(args.data),
                    "task": batch.spec.kind.value, "n": batch.n,
                    "accuracy": accuracy}
-        with open(args.out, "w") as f:
-            json.dump(summary, f, indent=1, sort_keys=True)
-            f.write("\n")
+        _write_json(Path(args.out), summary)
         print(f"wrote {args.out}")
     return 0
 

@@ -114,6 +114,18 @@ def write_profile_csv(path, profile: DepthProfile) -> None:
                                      profile.gwin_norm, profile.gwrec_norm)))
 
 
+def _median_in_place(values: np.ndarray) -> float:
+    """np.median of a 1-D float array of finite values, bit for bit, from a
+    single in-place partition: the upper middle value sits at n//2 and, for
+    an even count, the lower one is the largest value left of it.  The
+    values are reordered."""
+    mid = values.size // 2
+    values.partition(mid)
+    if values.size % 2:
+        return float(values[mid])
+    return float((values[:mid].max() + values[mid]) / 2)
+
+
 class DynamicsRecorder:
     """Trainer hook capturing the internal-dynamics trace of a run.
 
@@ -127,7 +139,9 @@ class DynamicsRecorder:
         self.rows = []
 
     def __call__(self, state, result, trace, back) -> None:
-        abs_act = np.abs(trace.a)
+        # a C-ordered |a| keeps the batch-first summation order of the mean;
+        # it is this hook's own buffer, so the median may partition it
+        abs_act = np.abs(trace.a, out=np.empty(trace.a.shape))
         d = back.delta_norms
         self.rows.append({
             "iter": state.iteration,
@@ -135,7 +149,7 @@ class DynamicsRecorder:
             "delta_norm_dmid": float(d[:, self.depths[1]].mean()),
             "delta_norm_dh": float(d[:, self.depths[2]].mean()),
             "act_mean": float(abs_act.mean()),
-            "act_median": float(np.median(abs_act)),
+            "act_median": _median_in_place(abs_act.reshape(-1)),
             "decision": result.report.decision.value if result.report else None,
         })
 

@@ -79,11 +79,18 @@ class SrnParams:
 class ForwardTrace:
     """Everything the forward pass saw over a batch of N sequences, kept for
     backpropagation.  The states and their derivatives are built from ``a``
-    on first use, so scoring, which reads only ``y``, never pays for them."""
+    on first use, so scoring, which reads only ``y``, never pays for them.
+
+    The per-step arrays are stored step-major, as (T, N, n_hid) buffers, and
+    ``a``, ``z`` and ``fprime`` are (N, T, n_hid) transposed views of them:
+    indexing is batch-first, while each per-step slice ``x[:, k, :]`` that
+    the backward pass reads is one contiguous block.  Code that reduces over
+    a whole array and needs the batch-first summation order must take a
+    C-ordered copy first."""
 
     inputs: np.ndarray   # (N, T, n_in)
     z0: np.ndarray       # (N, n_hid) initial states
-    a: np.ndarray        # (N, T, n_hid) presynaptic activations
+    a: np.ndarray        # (N, T, n_hid) presynaptic activations, step-major view
     y: np.ndarray        # (N, n_out) readout after the final step
     output_activation: OutputActivation
 
@@ -153,29 +160,29 @@ def forward_batch(params: SrnParams, inputs: np.ndarray,
                              f"{inputs.shape[0]} sequences of n_hid={params.n_hid}") from e
 
     n_seqs, n_steps = inputs.shape[:2]
-    a = np.empty((n_seqs, n_steps, params.n_hid))
-    t = np.empty((n_seqs, params.n_hid))
-    r = np.empty_like(t)
+    # step-major storage: every per-step row block steps[k] is contiguous, so
+    # the products write into it directly and tanh runs on it at full speed.
+    # The projection stays one product per step: numpy takes a one-row
+    # product through gemv, and a single GEMM over all steps would round a
+    # batch of one differently.
+    steps = np.empty((n_steps, n_seqs, params.n_hid))
+    r = np.empty((n_seqs, params.n_hid))
     z_prev = z0
     for k in range(n_steps):
-        # (x @ w_in + z @ w_rec) + b in contiguous buffers: tanh on the strided
-        # a[:, k, :] runs several times slower.  The projection stays one
-        # product per step: numpy takes a one-row product through gemv, and a
-        # single GEMM over all steps would round a batch of one differently.
-        np.matmul(inputs[:, k, :], params.w_in, out=t)
-        t += np.matmul(z_prev, params.w_rec, out=r)
-        t += params.b
-        a[:, k, :] = t
-        z_prev = np.tanh(t)
-    if not np.isfinite(a).all():
-        bad = int(np.argwhere(~np.isfinite(a).all(axis=(0, 2)))[0][0])
-        raise NumericalError(f"non-finite activation at step {bad + 1}")
+        a_k = steps[k]
+        np.matmul(inputs[:, k, :], params.w_in, out=a_k)
+        a_k += np.matmul(z_prev, params.w_rec, out=r)
+        a_k += params.b
+        z_prev = np.tanh(a_k)
+    finite = np.isfinite(steps).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"non-finite activation at step {int(np.argmin(finite)) + 1}")
     y_pre = z_prev @ params.w_out
     if params.output_activation is OutputActivation.SOFTMAX:
         y = _softmax(y_pre)
     else:
         y = y_pre
-    return ForwardTrace(inputs=inputs, z0=z0, a=a, y=y,
+    return ForwardTrace(inputs=inputs, z0=z0, a=steps.transpose(1, 0, 2), y=y,
                         output_activation=params.output_activation)
 
 

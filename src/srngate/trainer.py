@@ -197,14 +197,29 @@ def run_epoch(state: TrainState, data: dict, cfg: RunConfig, hook=None,
     return valid_acc
 
 
+class RunFailed(NumericalError):
+    """A NumericalError raised inside ``train``, carrying the state the run
+    had reached: its rows are the draws logged before the failing one.
+    ``state`` is None when the run failed while starting."""
+
+    def __init__(self, state: TrainState | None, cause: NumericalError):
+        super().__init__(str(cause))
+        self.state = state
+
+
 def train(cfg: RunConfig, seed: int, data: dict | None = None,
           hook=None, log=print) -> tuple:
     """Run the full protocol; returns (final state, test accuracy of the
-    validation-selected best snapshot).  See start_run and run_epoch."""
-    state, data = start_run(cfg, seed, data)
-    for _ in range(cfg.epochs):
-        run_epoch(state, data, cfg, hook, log)
-    return state, evaluate(state.best_params, data["test"])
+    validation-selected best snapshot).  See start_run and run_epoch.
+    Raises RunFailed on a numerical failure."""
+    state = None
+    try:
+        state, data = start_run(cfg, seed, data)
+        for _ in range(cfg.epochs):
+            run_epoch(state, data, cfg, hook, log)
+        return state, evaluate(state.best_params, data["test"])
+    except NumericalError as e:
+        raise RunFailed(state, e) from e
 
 
 def format_value(value) -> str:

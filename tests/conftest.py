@@ -4,7 +4,8 @@ The product-form oracles here (``compute_g``, ``deep_norm_half_sq``,
 ``jacobian``) restate the horizon's boundary rule on their own, so that a
 wrong step index in the library cannot also hide in its reference.
 ``forward_reference`` is the plain step-by-step forward pass that the
-library's forward must match bit for bit.  ``read_table`` and
+library's forward must match bit for bit, and ``backward_reference`` is the
+same for the backward pass.  ``read_table`` and
 ``read_profile_csv`` parse back the CSV files that the library writes.
 """
 
@@ -84,6 +85,40 @@ def forward_reference(params, inputs, z0=None):
     if params.output_activation is OutputActivation.SOFTMAX:
         y = model._softmax(y)
     return SimpleNamespace(a=a, z=z, fprime=1.0 - z * z, y=y)
+
+
+def backward_reference(params, trace, output_delta, h):
+    """Backward pass over batch-first arrays: the per-depth deltas are kept in
+    a list and stacked batch-first, and the gradient loop reads strided
+    slices of that stack and of C-ordered copies of the trace.  Returns a
+    BpttResult whose arrays are all C-ordered."""
+    z = np.ascontiguousarray(trace.z)
+    fprime = np.ascontiguousarray(trace.fprime)
+    n_steps = trace.n_steps
+
+    def fprime_at(step):
+        return fprime[:, step - 1, :] if step >= 1 else 1.0 - trace.z0 * trace.z0
+
+    delta = (output_delta @ params.w_out.T) * fprime[:, n_steps - 1, :]
+    deltas = [delta]
+    for n in range(1, h + 1):
+        delta = (delta @ params.w_rec.T) * fprime_at(n_steps - n)
+        deltas.append(delta)
+    deltas = np.stack(deltas, axis=1)
+
+    grads = bptt.Gradients.zeros_like(params)
+    grads.w_out += z[:, n_steps - 1, :].T @ output_delta
+    for n in range(h):
+        step = n_steps - n
+        delta_n = deltas[:, n, :]
+        z_prev = z[:, step - 2, :] if step >= 2 else trace.z0
+        grads.w_rec += z_prev.T @ delta_n
+        grads.w_in += trace.inputs[:, step - 1, :].T @ delta_n
+        grads.b += delta_n.sum(axis=0)
+    for name in bptt.PARAM_BLOCKS:
+        setattr(grads, name, getattr(grads, name) / deltas.shape[0])
+    return bptt.BpttResult(deltas=deltas, grads=grads,
+                           delta_norms=np.sqrt(np.sum(deltas * deltas, axis=-1)))
 
 
 def loss_of(params, seq, target, kind):

@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import delta_norm_profile, fd_gradient, jacobian, random_net, random_tiny_case
+from conftest import (backward_reference, delta_norm_profile, fd_gradient, generate_task,
+                      jacobian, mse_batch, random_net, random_tiny_case)
 
-from srngate import bptt, model
+from srngate import bptt, diagnostics, model, regularizer
 from srngate.errors import ConfigError
 from srngate.model import LossKind, OutputActivation
 
@@ -199,3 +200,68 @@ class TestBatchedBackward:
         for k in accum:
             npt.assert_allclose(getattr(bres.grads, k), accum[k] / 5,
                                 rtol=1e-10, atol=1e-300)
+
+
+@pytest.fixture(params=["adding_T200_h100_N10", "order_T100_h100_N10", "N1_nonzero_z0"])
+def oracle_case(request):
+    """(params, trace, output deltas, h) of one named backward case."""
+    name = request.param
+    if name == "adding_T200_h100_N10":
+        batch, h = generate_task("adding", 200, 10, 1), 100
+        params = model.init_gaussian(2, 100, 1, 0.01, seed=2)
+        trace = model.forward_batch(params, batch.inputs)
+    elif name == "order_T100_h100_N10":
+        batch, h = generate_task("temporal_order", 100, 10, 3), 100
+        params = model.init_gaussian(6, 100, 4, 0.01, seed=4,
+                                     output_activation=OutputActivation.SOFTMAX)
+        trace = model.forward_batch(params, batch.inputs)
+    else:  # one sequence from a nonzero start, h = T so z0 enters the deltas
+        rng = np.random.default_rng(5)
+        params = random_net(rng, 3, 20, 2, OutputActivation.LINEAR, scale=0.3)
+        batch = mse_batch(rng.standard_normal((1, 30, 3)), rng.standard_normal((1, 2)))
+        h = 30
+        trace = model.forward_batch(params, batch.inputs, z0=rng.uniform(-0.9, 0.9, 20))
+    _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind,
+                                    batch.spec.success_tolerance)
+    return params, trace, deltas, h
+
+
+class TestBackwardOracle:
+    """The step-major backward must reproduce the batch-first reference bit
+    for bit, and so must everything computed from its result."""
+
+    def test_matches_reference(self, oracle_case):
+        params, trace, deltas, h = oracle_case
+        got = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=h))
+        ref = backward_reference(params, trace, deltas, h)
+        assert got.deltas.shape == ref.deltas.shape
+        assert got.deltas.tobytes() == ref.deltas.tobytes()
+        assert got.delta_norms.flags.c_contiguous
+        assert got.delta_norms.tobytes() == ref.delta_norms.tobytes()
+        for name in bptt.PARAM_BLOCKS:
+            assert getattr(got.grads, name).tobytes() == getattr(ref.grads, name).tobytes(), name
+
+    def test_gate_report_matches_reference(self, oracle_case):
+        params, trace, deltas, h = oracle_case
+        dw_rec = np.random.default_rng(6).standard_normal(params.w_rec.shape) * 1e-3
+        cfg = regularizer.RegConfig(h=h)
+        got = regularizer.report_from_backward(
+            params, trace, bptt.backward(params, trace, deltas, bptt.BpttConfig(h=h)),
+            dw_rec, cfg)
+        ref = regularizer.report_from_backward(
+            params, trace, backward_reference(params, trace, deltas, h), dw_rec, cfg)
+        assert (got.S.hex(), got.dS.hex(), got.q) == (ref.S.hex(), ref.dS.hex(), ref.q)
+
+    def test_depth_scan_matches_reference(self, monkeypatch):
+        # 300 probes make two chunks, so the per-chunk sums are added too
+        probes = generate_task("temporal_order", 60, 300, 7)
+        nets = [model.init_gaussian(6, 30, 4, sigma, seed=8,
+                                    output_activation=OutputActivation.SOFTMAX)
+                for sigma in (0.005, 0.01, 0.02)]
+        got = [diagnostics.depth_scan(params, probes, h=60) for params in nets]
+        monkeypatch.setattr(diagnostics, "backward",
+                            lambda p, tr, d, cfg: backward_reference(p, tr, d, cfg.h))
+        ref = [diagnostics.depth_scan(params, probes, h=60) for params in nets]
+        for g, r in zip(got, ref):
+            for column in ("delta_norm", "gwin_norm", "gwrec_norm"):
+                assert getattr(g, column).tobytes() == getattr(r, column).tobytes(), column

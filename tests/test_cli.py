@@ -180,6 +180,71 @@ class TestTrain:
         assert code == 0
 
 
+FAIL_SMALL = ["--train-size", "40", "--valid-size", "10", "--test-size", "10"]
+
+
+class TestTrainFailure:
+    """A seed that fails numerically leaves its evidence, the other seeds
+    still run, and the command exits 3."""
+
+    def test_failed_seed_keeps_its_evidence(self, tmp_path, capsys):
+        argv = ["train", "--task", "adding", "--T", "20", "--hidden", "8",
+                "--epochs", "2", "--iters", "4", "--batch", "5", "--alpha", "1e300",
+                "--seed", "7", "--run-name", "fail", "--out", str(tmp_path)] + FAIL_SMALL
+        code, _, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_NUMERICAL
+        run_dir = tmp_path / "fail_seed7"
+        rows = read_table(run_dir / "metrics.csv", trainer.METRICS_COLUMNS)
+        failure = json.loads((run_dir / "failure.json").read_text())
+        # every draw is rejected until the starvation guard forces one in;
+        # the draw after it fails before its row is logged
+        assert len(rows) == 201 and rows[-1]["applied"]
+        assert failure == {"seed": 7, "epoch": 1, "iteration": 202,
+                           "message": "non-finite loss for sequence 0 of the batch"}
+        assert failure["message"] in err
+        assert not (run_dir / "model.json").exists()
+        summary = json.loads((tmp_path / "fail_summary.json").read_text())
+        assert summary["seeds"] == [7] and summary["failed_seeds"] == [7]
+        assert summary["per_seed"] == {}
+        assert summary["test_accuracy_best"] is None
+        # outputs stay append-only: the rerun is refused
+        code, _, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_INPUT and "append-only" in err
+
+    def test_one_failed_seed_does_not_stop_the_others(self, tmp_path, capsys):
+        # one update at this rate overflows seed 0's validation loss but
+        # leaves seed 1 finite
+        code, _, _ = run_cli(["train", "--task", "adding", "--T", "15", "--hidden", "6",
+                              "--epochs", "1", "--iters", "1", "--batch", "5",
+                              "--alpha", "1e156", "--reg", "off", "--seeds", "0,1",
+                              "--record-dynamics", "--run-name", "two",
+                              "--out", str(tmp_path)] + FAIL_SMALL, capsys)
+        assert code == cli.EXIT_NUMERICAL
+        failed, finished = tmp_path / "two_seed0", tmp_path / "two_seed1"
+        failure = json.loads((failed / "failure.json").read_text())
+        assert (failure["seed"], failure["epoch"], failure["iteration"]) == (0, 1, 1)
+        assert len(read_table(failed / "metrics.csv", trainer.METRICS_COLUMNS)) == 1
+        assert len(read_table(failed / "dynamics.csv", diagnostics.DYNAMICS_COLUMNS)) == 1
+        assert not (failed / "model.json").exists()
+        assert (finished / "model.json").exists() and not (finished / "failure.json").exists()
+        summary = json.loads((tmp_path / "two_summary.json").read_text())
+        assert summary["seeds"] == [0, 1] and summary["failed_seeds"] == [0]
+        assert list(summary["per_seed"]) == ["1"]
+        test_accuracy = summary["per_seed"]["1"]["test_accuracy"]
+        assert summary["test_accuracy_best"] == summary["test_accuracy_mean"] == test_accuracy
+
+    def test_failure_while_starting(self, tmp_path, capsys):
+        # the initial network already overflows the validation loss
+        code, _, _ = run_cli(["train", "--task", "adding", "--T", "15", "--hidden", "6",
+                              "--sigma", "1e200", "--seeds", "3", "--run-name", "start",
+                              "--out", str(tmp_path)] + FAIL_SMALL, capsys)
+        assert code == cli.EXIT_NUMERICAL
+        run_dir = tmp_path / "start_seed3"
+        failure = json.loads((run_dir / "failure.json").read_text())
+        assert (failure["epoch"], failure["iteration"]) == (0, 0)
+        assert read_table(run_dir / "metrics.csv", trainer.METRICS_COLUMNS) == []
+
+
 class TestScan:
     def test_sigma_sweep_writes_files(self, tmp_path, capsys):
         code, out, _ = run_cli(["scan", "--task", "temporal_order", "--T", "20",

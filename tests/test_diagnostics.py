@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import generate_task, read_profile_csv, read_table
+from conftest import generate_task, random_net, read_profile_csv, read_table
 from srngate import bptt, diagnostics as diag, model, trainer
 from srngate.config import RunConfig
 from srngate.model import LossKind, OutputActivation
@@ -146,6 +148,25 @@ class TestDynamicsRecorder:
         for raw, back in zip(recorder.rows, loaded):
             for key in diag.DYNAMICS_COLUMNS:
                 assert back[key] == raw[key], key
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (1, 3, 5), (64, 50, 20)])
+    def test_activation_stats_match_numpy(self, shape):
+        # 30 and 64000 elements have two middle values, 15 has one
+        n_seqs, n_steps, n_hid = shape
+        rng = np.random.default_rng(20)
+        params = random_net(rng, 2, n_hid, 1, OutputActivation.LINEAR)
+        trace = model.forward_batch(params, rng.standard_normal((n_seqs, n_steps, 2)))
+        _, deltas, _ = model.loss_batch(trace, rng.standard_normal((n_seqs, 1)),
+                                        LossKind.MSE)
+        back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=n_steps))
+        a_before = trace.a.tobytes()
+        recorder = diag.DynamicsRecorder(h=n_steps)
+        recorder(SimpleNamespace(iteration=1), SimpleNamespace(report=None), trace, back)
+        abs_act = np.abs(np.ascontiguousarray(trace.a))
+        row = recorder.rows[0]
+        assert row["act_mean"].hex() == float(abs_act.mean()).hex()
+        assert row["act_median"].hex() == float(np.median(abs_act)).hex()
+        assert trace.a.tobytes() == a_before
 
     def test_saturation_coincides_with_collapsed_deltas(self):
         # huge recurrent weights saturate tanh and kill the deep gradient

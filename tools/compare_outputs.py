@@ -1,0 +1,144 @@
+"""Run one fixed script of srngate commands against two source trees and
+compare every file they write, byte for byte.
+
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--tiny] [--work DIR]
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts; each
+command runs as ``python -m srngate.cli`` with that directory on PYTHONPATH,
+from its own working directory, so that the paths written into outputs are
+the same on both sides.  The script covers ``gen`` for two tasks, a gated and
+an ungated ``train --data`` (the ungated one with ``--record-dynamics``), a
+``--batch 1`` run, a three-sigma ``scan``, ``eval --out``, and a run whose
+learning rate makes it fail, started twice.  ``--tiny`` shrinks every size
+so the whole script takes seconds.
+
+Every file whose sha256 differs, or that exists on one side only, is listed,
+as is every command whose exit code differs; the exit code is 1 if anything
+is listed, 0 otherwise.
+"""
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FULL = {"T_add": 200, "h_add": 100, "T_order": 100, "h_order": 100, "hidden": 100,
+        "sizes": (2000, 200, 1000), "epochs": 2, "iters": 20, "probes": 100}
+TINY = {"T_add": 20, "h_add": 10, "T_order": 20, "h_order": 20, "hidden": 8,
+        "sizes": (60, 20, 30), "epochs": 2, "iters": 3, "probes": 10}
+
+
+def script(size: dict) -> list:
+    """(name, argv) pairs, run in order; paths are relative to the work dir."""
+    split_flags = [arg for flag, n in zip(("--train-size", "--valid-size", "--test-size"),
+                                          size["sizes"])
+                   for arg in (flag, str(n))]
+    add = ["--task", "adding", "--T", str(size["T_add"]), "--h", str(size["h_add"])]
+    order = ["--task", "temporal_order", "--T", str(size["T_order"]),
+             "--h", str(size["h_order"])]
+    train = ["train", "--hidden", str(size["hidden"]), "--epochs", str(size["epochs"]),
+             "--iters", str(size["iters"]), "--seed", "1", "--out", "runs"]
+    failing = ["train", "--task", "adding", "--T", "20", "--hidden", "8",
+               "--epochs", "2", "--iters", "4", "--batch", "5", "--alpha", "1e300",
+               "--seed", "7", "--run-name", "fail", "--out", "runs",
+               "--train-size", "40", "--valid-size", "10", "--test-size", "10"]
+    return [
+        ("gen_adding", ["gen", *add[:4], "--seed", "1", "--out", "data", *split_flags]),
+        ("gen_order", ["gen", *order[:4], "--seed", "2", "--out", "data", *split_flags]),
+        ("train_gated", [*train, *order, "--reg", "on", "--data", "data",
+                         "--run-name", "gated"]),
+        ("train_ungated", [*train, *add, "--reg", "off", "--data", "data",
+                           "--record-dynamics", "--run-name", "ungated"]),
+        ("train_batch1", [*train, *order, "--reg", "on", "--batch", "1", "--data", "data",
+                          "--run-name", "batch1"]),
+        ("scan", ["scan", *order, "--hidden", str(size["hidden"]),
+                  "--sigmas", "0.005,0.01,0.02", "--probes", str(size["probes"]),
+                  "--seed", "3", "--out", "scan"]),
+        ("eval", ["eval", "--model", "runs/gated_seed1/model.json",
+                  "--data", f"data/temporal_order_T{size['T_order']}_test.dat",
+                  "--out", "eval.json"]),
+        ("train_failing", failing),
+        ("train_failing_again", failing),
+    ]
+
+
+def run_script(src: Path, work: Path, size: dict) -> dict:
+    """Run the script from ``work`` against the package in ``src``; returns
+    the exit code of each command by name."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    codes = {}
+    for name, argv in script(size):
+        proc = subprocess.run([sys.executable, "-m", "srngate.cli", *argv], cwd=work,
+                              env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+        codes[name] = proc.returncode
+    return codes
+
+
+def digests(root: Path) -> dict:
+    """sha256 of every file under root, keyed by its relative path."""
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def differences(parent: dict, change: dict, parent_codes: dict, change_codes: dict) -> list:
+    """One line per file or exit code that is not the same on both sides."""
+    lines = []
+    for name in sorted(parent.keys() | change.keys()):
+        if name not in change:
+            lines.append(f"only in parent: {name}")
+        elif name not in parent:
+            lines.append(f"only in change: {name}")
+        elif parent[name] != change[name]:
+            lines.append(f"differs: {name}")
+    for name in parent_codes:
+        if parent_codes[name] != change_codes[name]:
+            lines.append(f"exit code of {name}: parent {parent_codes[name]}, "
+                         f"change {change_codes[name]}")
+    return lines
+
+
+def compare(parent_src: Path, change_src: Path, work: Path, size: dict) -> tuple:
+    """(difference lines, number of parent files) of one run per side."""
+    results = []
+    for side, src in (("parent", parent_src), ("change", change_src)):
+        side_dir = work / side
+        side_dir.mkdir(parents=True)
+        codes = run_script(src, side_dir, size)
+        results.append((digests(side_dir), codes))
+    (parent, parent_codes), (change, change_codes) = results
+    return differences(parent, change, parent_codes, change_codes), len(parent)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--tiny", action="store_true", help="tiny sizes, for tests")
+    parser.add_argument("--work", type=Path,
+                        help="keep the outputs in this new directory (default: a "
+                             "temporary one, deleted at exit)")
+    args = parser.parse_args(argv)
+    for src in (args.parent_src, args.change_src):
+        if not (src / "srngate" / "cli.py").is_file():
+            parser.error(f"{src} does not hold the srngate package")
+    size = TINY if args.tiny else FULL
+    work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs-"))
+    try:
+        lines, n_files = compare(args.parent_src, args.change_src, work, size)
+    finally:
+        if args.work is None:
+            shutil.rmtree(work, ignore_errors=True)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} difference(s) over {n_files} parent file(s) "
+          f"and {len(script(size))} commands")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
