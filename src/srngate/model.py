@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, NumericalError
+from .errors import (ConfigError, DimensionError, FormatError, NumericalError,
+                     ScoringTraceError)
 
 MODEL_FORMAT = "srngate-model-v1"
 
@@ -77,22 +78,37 @@ class SrnParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything the forward pass saw over a batch of N sequences, kept for
-    backpropagation.  The states and their derivatives are built from ``a``
-    on first use, so scoring, which reads only ``y``, never pays for them.
+    """What the forward pass saw over a batch of N sequences.
 
-    The per-step arrays are stored step-major, as (T, N, n_hid) buffers, and
-    ``a``, ``z`` and ``fprime`` are (N, T, n_hid) transposed views of them:
-    indexing is batch-first, while each per-step slice ``x[:, k, :]`` that
-    the backward pass reads is one contiguous block.  Code that reduces over
-    a whole array and needs the batch-first summation order must take a
-    C-ordered copy first."""
+    A full trace (``forward_batch(..., keep_trace=True)``, the default) is
+    kept for backpropagation.  Its presynaptic activations are stored
+    step-major, as one (T, N, n_hid) buffer ``steps``, and ``a``, ``z`` and
+    ``fprime`` are (N, T, n_hid) transposed views of it: indexing is
+    batch-first, while each per-step slice ``x[:, k, :]`` that the backward
+    pass reads is one contiguous block.  Code that reduces over a whole array
+    and needs the batch-first summation order must take a C-ordered copy
+    first.  The states and their derivatives are built from ``a`` on first
+    use.
+
+    A scoring trace (``keep_trace=False``) carries ``y``, ``inputs``, ``z0``
+    and ``output_activation`` only, which is all ``loss_batch`` reads; its
+    ``steps`` is None, and reading ``a``, ``z``, ``fprime`` or ``n_steps``
+    raises ScoringTraceError."""
 
     inputs: np.ndarray   # (N, T, n_in)
     z0: np.ndarray       # (N, n_hid) initial states
-    a: np.ndarray        # (N, T, n_hid) presynaptic activations, step-major view
     y: np.ndarray        # (N, n_out) readout after the final step
     output_activation: OutputActivation
+    steps: np.ndarray | None = None  # (T, N, n_hid) a(k) per step; None when scoring
+
+    @property
+    def a(self) -> np.ndarray:
+        """(N, T, n_hid) presynaptic activations, a view of ``steps``."""
+        if self.steps is None:
+            raise ScoringTraceError(
+                "this trace comes from a scoring forward (keep_trace=False), which "
+                "keeps no per-step activations; run forward_batch with keep_trace=True")
+        return self.steps.transpose(1, 0, 2)
 
     @property
     def n_steps(self) -> int:
@@ -144,9 +160,17 @@ def _softmax(y_pre: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(params: SrnParams, inputs: np.ndarray,
-                  z0: np.ndarray | None = None) -> ForwardTrace:
+                  z0: np.ndarray | None = None, *, keep_trace: bool = True) -> ForwardTrace:
     """Run a batch (N, T, n_in) of sequences from z0, which is (n_hid,) for a
-    start shared by all sequences or (N, n_hid); it defaults to zeros."""
+    start shared by all sequences or (N, n_hid); it defaults to zeros.
+
+    With ``keep_trace`` (the default) the trace keeps every a(k) for
+    backpropagation.  With ``keep_trace=False`` each a(k) is written into one
+    reused (N, n_hid) block and checked as soon as it is computed, and the
+    scoring trace that comes back carries ``y`` but no per-step values; ``y``
+    is bit-equal in both modes.  Either way a non-finite a(k) raises
+    NumericalError naming the first bad step.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != params.n_in:
         raise DimensionError(f"batch shape {inputs.shape} does not match n_in={params.n_in}")
@@ -162,28 +186,39 @@ def forward_batch(params: SrnParams, inputs: np.ndarray,
     n_seqs, n_steps = inputs.shape[:2]
     # step-major storage: every per-step row block steps[k] is contiguous, so
     # the products write into it directly and tanh runs on it at full speed.
-    # The projection stays one product per step: numpy takes a one-row
-    # product through gemv, and a single GEMM over all steps would round a
-    # batch of one differently.
-    steps = np.empty((n_steps, n_seqs, params.n_hid))
+    # Scoring keeps a single block.  The projection stays one product per
+    # step: numpy takes a one-row product through gemv, and a single GEMM over
+    # all steps would round a batch of one differently.
+    steps = np.empty((n_steps if keep_trace else 1, n_seqs, params.n_hid))
     r = np.empty((n_seqs, params.n_hid))
+    z = np.empty((n_seqs, params.n_hid))
     z_prev = z0
-    for k in range(n_steps):
-        a_k = steps[k]
-        np.matmul(inputs[:, k, :], params.w_in, out=a_k)
-        a_k += np.matmul(z_prev, params.w_rec, out=r)
-        a_k += params.b
-        z_prev = np.tanh(a_k)
-    finite = np.isfinite(steps).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericalError(f"non-finite activation at step {int(np.argmin(finite)) + 1}")
-    y_pre = z_prev @ params.w_out
-    if params.output_activation is OutputActivation.SOFTMAX:
-        y = _softmax(y_pre)
-    else:
-        y = y_pre
-    return ForwardTrace(inputs=inputs, z0=z0, a=steps.transpose(1, 0, 2), y=y,
-                        output_activation=params.output_activation)
+    # an overflow leaves a non-finite a(k) or y, which the checks here and in
+    # loss_batch report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            a_k = steps[k if keep_trace else 0]
+            np.matmul(inputs[:, k, :], params.w_in, out=a_k)
+            a_k += np.matmul(z_prev, params.w_rec, out=r)
+            a_k += params.b
+            if not keep_trace and not np.isfinite(a_k).all():
+                raise _non_finite_activation(k)
+            z_prev = np.tanh(a_k, out=z)
+        if keep_trace:
+            finite = np.isfinite(steps).all(axis=(1, 2))
+            if not finite.all():
+                raise _non_finite_activation(int(np.argmin(finite)))
+        y_pre = z_prev @ params.w_out
+        if params.output_activation is OutputActivation.SOFTMAX:
+            y = _softmax(y_pre)
+        else:
+            y = y_pre
+    return ForwardTrace(inputs=inputs, z0=z0, y=y, output_activation=params.output_activation,
+                        steps=steps if keep_trace else None)
+
+
+def _non_finite_activation(k: int) -> NumericalError:
+    return NumericalError(f"non-finite activation at step {k + 1}")
 
 
 def check_loss_pairing(kind: LossKind, activation: OutputActivation) -> None:

@@ -93,15 +93,22 @@ def compute_dg(params: SrnParams, trace: ForwardTrace, back: bptt_mod.BpttResult
     h = back.deltas.shape[1] - 1
 
     # walk the prefix operator inward from the deep end while substituting;
-    # back.deltas[:, i] is the product of the first i factors applied to delta(k)
+    # back.deltas[:, i] is the product of the first i factors applied to
+    # delta(k).  The walk reuses two (N, n_hid, n_hid) buffers; the product
+    # stays one matmul per sequence, as one stacked GEMM rounds differently.
     prefix = np.eye(params.n_hid) * bptt_mod.step_fprime(trace, n_steps - h)[:, None, :]
+    spare = np.empty_like(prefix)
     dg = None
     for i in range(h, 0, -1):
         term = (prefix @ (back.deltas[:, i - 1, :] @ dw_rec.T)[..., None])[..., 0]
-        dg = term if dg is None else dg + term
+        if dg is None:
+            dg = term
+        else:
+            dg += term
         if i > 1:
-            prefix = ((prefix @ params.w_rec)
-                      * bptt_mod.step_fprime(trace, n_steps - i + 1)[:, None, :])
+            np.matmul(prefix, params.w_rec, out=spare)
+            spare *= bptt_mod.step_fprime(trace, n_steps - i + 1)[:, None, :]
+            prefix, spare = spare, prefix
     return dg
 
 

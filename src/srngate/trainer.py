@@ -73,14 +73,16 @@ class IterationResult:
 def sgd_step(state: TrainState, grads: Gradients, cfg: RunConfig) -> None:
     """Heavy-ball update: v <- mu*v - alpha*g, w <- w + v.  The applied dw
     is the new state.velocity."""
-    for name in PARAM_BLOCKS:
-        v = cfg.mu * getattr(state.velocity, name) - cfg.alpha * getattr(grads, name)
-        setattr(state.velocity, name, v)
-        block = getattr(state.params, name)
-        block += v
-        if not np.isfinite(block).all():
-            raise NumericalError(
-                f"non-finite {name} after update at iteration {state.iteration}")
+    # an overflow leaves a non-finite block, which the check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in PARAM_BLOCKS:
+            v = cfg.mu * getattr(state.velocity, name) - cfg.alpha * getattr(grads, name)
+            setattr(state.velocity, name, v)
+            block = getattr(state.params, name)
+            block += v
+            if not np.isfinite(block).all():
+                raise NumericalError(
+                    f"non-finite {name} after update at iteration {state.iteration}")
 
 
 def candidate_update(state: TrainState, grads: Gradients, cfg: RunConfig) -> np.ndarray:
@@ -90,7 +92,7 @@ def candidate_update(state: TrainState, grads: Gradients, cfg: RunConfig) -> np.
 
 def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
                     force_accept: bool = False, hook=None) -> IterationResult:
-    """One minibatch draw: forward, backward, gate, maybe apply, log a row."""
+    """One minibatch draw: forward, backward, gate, log a row, maybe apply."""
     state.iteration += 1
     trace = model_mod.forward_batch(state.params, batch.inputs)
     losses, deltas, _ = model_mod.loss_batch(trace, batch.targets, batch.spec.loss_kind,
@@ -105,10 +107,8 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
         applied = force_accept or report.decision is Decision.ACCEPT
     else:
         applied = True
-    if applied:
-        sgd_step(state, back.grads, cfg)
-        state.corrections += 1
 
+    # logged before the update, so a draw whose update fails keeps its row
     row = {"iter": state.iteration, "epoch": state.epoch, "loss": float(losses.mean()),
            "dS": None, "S": None, "q": None, "decision": None, "applied": applied,
            "delta_norm_top": float(back.delta_norms[:, 0].mean()),
@@ -118,6 +118,9 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
     for name, norm in back.grads.block_norms().items():
         row[f"gnorm_{name}"] = norm
     state.rows.append(row)
+    if applied:
+        sgd_step(state, back.grads, cfg)
+        state.corrections += 1
 
     result = IterationResult(applied=applied, report=report, forced=force_accept)
     if hook is not None:
@@ -126,11 +129,12 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
 
 
 def evaluate(params: SrnParams, batch: SequenceBatch, chunk: int = 512) -> float:
-    """Fraction of sequences answered correctly, streamed in chunks."""
+    """Fraction of sequences answered correctly, streamed in chunks, each
+    through a scoring forward that keeps no per-step activations."""
     hits = 0
     for start in range(0, batch.n, chunk):
         part = batch.subset(slice(start, start + chunk))
-        trace = model_mod.forward_batch(params, part.inputs)
+        trace = model_mod.forward_batch(params, part.inputs, keep_trace=False)
         _, _, correct = model_mod.loss_batch(trace, part.targets, part.spec.loss_kind,
                                              part.spec.success_tolerance)
         hits += int(correct.sum())

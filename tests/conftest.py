@@ -121,6 +121,22 @@ def backward_reference(params, trace, output_delta, h):
                            delta_norms=np.sqrt(np.sum(deltas * deltas, axis=-1)))
 
 
+def compute_dg_reference(params, trace, back, dw_rec):
+    """regularizer.compute_dg as a walk that allocates a fresh prefix and a
+    fresh sum at every position, in the same order of operations."""
+    n_steps = trace.n_steps
+    h = back.deltas.shape[1] - 1
+    prefix = np.eye(params.n_hid) * bptt.step_fprime(trace, n_steps - h)[:, None, :]
+    dg = None
+    for i in range(h, 0, -1):
+        term = (prefix @ (back.deltas[:, i - 1, :] @ dw_rec.T)[..., None])[..., 0]
+        dg = term if dg is None else dg + term
+        if i > 1:
+            prefix = ((prefix @ params.w_rec)
+                      * bptt.step_fprime(trace, n_steps - i + 1)[:, None, :])
+    return dg
+
+
 def loss_of(params, seq, target, kind):
     tr = model.forward_batch(params, seq[None])
     losses, _, _ = model.loss_batch(tr, np.asarray(target)[None], kind)

@@ -2,8 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import (backward_reference, delta_norm_profile, fd_gradient, generate_task,
-                      jacobian, mse_batch, random_net, random_tiny_case)
+from conftest import (backward_reference, compute_dg_reference, delta_norm_profile,
+                      fd_gradient, generate_task, jacobian, mse_batch, random_net,
+                      random_tiny_case)
 
 from srngate import bptt, diagnostics, model, regularizer
 from srngate.errors import ConfigError
@@ -251,6 +252,15 @@ class TestBackwardOracle:
         ref = regularizer.report_from_backward(
             params, trace, backward_reference(params, trace, deltas, h), dw_rec, cfg)
         assert (got.S.hex(), got.dS.hex(), got.q) == (ref.S.hex(), ref.dS.hex(), ref.q)
+
+    def test_dg_matches_allocating_walk(self, oracle_case):
+        # the in-place prefix walk must keep every bit, h = T included
+        params, trace, deltas, h = oracle_case
+        back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=h))
+        dw_rec = np.random.default_rng(7).standard_normal(params.w_rec.shape) * 1e-3
+        got = regularizer.compute_dg(params, trace, back, dw_rec)
+        ref = compute_dg_reference(params, trace, back, dw_rec)
+        assert got.tobytes() == ref.tobytes()
 
     def test_depth_scan_matches_reference(self, monkeypatch):
         # 300 probes make two chunks, so the per-chunk sums are added too

@@ -233,6 +233,24 @@ class TestTrainFailure:
         test_accuracy = summary["per_seed"]["1"]["test_accuracy"]
         assert summary["test_accuracy_best"] == summary["test_accuracy_mean"] == test_accuracy
 
+    def test_update_overflow_keeps_the_failing_draw(self, tmp_path, capsys):
+        # alpha * grad overflows in the update of draw 2; pytest turns
+        # warnings into errors, so a warning escaping the update would end the
+        # run without its evidence
+        code, _, err = run_cli(["train", "--task", "adding", "--T", "15", "--hidden", "6",
+                                "--epochs", "1", "--iters", "3", "--batch", "5",
+                                "--alpha", "1e155", "--reg", "off", "--seeds", "0",
+                                "--run-name", "over", "--out", str(tmp_path)] + FAIL_SMALL,
+                               capsys)
+        assert code == cli.EXIT_NUMERICAL
+        run_dir = tmp_path / "over_seed0"
+        failure = json.loads((run_dir / "failure.json").read_text())
+        assert failure == {"seed": 0, "epoch": 1, "iteration": 2,
+                           "message": "non-finite w_out after update at iteration 2"}
+        rows = read_table(run_dir / "metrics.csv", trainer.METRICS_COLUMNS)
+        assert [(row["iter"], row["applied"]) for row in rows] == [(1, True), (2, True)]
+        assert "Warning" not in err
+
     def test_failure_while_starting(self, tmp_path, capsys):
         # the initial network already overflows the validation loss
         code, _, _ = run_cli(["train", "--task", "adding", "--T", "15", "--hidden", "6",

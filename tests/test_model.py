@@ -7,7 +7,8 @@ import pytest
 
 from conftest import forward_reference, generate_task
 from srngate import model
-from srngate.errors import ConfigError, DimensionError, FormatError, NumericalError
+from srngate.errors import (ConfigError, DimensionError, FormatError, NumericalError,
+                            ScoringTraceError)
 from srngate.model import LossKind, OutputActivation
 
 
@@ -179,15 +180,85 @@ class TestForwardOracle:
         assert "z" not in trace.__dict__ and "fprime" not in trace.__dict__
 
 
+SCORING_CASES = {
+    "N1_softmax": (1, OutputActivation.SOFTMAX, None),
+    "N9_linear": (9, OutputActivation.LINEAR, None),
+    "N6_softmax_shared_z0": (6, OutputActivation.SOFTMAX, "shared"),
+    "N5_linear_per_sequence_z0": (5, OutputActivation.LINEAR, "per_sequence"),
+}
+
+
+@pytest.fixture(params=list(SCORING_CASES))
+def scoring_case(request):
+    """(params, inputs (N, 11, 3), z0) of one named scoring case."""
+    n_seqs, activation, start = SCORING_CASES[request.param]
+    rng = np.random.default_rng(n_seqs)
+    n_out = 4 if activation is OutputActivation.SOFTMAX else 2
+    params = tiny_params(13, n_in=3, n_hid=7, n_out=n_out, activation=activation, scale=0.8)
+    z0 = {None: None, "shared": rng.uniform(-0.9, 0.9, 7),
+          "per_sequence": rng.uniform(-0.9, 0.9, (n_seqs, 7))}[start]
+    return params, rng.standard_normal((n_seqs, 11, 3)), z0
+
+
+class TestScoringTrace:
+    """forward_batch(..., keep_trace=False) keeps one state block, not the
+    per-step activations, and gives the same readout and the same errors."""
+
+    def test_y_bit_equal_to_full_trace(self, scoring_case):
+        params, inputs, z0 = scoring_case
+        full = model.forward_batch(params, inputs, z0)
+        scoring = model.forward_batch(params, inputs, z0, keep_trace=False)
+        assert scoring.y.tobytes() == full.y.tobytes()
+        assert scoring.z0.tobytes() == full.z0.tobytes()
+        assert scoring.inputs.tobytes() == full.inputs.tobytes()
+        assert scoring.output_activation is full.output_activation
+
+    @pytest.mark.parametrize("name", ["a", "z", "fprime", "n_steps"])
+    def test_per_step_values_are_not_kept(self, name):
+        trace = model.forward_batch(tiny_params(14), np.zeros((2, 4, 2)), keep_trace=False)
+        assert trace.steps is None
+        with pytest.raises(ScoringTraceError, match="scoring forward"):
+            getattr(trace, name)
+
+    @pytest.mark.parametrize("bad_step", [1, 4, 11])
+    def test_non_finite_activation_names_the_same_step(self, scoring_case, bad_step):
+        # tanh(inf) is finite, so only the check on a(k) itself can see it
+        params, inputs, z0 = scoring_case
+        inputs = inputs.copy()
+        inputs[-1, bad_step - 1, 0] = np.inf
+        for keep_trace in (True, False):
+            with pytest.raises(NumericalError) as err:
+                model.forward_batch(params, inputs, z0, keep_trace=keep_trace)
+            assert str(err.value) == f"non-finite activation at step {bad_step}"
+
+    @pytest.mark.parametrize("keep_trace", [True, False])
+    def test_recurrence_overflow_is_reported_not_warned(self, keep_trace):
+        # finite weights: step 1 gives a = 1e308, step 2 overflows in z @ w_rec;
+        # pytest turns warnings into errors, so a warning would fail the test
+        p = model.SrnParams(np.full((1, 2), 1e308), np.full((2, 2), 1e308),
+                            np.ones((2, 1)), np.zeros(2), OutputActivation.LINEAR)
+        with pytest.raises(NumericalError, match="non-finite activation at step 2"):
+            model.forward_batch(p, np.ones((3, 4, 1)), keep_trace=keep_trace)
+
+    @pytest.mark.parametrize("activation,kind,targets", [
+        (OutputActivation.LINEAR, LossKind.MSE, np.zeros((2, 2))),
+        (OutputActivation.SOFTMAX, LossKind.CROSS_ENTROPY, np.zeros(2, dtype=int))])
+    def test_readout_overflow_is_reported_by_the_loss(self, activation, kind, targets):
+        # the states stay finite; the sum of three z * 1e308 terms overflows
+        p = model.SrnParams(np.ones((1, 3)), np.zeros((3, 3)), np.full((3, 2), 1e308),
+                            np.zeros(3), activation)
+        trace = model.forward_batch(p, np.ones((2, 3, 1)), keep_trace=False)
+        with pytest.raises(NumericalError, match="non-finite loss"):
+            model.loss_batch(trace, targets, kind)
+
+
 class TestOutputLoss:
     def _trace_with_ypre(self, y_pre, activation):
         """A one-sequence trace whose readout comes from the given y_pre."""
         y_pre = y_pre[None]
         y = model._softmax(y_pre) if activation is OutputActivation.SOFTMAX else y_pre
-        return model.ForwardTrace(
-            inputs=np.zeros((1, 1, 1)), z0=np.zeros((1, 1)), a=np.zeros((1, 1, 1)),
-            y=y, output_activation=activation,
-        )
+        return model.ForwardTrace(inputs=np.zeros((1, 1, 1)), z0=np.zeros((1, 1)),
+                                  y=y, output_activation=activation)
 
     def _loss(self, y_pre, activation, target, kind, tolerance=0.04):
         """(loss, output_delta, correct) of the single sequence."""

@@ -6,7 +6,7 @@ from conftest import generate_task, read_table
 from srngate import model, tasks, trainer
 from srngate.bptt import Gradients
 from srngate.config import RunConfig
-from srngate.errors import ConfigError, FormatError
+from srngate.errors import ConfigError, FormatError, NumericalError
 from srngate.model import OutputActivation
 from srngate.regularizer import Decision
 from srngate.trainer import TrainState
@@ -80,6 +80,13 @@ class TestSgdStep:
         for name in trainer.PARAM_BLOCKS:
             npt.assert_allclose(getattr(state.velocity, name).ravel(), [-1.0])
 
+    def test_overflow_is_reported_not_warned(self):
+        # pytest turns warnings into errors, so an overflow warning escaping
+        # the update would fail this test instead of the finite check
+        state = scalar_state()
+        with pytest.raises(NumericalError, match="non-finite w_in after update"):
+            trainer.sgd_step(state, unit_grads(1e300), small_config(alpha=1e10))
+
 
 class TestCandidateUpdate:
     def test_matches_sgd_step_and_mutates_nothing(self):
@@ -146,6 +153,16 @@ class TestTrainIteration:
         assert state.corrections == 1
         assert set(state.rows[0]) == set(trainer.METRICS_COLUMNS)
 
+    def test_failing_update_keeps_its_row(self):
+        # the row is built from values computed before the update, so the
+        # draw whose update fails still logs it
+        cfg, batch, state = self._setup(reg="off")
+        state.velocity.b[:] = np.inf
+        with pytest.raises(NumericalError, match="non-finite b after update at iteration 1"):
+            trainer.train_iteration(state, batch, cfg)
+        assert [(row["iter"], row["applied"]) for row in state.rows] == [(1, True)]
+        assert state.corrections == 0
+
     def test_accept_applies_exactly_sgd_step(self):
         cfg, batch, state = self._setup(reg="off")
         twin = TrainState.fresh(state.params.copy())
@@ -192,6 +209,45 @@ class TestEvaluate:
         batch = generate_task("adding", 15, 100, 10)
         assert (trainer.evaluate(params, batch, chunk=7)
                 == trainer.evaluate(params, batch, chunk=100))
+
+    @pytest.mark.parametrize("task", ["temporal_order", "adding"])
+    def test_partial_last_chunk_matches_full_trace_scoring(self, task):
+        # 23 sequences in chunks of 5; the reference scores full traces
+        batch = generate_task(task, 12, 23, 12)
+        spec = batch.spec
+        params = model.init_gaussian(spec.n_in, 8, spec.n_out, 0.3, seed=11,
+                                     output_activation=spec.output_activation)
+        if task == "adding":
+            # put every other target inside the tolerance of the output
+            y = model.forward_batch(params, batch.inputs).y
+            batch.targets[:] = y + np.where(np.arange(23) % 2, 0.01, 1.0)[:, None]
+        hits = 0
+        for start in range(0, 23, 5):
+            part = batch.subset(slice(start, start + 5))
+            trace = model.forward_batch(params, part.inputs)
+            hits += int(model.loss_batch(trace, part.targets, part.spec.loss_kind,
+                                         part.spec.success_tolerance)[2].sum())
+        assert 0 < hits < 23
+        assert trainer.evaluate(params, batch, chunk=5) == hits / 23
+
+    def test_scores_each_chunk_through_a_scoring_trace(self, monkeypatch):
+        # one forward_batch without a trace, then one loss_batch, per chunk
+        calls = []
+        forward, loss = model.forward_batch, model.loss_batch
+
+        def spy_forward(*args, **kwargs):
+            calls.append(("forward", kwargs))
+            return forward(*args, **kwargs)
+
+        def spy_loss(*args, **kwargs):
+            calls.append(("loss", kwargs))
+            return loss(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_batch", spy_forward)
+        monkeypatch.setattr(model, "loss_batch", spy_loss)
+        params = model.init_gaussian(2, 6, 1, 0.05, seed=9)
+        trainer.evaluate(params, generate_task("adding", 15, 23, 10), chunk=10)
+        assert calls == [("forward", {"keep_trace": False}), ("loss", {})] * 3
 
 
 class TestTrain:

@@ -8,9 +8,10 @@ command runs as ``python -m srngate.cli`` with that directory on PYTHONPATH,
 from its own working directory, so that the paths written into outputs are
 the same on both sides.  The script covers ``gen`` for two tasks, a gated and
 an ungated ``train --data`` (the ungated one with ``--record-dynamics``), a
-``--batch 1`` run, a three-sigma ``scan``, ``eval --out``, and a run whose
-learning rate makes it fail, started twice.  ``--tiny`` shrinks every size
-so the whole script takes seconds.
+``--batch 1`` run, a three-sigma ``scan``, ``eval --out``, an ``eval`` of a
+hand-written model whose finite weights overflow an activation, and a run
+whose learning rate makes it fail, started twice.  ``--tiny`` shrinks every
+size so the whole script takes seconds.
 
 Every file whose sha256 differs, or that exists on one side only, is listed,
 as is every command whose exit code differs; the exit code is 1 if anything
@@ -19,6 +20,7 @@ is listed, 0 otherwise.
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -30,6 +32,14 @@ FULL = {"T_add": 200, "h_add": 100, "T_order": 100, "h_order": 100, "hidden": 10
         "sizes": (2000, 200, 1000), "epochs": 2, "iters": 20, "probes": 100}
 TINY = {"T_add": 20, "h_add": 10, "T_order": 20, "h_order": 20, "hidden": 8,
         "sizes": (60, 20, 30), "epochs": 2, "iters": 3, "probes": 10}
+
+
+# written into each work dir before the script runs: a temporal-order model
+# whose recurrence overflows at step 2 (a = 1e308 at step 1, then z @ w_rec)
+OVERFLOW_MODEL = {"format": "srngate-model-v1", "n_in": 6, "n_hid": 2, "n_out": 4,
+                  "output_activation": "softmax", "seed": None,
+                  "w_in": [1e308] * 12, "w_rec": [1e308] * 4, "w_out": [0.0] * 8,
+                  "b": [0.0, 0.0]}
 
 
 def script(size: dict) -> list:
@@ -61,6 +71,8 @@ def script(size: dict) -> list:
         ("eval", ["eval", "--model", "runs/gated_seed1/model.json",
                   "--data", f"data/temporal_order_T{size['T_order']}_test.dat",
                   "--out", "eval.json"]),
+        ("eval_overflow", ["eval", "--model", "overflow_model.json",
+                           "--data", f"data/temporal_order_T{size['T_order']}_test.dat"]),
         ("train_failing", failing),
         ("train_failing_again", failing),
     ]
@@ -70,6 +82,7 @@ def run_script(src: Path, work: Path, size: dict) -> dict:
     """Run the script from ``work`` against the package in ``src``; returns
     the exit code of each command by name."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    (work / "overflow_model.json").write_text(json.dumps(OVERFLOW_MODEL))
     codes = {}
     for name, argv in script(size):
         proc = subprocess.run([sys.executable, "-m", "srngate.cli", *argv], cwd=work,
