@@ -19,7 +19,3 @@ class FormatError(SrnError):
 
 class ConfigError(SrnError):
     """A configuration value violates its documented constraints."""
-
-
-class ScoringTraceError(SrnError):
-    """Per-step values were read from a trace that a scoring forward made."""

@@ -20,8 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionError, FormatError, NumericalError,
-                     ScoringTraceError)
+from .errors import ConfigError, DimensionError, FormatError, NumericalError
 
 MODEL_FORMAT = "srngate-model-v1"
 
@@ -93,7 +92,7 @@ class ForwardTrace:
     A scoring trace (``keep_trace=False``) carries ``y``, ``inputs``, ``z0``
     and ``output_activation`` only, which is all ``loss_batch`` reads; its
     ``steps`` is None, and reading ``a``, ``z``, ``fprime`` or ``n_steps``
-    raises ScoringTraceError."""
+    raises RuntimeError."""
 
     inputs: np.ndarray   # (N, T, n_in)
     z0: np.ndarray       # (N, n_hid) initial states
@@ -105,7 +104,7 @@ class ForwardTrace:
     def a(self) -> np.ndarray:
         """(N, T, n_hid) presynaptic activations, a view of ``steps``."""
         if self.steps is None:
-            raise ScoringTraceError(
+            raise RuntimeError(
                 "this trace comes from a scoring forward (keep_trace=False), which "
                 "keeps no per-step activations; run forward_batch with keep_trace=True")
         return self.steps.transpose(1, 0, 2)
@@ -166,9 +165,9 @@ def forward_batch(params: SrnParams, inputs: np.ndarray,
 
     With ``keep_trace`` (the default) the trace keeps every a(k) for
     backpropagation.  With ``keep_trace=False`` each a(k) is written into one
-    reused (N, n_hid) block and checked as soon as it is computed, and the
-    scoring trace that comes back carries ``y`` but no per-step values; ``y``
-    is bit-equal in both modes.  Either way a non-finite a(k) raises
+    reused (N, n_hid) block, and the scoring trace that comes back carries
+    ``y`` but no per-step values; ``y`` is bit-equal in both modes.  Each a(k)
+    is checked as soon as it is computed, so a non-finite one raises
     NumericalError naming the first bad step.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -201,13 +200,9 @@ def forward_batch(params: SrnParams, inputs: np.ndarray,
             np.matmul(inputs[:, k, :], params.w_in, out=a_k)
             a_k += np.matmul(z_prev, params.w_rec, out=r)
             a_k += params.b
-            if not keep_trace and not np.isfinite(a_k).all():
-                raise _non_finite_activation(k)
+            if not np.isfinite(a_k).all():
+                raise NumericalError(f"non-finite activation at step {k + 1}")
             z_prev = np.tanh(a_k, out=z)
-        if keep_trace:
-            finite = np.isfinite(steps).all(axis=(1, 2))
-            if not finite.all():
-                raise _non_finite_activation(int(np.argmin(finite)))
         y_pre = z_prev @ params.w_out
         if params.output_activation is OutputActivation.SOFTMAX:
             y = _softmax(y_pre)
@@ -215,10 +210,6 @@ def forward_batch(params: SrnParams, inputs: np.ndarray,
             y = y_pre
     return ForwardTrace(inputs=inputs, z0=z0, y=y, output_activation=params.output_activation,
                         steps=steps if keep_trace else None)
-
-
-def _non_finite_activation(k: int) -> NumericalError:
-    return NumericalError(f"non-finite activation at step {k + 1}")
 
 
 def check_loss_pairing(kind: LossKind, activation: OutputActivation) -> None:

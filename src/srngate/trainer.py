@@ -108,7 +108,8 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
     else:
         applied = True
 
-    # logged before the update, so a draw whose update fails keeps its row
+    # logged, and shown to the hook, before the update, so a draw whose
+    # update fails keeps its rows
     row = {"iter": state.iteration, "epoch": state.epoch, "loss": float(losses.mean()),
            "dS": None, "S": None, "q": None, "decision": None, "applied": applied,
            "delta_norm_top": float(back.delta_norms[:, 0].mean()),
@@ -118,13 +119,12 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
     for name, norm in back.grads.block_norms().items():
         row[f"gnorm_{name}"] = norm
     state.rows.append(row)
-    if applied:
-        sgd_step(state, back.grads, cfg)
-        state.corrections += 1
-
     result = IterationResult(applied=applied, report=report, forced=force_accept)
     if hook is not None:
         hook(state, result, trace, back)
+    if applied:
+        sgd_step(state, back.grads, cfg)
+        state.corrections += 1
     return result
 
 
@@ -167,8 +167,8 @@ def run_epoch(state: TrainState, data: dict, cfg: RunConfig, hook=None,
     """One epoch: shuffle, draw until cfg.iters updates are applied, then
     validate and keep the best snapshot.  Returns the validation accuracy.
 
-    ``hook`` (if given) is called after every draw with (state, result,
-    trace, backward result).
+    ``hook`` (if given) is called for every draw, after its row is logged
+    and before its update, with (state, result, trace, backward result).
     """
     state.epoch += 1
     train_set = data["train"]

@@ -240,8 +240,8 @@ class TestTrainFailure:
         code, _, err = run_cli(["train", "--task", "adding", "--T", "15", "--hidden", "6",
                                 "--epochs", "1", "--iters", "3", "--batch", "5",
                                 "--alpha", "1e155", "--reg", "off", "--seeds", "0",
-                                "--run-name", "over", "--out", str(tmp_path)] + FAIL_SMALL,
-                               capsys)
+                                "--record-dynamics", "--run-name", "over",
+                                "--out", str(tmp_path)] + FAIL_SMALL, capsys)
         assert code == cli.EXIT_NUMERICAL
         run_dir = tmp_path / "over_seed0"
         failure = json.loads((run_dir / "failure.json").read_text())
@@ -249,6 +249,8 @@ class TestTrainFailure:
                            "message": "non-finite w_out after update at iteration 2"}
         rows = read_table(run_dir / "metrics.csv", trainer.METRICS_COLUMNS)
         assert [(row["iter"], row["applied"]) for row in rows] == [(1, True), (2, True)]
+        dynamics = read_table(run_dir / "dynamics.csv", diagnostics.DYNAMICS_COLUMNS)
+        assert [row["iter"] for row in dynamics] == [1, 2]
         assert "Warning" not in err
 
     def test_failure_while_starting(self, tmp_path, capsys):

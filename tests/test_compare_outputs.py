@@ -24,7 +24,14 @@ def test_same_tree_writes_identical_outputs(tmp_path):
                            "--tiny", "--work", str(work)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("0 difference(s)")
+    summary, codes_line = proc.stdout.splitlines()
+    assert summary.startswith("0 difference(s)")
+    # the overflowing model and the failing run fail numerically (3), and
+    # the rerun of the failing run is refused as an input error (2)
+    tool = load_tool()
+    expected = {name: "0" for name, _ in tool.script(tool.TINY)}
+    expected.update(eval_overflow="3", train_failing="3", train_failing_again="2")
+    assert codes_line == "exit codes: " + " ".join(f"{k}={v}" for k, v in expected.items())
     written = {p.relative_to(work / "change").as_posix()
                for p in (work / "change").rglob("*") if p.is_file()}
     assert {"eval.json", "runs/ungated_seed1/dynamics.csv", "runs/batch1_seed1/model.json",

@@ -7,8 +7,7 @@ import pytest
 
 from conftest import forward_reference, generate_task
 from srngate import model
-from srngate.errors import (ConfigError, DimensionError, FormatError, NumericalError,
-                            ScoringTraceError)
+from srngate.errors import ConfigError, DimensionError, FormatError, NumericalError
 from srngate.model import LossKind, OutputActivation
 
 
@@ -217,7 +216,7 @@ class TestScoringTrace:
     def test_per_step_values_are_not_kept(self, name):
         trace = model.forward_batch(tiny_params(14), np.zeros((2, 4, 2)), keep_trace=False)
         assert trace.steps is None
-        with pytest.raises(ScoringTraceError, match="scoring forward"):
+        with pytest.raises(RuntimeError, match="scoring forward"):
             getattr(trace, name)
 
     @pytest.mark.parametrize("bad_step", [1, 4, 11])

@@ -14,8 +14,10 @@ whose learning rate makes it fail, started twice.  ``--tiny`` shrinks every
 size so the whole script takes seconds.
 
 Every file whose sha256 differs, or that exists on one side only, is listed,
-as is every command whose exit code differs; the exit code is 1 if anything
-is listed, 0 otherwise.
+as is every command whose exit code differs; the last line gives each
+command's exit code on the change side, so a command that fails the same way
+on both sides is still seen.  The exit code is 1 if anything is listed, 0
+otherwise.
 """
 
 import argparse
@@ -116,7 +118,8 @@ def differences(parent: dict, change: dict, parent_codes: dict, change_codes: di
 
 
 def compare(parent_src: Path, change_src: Path, work: Path, size: dict) -> tuple:
-    """(difference lines, number of parent files) of one run per side."""
+    """(difference lines, number of parent files, change-side exit codes)
+    of one run per side."""
     results = []
     for side, src in (("parent", parent_src), ("change", change_src)):
         side_dir = work / side
@@ -124,7 +127,7 @@ def compare(parent_src: Path, change_src: Path, work: Path, size: dict) -> tuple
         codes = run_script(src, side_dir, size)
         results.append((digests(side_dir), codes))
     (parent, parent_codes), (change, change_codes) = results
-    return differences(parent, change, parent_codes, change_codes), len(parent)
+    return differences(parent, change, parent_codes, change_codes), len(parent), change_codes
 
 
 def main(argv=None) -> int:
@@ -142,7 +145,7 @@ def main(argv=None) -> int:
     size = TINY if args.tiny else FULL
     work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs-"))
     try:
-        lines, n_files = compare(args.parent_src, args.change_src, work, size)
+        lines, n_files, codes = compare(args.parent_src, args.change_src, work, size)
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
@@ -150,6 +153,7 @@ def main(argv=None) -> int:
         print(line)
     print(f"{len(lines)} difference(s) over {n_files} parent file(s) "
           f"and {len(script(size))} commands")
+    print("exit codes: " + " ".join(f"{name}={code}" for name, code in codes.items()))
     return 1 if lines else 0
 
 
