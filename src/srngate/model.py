@@ -80,43 +80,48 @@ class ForwardTrace:
     """What the forward pass saw over a batch of N sequences.
 
     A full trace (``forward_batch(..., keep_trace=True)``, the default) is
-    kept for backpropagation.  Its presynaptic activations are stored
-    step-major, as one (T, N, n_hid) buffer ``steps``, and ``a``, ``z`` and
-    ``fprime`` are (N, T, n_hid) transposed views of it: indexing is
+    kept for backpropagation.  It stores what the forward computed, step-major:
+    the presynaptic activations as one (T, N, n_hid) buffer ``steps`` and the
+    states as one (T+1, N, n_hid) buffer ``states`` whose block 0 is z0.
+    ``a`` and ``z`` are (N, T, n_hid) transposed views of them: indexing is
     batch-first, while each per-step slice ``x[:, k, :]`` that the backward
-    pass reads is one contiguous block.  Code that reduces over a whole array
+    pass reads is one contiguous block, and a run of consecutive states is
+    one contiguous (k·N, n_hid) window.  Code that reduces over a whole array
     and needs the batch-first summation order must take a C-ordered copy
-    first.  The states and their derivatives are built from ``a`` on first
-    use.
+    first.  ``fprime`` is built from ``z`` on first use.
 
     A scoring trace (``keep_trace=False``) carries ``y``, ``inputs``, ``z0``
     and ``output_activation`` only, which is all ``loss_batch`` reads; its
-    ``steps`` is None, and reading ``a``, ``z``, ``fprime`` or ``n_steps``
-    raises RuntimeError."""
+    ``steps`` and ``states`` are None, and reading ``a``, ``z``, ``fprime`` or
+    ``n_steps`` raises RuntimeError."""
 
     inputs: np.ndarray   # (N, T, n_in)
     z0: np.ndarray       # (N, n_hid) initial states
     y: np.ndarray        # (N, n_out) readout after the final step
     output_activation: OutputActivation
-    steps: np.ndarray | None = None  # (T, N, n_hid) a(k) per step; None when scoring
+    steps: np.ndarray | None = None   # (T, N, n_hid) a(k) per step; None when scoring
+    states: np.ndarray | None = None  # (T+1, N, n_hid) z(0)..z(T); None when scoring
+
+    def _kept(self, buffer: np.ndarray | None) -> np.ndarray:
+        if buffer is None:
+            raise RuntimeError(
+                "this trace comes from a scoring forward (keep_trace=False), which "
+                "keeps no per-step values; run forward_batch with keep_trace=True")
+        return buffer
 
     @property
     def a(self) -> np.ndarray:
         """(N, T, n_hid) presynaptic activations, a view of ``steps``."""
-        if self.steps is None:
-            raise RuntimeError(
-                "this trace comes from a scoring forward (keep_trace=False), which "
-                "keeps no per-step activations; run forward_batch with keep_trace=True")
-        return self.steps.transpose(1, 0, 2)
+        return self._kept(self.steps).transpose(1, 0, 2)
 
     @property
     def n_steps(self) -> int:
         return self.a.shape[1]
 
-    @cached_property
+    @property
     def z(self) -> np.ndarray:
-        """(N, T, n_hid) states, tanh(a)."""
-        return np.tanh(self.a)
+        """(N, T, n_hid) states tanh(a), a view of ``states`` without z0."""
+        return self._kept(self.states)[1:].transpose(1, 0, 2)
 
     @cached_property
     def fprime(self) -> np.ndarray:
@@ -163,12 +168,14 @@ def forward_batch(params: SrnParams, inputs: np.ndarray,
     """Run a batch (N, T, n_in) of sequences from z0, which is (n_hid,) for a
     start shared by all sequences or (N, n_hid); it defaults to zeros.
 
-    With ``keep_trace`` (the default) the trace keeps every a(k) for
-    backpropagation.  With ``keep_trace=False`` each a(k) is written into one
-    reused (N, n_hid) block, and the scoring trace that comes back carries
-    ``y`` but no per-step values; ``y`` is bit-equal in both modes.  Each a(k)
-    is checked as soon as it is computed, so a non-finite one raises
-    NumericalError naming the first bad step.
+    With ``keep_trace`` (the default) the trace keeps every a(k) and z(k) for
+    backpropagation, as written by the step loop.  With ``keep_trace=False``
+    each a(k) and z(k) is written into one reused (N, n_hid) block, and the
+    scoring trace that comes back carries ``y`` but no per-step values; ``y``
+    is bit-equal in both modes.  A non-finite a(k) raises NumericalError
+    naming the first bad step: scoring checks each a(k) as soon as it is
+    computed, before its block is overwritten, and a full trace checks all
+    of them once, after the loop.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != params.n_in:
@@ -183,33 +190,46 @@ def forward_batch(params: SrnParams, inputs: np.ndarray,
                              f"{inputs.shape[0]} sequences of n_hid={params.n_hid}") from e
 
     n_seqs, n_steps = inputs.shape[:2]
-    # step-major storage: every per-step row block steps[k] is contiguous, so
-    # the products write into it directly and tanh runs on it at full speed.
-    # Scoring keeps a single block.  The projection stays one product per
-    # step: numpy takes a one-row product through gemv, and a single GEMM over
-    # all steps would round a batch of one differently.
+    # step-major storage: every per-step block steps[k] and states[k] is
+    # contiguous, so the products and tanh write into it directly.  A full
+    # trace projects all inputs in one call, which numpy runs as the same
+    # product per step; scoring projects one step at a time into its single
+    # block, so that no (T, N, n_hid) buffer is made.
     steps = np.empty((n_steps if keep_trace else 1, n_seqs, params.n_hid))
+    states = np.empty((n_steps + 1 if keep_trace else 1, n_seqs, params.n_hid))
+    bias = np.broadcast_to(params.b, (n_seqs, params.n_hid)).copy()
     r = np.empty((n_seqs, params.n_hid))
-    z = np.empty((n_seqs, params.n_hid))
     z_prev = z0
     # an overflow leaves a non-finite a(k) or y, which the checks here and in
     # loss_batch report
     with np.errstate(over="ignore", invalid="ignore"):
+        if keep_trace:
+            np.matmul(inputs.transpose(1, 0, 2), params.w_in, out=steps)
+            states[0] = z0
         for k in range(n_steps):
-            a_k = steps[k if keep_trace else 0]
-            np.matmul(inputs[:, k, :], params.w_in, out=a_k)
+            if keep_trace:
+                a_k = steps[k]
+            else:
+                a_k = steps[0]
+                np.matmul(inputs[:, k, :], params.w_in, out=a_k)
             a_k += np.matmul(z_prev, params.w_rec, out=r)
-            a_k += params.b
-            if not np.isfinite(a_k).all():
+            a_k += bias
+            if not keep_trace and not np.isfinite(a_k).all():
                 raise NumericalError(f"non-finite activation at step {k + 1}")
-            z_prev = np.tanh(a_k, out=z)
+            z_prev = np.tanh(a_k, out=states[k + 1 if keep_trace else 0])
+        if keep_trace:
+            finite = np.isfinite(steps).all(axis=(1, 2))
+            if not finite.all():
+                raise NumericalError(
+                    f"non-finite activation at step {int(np.argmin(finite)) + 1}")
         y_pre = z_prev @ params.w_out
         if params.output_activation is OutputActivation.SOFTMAX:
             y = _softmax(y_pre)
         else:
             y = y_pre
     return ForwardTrace(inputs=inputs, z0=z0, y=y, output_activation=params.output_activation,
-                        steps=steps if keep_trace else None)
+                        steps=steps if keep_trace else None,
+                        states=states if keep_trace else None)
 
 
 def check_loss_pairing(kind: LossKind, activation: OutputActivation) -> None:

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import forward_reference, generate_task
-from srngate import model
+from srngate import bptt, model
 from srngate.errors import ConfigError, DimensionError, FormatError, NumericalError
 from srngate.model import LossKind, OutputActivation
 
@@ -172,11 +172,33 @@ class TestForwardOracle:
                                z0=rng.standard_normal(7))
 
     def test_scoring_builds_no_states(self):
-        # loss_batch reads only y; the (N, T, n_hid) states stay unbuilt
+        # loss_batch reads only y; the (N, T, n_hid) derivatives stay unbuilt
         params = tiny_params(7, n_out=3, activation=OutputActivation.SOFTMAX)
         trace = model.forward_batch(params, np.random.default_rng(8).standard_normal((4, 6, 2)))
         model.loss_batch(trace, np.array([0, 2, 1, 1]), LossKind.CROSS_ENTROPY)
-        assert "z" not in trace.__dict__ and "fprime" not in trace.__dict__
+        assert "fprime" not in trace.__dict__
+
+    def test_states_are_kept_from_the_loop(self, monkeypatch):
+        # z is a view of the buffer the step loop's tanh wrote, z0 included,
+        # so a forward and backward run tanh once per step and never again
+        rng = np.random.default_rng(9)
+        params = tiny_params(10, n_in=3, n_hid=5)
+        z0 = rng.uniform(-0.9, 0.9, (4, 5))
+        tanh, calls = np.tanh, []
+
+        def counting_tanh(x, *args, **kwargs):
+            calls.append(x.shape)
+            return tanh(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "tanh", counting_tanh)
+        trace = model.forward_batch(params, rng.standard_normal((4, 6, 3)), z0)
+        _, deltas, _ = model.loss_batch(trace, rng.standard_normal((4, 2)), LossKind.MSE)
+        bptt.backward(params, trace, deltas, bptt.BpttConfig(h=6))
+        assert calls == [(4, 5)] * 6
+        assert np.shares_memory(trace.z, trace.states)
+        assert trace.states.shape == (7, 4, 5) and trace.states.flags.c_contiguous
+        assert trace.states[0].tobytes() == z0.tobytes()
+        assert trace.z.tobytes() == tanh(trace.a).tobytes()
 
 
 SCORING_CASES = {
@@ -229,6 +251,20 @@ class TestScoringTrace:
             with pytest.raises(NumericalError) as err:
                 model.forward_batch(params, inputs, z0, keep_trace=keep_trace)
             assert str(err.value) == f"non-finite activation at step {bad_step}"
+
+    def test_spreading_nan_names_its_first_step(self, scoring_case):
+        # the NaN at step 3 reaches every later a(k) through the recurrence;
+        # the full trace checks all steps after the loop, scoring each step
+        params, inputs, z0 = scoring_case
+        inputs = inputs.copy()
+        inputs[0, 2, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            ref = forward_reference(params, inputs, z0)
+        assert np.isnan(ref.a[:, 2:]).any(axis=(0, 2)).all()
+        for keep_trace in (True, False):
+            with pytest.raises(NumericalError) as err:
+                model.forward_batch(params, inputs, z0, keep_trace=keep_trace)
+            assert str(err.value) == "non-finite activation at step 3"
 
     @pytest.mark.parametrize("keep_trace", [True, False])
     def test_recurrence_overflow_is_reported_not_warned(self, keep_trace):
