@@ -12,9 +12,12 @@ recurrent matrix and the next diagonal of tanh derivatives,
 
 When h = T the deepest diagonal falls on the initial state and is taken as
 1 - z0**2 (exactly 1 for the usual zero start); ``step_fprime`` is the one
-place that rule lives.  Weight gradients accumulate the per-step outer
-products over the h steps inside the horizon; anything older contributes
-nothing.  The gradients are means over the sequences, so the learning rate is
+place that rule lives.  Weight gradients sum the per-step outer products
+over the h steps inside the horizon; anything older contributes nothing.
+Each block is summed by one contraction over the h·N (step, sequence) rows,
+taken in forward-step order (steps T-h+1..T, the sequences within a step),
+so its rounding differs from a step-by-step accumulation in the last bits.
+The gradients are means over the sequences, so the learning rate is
 independent of batch size.
 """
 
@@ -60,8 +63,9 @@ class Gradients:
 class BpttResult:
     """Deltas for depths 0..h plus accumulated parameter gradients.
 
-    ``deltas`` is (N, h+1, n_hid), a transposed view of a depth-major
-    (h+1, N, n_hid) buffer, so each ``deltas[:, n, :]`` is contiguous.
+    ``deltas`` is (N, h+1, n_hid), a reversed, transposed view of a
+    buffer that holds the deltas in forward-step order (deepest first), so
+    each ``deltas[:, n, :]`` is contiguous.
     ``delta_norms`` (N, h+1) is C-ordered on purpose: callers sum it over
     the sequence axis, and numpy sums a contiguous axis pairwise but a
     strided one row by row, so a depth-major layout would change those sums
@@ -95,33 +99,31 @@ def backward(params: SrnParams, trace: ForwardTrace, output_delta: np.ndarray,
         raise DimensionError(
             f"output delta {output_delta.shape} does not match outputs {trace.y.shape}")
 
-    # step-major deltas, as in ForwardTrace: steps[n] is one contiguous
-    # (N, n_hid) block, written in place and read back by the gradient loop
-    n_seqs = trace.a.shape[0]
+    # deltas in forward-step order: steps[j] is the delta at forward step
+    # T-h+j (depth h-j), one contiguous (N, n_hid) block, so the deltas of
+    # steps T-h+1..T are one (h·N, n_hid) block whose rows line up with the
+    # states window z(T-h)..z(T-1) of trace.states
+    n_seqs = trace.y.shape[0]
     steps = np.empty((h + 1, n_seqs, params.n_hid))
-    np.matmul(output_delta, params.w_out.T, out=steps[0])
-    steps[0] *= trace.fprime[:, n_steps - 1, :]
-    for n in range(1, h + 1):
-        np.matmul(steps[n - 1], params.w_rec.T, out=steps[n])
-        steps[n] *= step_fprime(trace, n_steps - n)
-    finite = np.isfinite(steps).all(axis=(1, 2))
+    np.matmul(output_delta, params.w_out.T, out=steps[h])
+    steps[h] *= trace.fprime[:, n_steps - 1, :]
+    for j in range(h - 1, -1, -1):
+        np.matmul(steps[j + 1], params.w_rec.T, out=steps[j])
+        steps[j] *= step_fprime(trace, n_steps - h + j)
+    deltas = steps[::-1].transpose(1, 0, 2)
+    finite = np.isfinite(steps[::-1]).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(f"non-finite delta at depth {int(np.argmin(finite))}")
 
-    # outer products summed over the batch rows, then divided through for a
-    # per-sequence mean
-    grads = Gradients.zeros_like(params)
-    grads.w_out += trace.z[:, n_steps - 1, :].T @ output_delta
-    for n in range(h):
-        step = n_steps - n
-        delta_n = steps[n]
-        z_prev = trace.z[:, step - 2, :] if step >= 2 else trace.z0
-        grads.w_rec += z_prev.T @ delta_n
-        grads.w_in += trace.inputs[:, step - 1, :].T @ delta_n
-        grads.b += delta_n.sum(axis=0)
+    # one contraction per block over the h·N rows, then divided through for
+    # a per-sequence mean; only the small input window is copied
+    rows = steps[1:].reshape(h * n_seqs, params.n_hid)
+    window = trace.states[n_steps - h:n_steps].reshape(h * n_seqs, params.n_hid)
+    inputs = trace.inputs[:, n_steps - h:, :].transpose(1, 0, 2).reshape(h * n_seqs, -1)
+    grads = Gradients(w_in=inputs.T @ rows, w_rec=window.T @ rows,
+                      w_out=trace.z[:, n_steps - 1, :].T @ output_delta,
+                      b=rows.sum(axis=0))
     for name in PARAM_BLOCKS:
         setattr(grads, name, getattr(grads, name) / n_seqs)
-
-    deltas = steps.transpose(1, 0, 2)
     return BpttResult(deltas=deltas, grads=grads,
                       delta_norms=np.sqrt(np.sum(deltas * deltas, axis=-1), order="C"))

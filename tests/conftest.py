@@ -87,12 +87,9 @@ def forward_reference(params, inputs, z0=None):
     return SimpleNamespace(a=a, z=z, fprime=1.0 - z * z, y=y)
 
 
-def backward_reference(params, trace, output_delta, h):
-    """Backward pass over batch-first arrays: the per-depth deltas are kept in
-    a list and stacked batch-first, and the gradient loop reads strided
-    slices of that stack and of C-ordered copies of the trace.  Returns a
-    BpttResult whose arrays are all C-ordered."""
-    z = np.ascontiguousarray(trace.z)
+def _reference_deltas(params, trace, output_delta, h):
+    """(N, h+1, n_hid) deltas by depth, kept in a list and stacked
+    batch-first."""
     fprime = np.ascontiguousarray(trace.fprime)
     n_steps = trace.n_steps
 
@@ -104,8 +101,47 @@ def backward_reference(params, trace, output_delta, h):
     for n in range(1, h + 1):
         delta = (delta @ params.w_rec.T) * fprime_at(n_steps - n)
         deltas.append(delta)
-    deltas = np.stack(deltas, axis=1)
+    return np.stack(deltas, axis=1)
 
+
+def _mean_over_batch(grads, n_seqs):
+    for name in bptt.PARAM_BLOCKS:
+        setattr(grads, name, getattr(grads, name) / n_seqs)
+    return grads
+
+
+def backward_reference(params, trace, output_delta, h):
+    """Backward pass over batch-first arrays.  Each gradient block is one
+    contraction over the h·N rows inside the horizon, taken in forward-step
+    order (steps T-h+1..T, sequences within a step), from C-ordered copies
+    of batch-first slices.  Returns a BpttResult whose arrays are all
+    C-ordered."""
+    z = np.ascontiguousarray(trace.z)
+    n_steps = trace.n_steps
+    deltas = _reference_deltas(params, trace, output_delta, h)
+
+    def step_rows(x):
+        # batch-first (N, h, m) in step order -> (h·N, m), one step after another
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, x.shape[2])
+
+    states = np.concatenate([trace.z0[:, None, :], z], axis=1)  # z(0)..z(T)
+    rows = step_rows(deltas[:, h - 1::-1, :])                    # depths h-1..0
+    grads = bptt.Gradients(
+        w_in=step_rows(trace.inputs[:, n_steps - h:n_steps, :]).T @ rows,
+        w_rec=step_rows(states[:, n_steps - h:n_steps, :]).T @ rows,
+        w_out=z[:, n_steps - 1, :].T @ output_delta,
+        b=rows.sum(axis=0))
+    return bptt.BpttResult(deltas=deltas, grads=_mean_over_batch(grads, deltas.shape[0]),
+                           delta_norms=np.sqrt(np.sum(deltas * deltas, axis=-1)))
+
+
+def per_step_gradients(params, trace, output_delta, h):
+    """The gradients accumulated one step at a time, deepest-last: per depth
+    n = 0..h-1 the outer products of that step are added to the running
+    sums.  A second oracle in another summation order."""
+    z = np.ascontiguousarray(trace.z)
+    n_steps = trace.n_steps
+    deltas = _reference_deltas(params, trace, output_delta, h)
     grads = bptt.Gradients.zeros_like(params)
     grads.w_out += z[:, n_steps - 1, :].T @ output_delta
     for n in range(h):
@@ -115,10 +151,7 @@ def backward_reference(params, trace, output_delta, h):
         grads.w_rec += z_prev.T @ delta_n
         grads.w_in += trace.inputs[:, step - 1, :].T @ delta_n
         grads.b += delta_n.sum(axis=0)
-    for name in bptt.PARAM_BLOCKS:
-        setattr(grads, name, getattr(grads, name) / deltas.shape[0])
-    return bptt.BpttResult(deltas=deltas, grads=grads,
-                           delta_norms=np.sqrt(np.sum(deltas * deltas, axis=-1)))
+    return _mean_over_batch(grads, deltas.shape[0])
 
 
 def compute_dg_reference(params, trace, back, dw_rec):

@@ -3,11 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from conftest import (backward_reference, compute_dg_reference, delta_norm_profile,
-                      fd_gradient, generate_task, jacobian, mse_batch, random_net,
-                      random_tiny_case)
+                      fd_gradient, generate_task, jacobian, mse_batch, per_step_gradients,
+                      random_net, random_tiny_case)
 
 from srngate import bptt, diagnostics, model, regularizer
-from srngate.errors import ConfigError
+from srngate.errors import ConfigError, NumericalError
 from srngate.model import LossKind, OutputActivation
 
 
@@ -77,6 +77,16 @@ class TestBackwardStructure:
         tr = model.forward_batch(params, rng.standard_normal((1, 4, 2)))
         with pytest.raises(ConfigError):
             bptt.backward(params, tr, np.zeros((1, 2)), bptt.BpttConfig(h=5))
+
+    def test_non_finite_delta_names_its_depth(self):
+        # all activations stay 0, so f' = 1 and each depth multiplies the
+        # delta by 1e200: depth 1 holds 1e200, depth 2 overflows
+        params = model.SrnParams(np.zeros((1, 2)), 1e200 * np.eye(2), np.ones((2, 1)),
+                                 np.zeros(2), OutputActivation.LINEAR)
+        tr = model.forward_batch(params, np.ones((3, 4, 1)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="non-finite delta at depth 2$"):
+            bptt.backward(params, tr, np.ones((3, 1)), bptt.BpttConfig(h=4))
 
     def test_linearity_in_output_delta(self):
         rng = np.random.default_rng(24)
@@ -241,6 +251,17 @@ class TestBackwardOracle:
         assert got.delta_norms.tobytes() == ref.delta_norms.tobytes()
         for name in bptt.PARAM_BLOCKS:
             assert getattr(got.grads, name).tobytes() == getattr(ref.grads, name).tobytes(), name
+
+    def test_per_step_accumulation_agrees(self, oracle_case):
+        # summing the outer products one step at a time rounds differently;
+        # each block must agree to 1e-12 of its largest entry
+        params, trace, deltas, h = oracle_case
+        got = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=h))
+        ref = per_step_gradients(params, trace, deltas, h)
+        for name in bptt.PARAM_BLOCKS:
+            expected = getattr(ref, name)
+            npt.assert_allclose(getattr(got.grads, name), expected, rtol=0,
+                                atol=1e-12 * np.abs(expected).max(), err_msg=name)
 
     def test_gate_report_matches_reference(self, oracle_case):
         params, trace, deltas, h = oracle_case
