@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import diagnostics, model, tasks, trainer
@@ -148,15 +148,17 @@ def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     data = _load_splits(Path(args.data), cfg) if args.data else None
     out_root = Path(cfg.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     prefix = args.run_name or time.strftime("%Y%m%d-%H%M%S")
+    run_dirs = {seed: out_root / f"{prefix}_seed{seed}" for seed in cfg.seeds}
+    summary_path = out_root / f"{prefix}_summary.json"
+    # every output path is checked before the first seed trains
+    for path in (*run_dirs.values(), summary_path):
+        if path.exists():
+            raise ConfigError(f"{path} already exists; outputs are append-only")
+    out_root.mkdir(parents=True, exist_ok=True)
 
     results, failed = {}, []
-    for seed in cfg.seeds:
-        run_dir = out_root / f"{prefix}_seed{seed}"
-        if run_dir.exists():
-            raise ConfigError(f"run directory {run_dir} already exists; "
-                              f"outputs are append-only")
+    for seed, run_dir in run_dirs.items():
         run_dir.mkdir(parents=True)
         recorder = diagnostics.DynamicsRecorder(cfg.h) if cfg.record_dynamics else None
         try:
@@ -187,7 +189,6 @@ def cmd_train(args) -> int:
     }
     if failed:
         summary["failed_seeds"] = failed
-    summary_path = out_root / f"{prefix}_summary.json"
     _write_json(summary_path, summary)
     if failed:
         print(f"{cfg.task} T={cfg.T} reg={cfg.reg}: {len(results)} of "
@@ -223,13 +224,13 @@ def cmd_scan(args) -> int:
     cfg = _config_from_args(args)
     sigmas = (_parse_list(args.sigmas, float, "sigmas")
               if args.sigmas else [cfg.sigma])
+    for sigma in sigmas:  # RunConfig checks each one as it checks --sigma
+        replace(cfg, sigma=sigma)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = cfg.task_spec()
     probes = tasks.generate(spec, cfg.probes, seed=cfg.seeds[0])
     for sigma in sigmas:
-        if sigma <= 0:
-            raise ConfigError(f"sigma: must be positive, got {sigma}")
         params = model.init_gaussian(spec.n_in, cfg.hidden, spec.n_out, sigma,
                                      seed=cfg.seeds[0],
                                      output_activation=spec.output_activation)

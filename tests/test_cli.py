@@ -107,6 +107,27 @@ class TestTrain:
         assert code == cli.EXIT_INPUT
         assert "append-only" in err
 
+    @pytest.mark.parametrize("existing", ["clash_seed2", "clash_summary.json"])
+    def test_any_existing_output_stops_every_seed(self, tmp_path, capsys, existing):
+        # the clash is found before seed 1 trains, so seed 1 writes nothing
+        # and a rerun without the clash still succeeds
+        path = tmp_path / existing
+        if path.suffix == ".json":
+            path.write_text("{}")
+        else:
+            path.mkdir()
+        base = ["train", "--task", "adding", "--T", "12", "--seeds", "1,2",
+                "--out", str(tmp_path), "--run-name", "clash"] + TRAIN_SMALL
+        code, out, err = run_cli(base, capsys)
+        assert code == cli.EXIT_INPUT
+        assert f"{path} already exists" in err and out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [existing]
+        if path.is_dir():
+            path.rmdir()
+        else:
+            path.unlink()
+        assert run_cli(base, capsys)[0] == 0
+
     def test_bad_value_leaves_no_run_dir(self, tmp_path, capsys):
         base = ["train", "--task", "adding", "--T", "15", "--seeds", "0",
                 "--out", str(tmp_path), "--run-name", "bad"] + TRAIN_SMALL
@@ -274,6 +295,15 @@ class TestScan:
         assert code == 0
         for s in ("0.005", "0.01", "0.02"):
             assert (tmp_path / f"depth_profile_sigma{s}.csv").exists()
+
+    def test_bad_sigma_in_the_sweep_writes_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "scan"
+        code, _, err = run_cli(["scan", "--task", "adding", "--T", "20",
+                                "--hidden", "8", "--sigmas", "0.01,-1", "--probes", "10",
+                                "--seed", "2", "--out", str(out_dir)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert "sigma: must be positive, got -1.0" in err
+        assert not out_dir.exists()
 
     def test_h1_two_row_profile(self, tmp_path, capsys):
         code, _, _ = run_cli(["scan", "--task", "adding", "--T", "20", "--h", "1",
