@@ -1,8 +1,9 @@
 """tools/compare_outputs.py: the same tree on both sides writes the same
-files (which also pins same-seed determinism), and every kind of
-difference is listed."""
+files (which also pins same-seed determinism), every kind of difference is
+listed, and a differing CSV or JSON file is quantified."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,42 @@ def test_differences_lists_every_kind():
                              {"gen": 0, "eval": 0}, {"gen": 0, "eval": 2})
     assert lines == ["differs: b", "only in parent: c", "only in change: d",
                      "exit code of eval: parent 0, change 2"]
+
+
+def test_explain_quantifies_csv_columns_and_json_weights(tmp_path):
+    tool = load_tool()
+    parent, change = tmp_path / "p.csv", tmp_path / "c.csv"
+    parent.write_text("iter,loss,gwin_norm,decision,applied\n"
+                      "1,4.0,,accept,1\n2,nan,1.0,accept,1\n3,1.0,1.0,accept,0\n")
+    change.write_text("iter,loss,gwin_norm,decision,applied\n"
+                      "1,5.0,,accept,1\n2,nan,1.0,reject_large_ds,0\n3,1.0,inf,accept,0\n")
+    assert tool.explain(parent, change) == [
+        "loss: max relative difference 0.2",
+        "gwin_norm: max relative difference inf",
+        "decision: differs in 1 of 3 rows, first at [1]",
+        "applied: differs in 1 of 3 rows, first at [1]",
+        "equal: iter"]
+
+    model = {"format": "srngate-model-v1", "n_in": 1, "seed": None,
+             "w_in": [1.0, 2.0], "b": [0.5]}
+    parent, change = tmp_path / "p.json", tmp_path / "c.json"
+    parent.write_text(json.dumps(model))
+    change.write_text(json.dumps(dict(model, w_in=[1.0, 2.5])))
+    assert tool.explain(parent, change) == [
+        "w_in: max relative difference 0.2", "b: max relative difference 0",
+        "equal: format, n_in, seed"]
+
+
+def test_compare_puts_the_explanation_under_its_file(tmp_path, monkeypatch):
+    tool = load_tool()
+
+    def fake_script(src, work, size):
+        (work / "metrics.csv").write_text(f"iter,loss\n1,{1.0 if src.name == 'a' else 2.0}\n")
+        (work / "notes.txt").write_text(src.name)
+        return {"train": 0}
+
+    monkeypatch.setattr(tool, "run_script", fake_script)
+    lines, n_files, codes = tool.compare(Path("a"), Path("b"), tmp_path, tool.TINY)
+    assert lines == ["differs: metrics.csv", "    loss: max relative difference 0.5",
+                     "    equal: iter", "differs: notes.txt"]
+    assert (n_files, codes) == (2, {"train": 0})

@@ -16,13 +16,19 @@ size so the whole script takes seconds.
 Every file whose sha256 differs, or that exists on one side only, is listed,
 as is every command whose exit code differs; the last line gives each
 command's exit code on the change side, so a command that fails the same way
-on both sides is still seen.  The exit code is 1 if anything is listed, 0
-otherwise.
+on both sides is still seen.  Under a differing CSV or JSON file, indented
+lines say by how much it differs: the largest relative difference
+|p - c| / max(|p|, |c|) of each float column (each float-valued key of a
+JSON object, such as a model's weight arrays), and whether the other columns
+or keys are equal, with the first rows where they are not.  The exit code is
+1 if anything is listed, 0 otherwise.
 """
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -117,9 +123,98 @@ def differences(parent: dict, change: dict, parent_codes: dict, change_codes: di
     return lines
 
 
+def relative_difference(p: str, c: str) -> float:
+    """|p - c| / max(|p|, |c|) of two float cells; 0 when they are equal
+    (two nans or two empty cells included), inf when only one is finite
+    or only one is empty."""
+    if p == c:
+        return 0.0
+    if p == "" or c == "":
+        return math.inf
+    p, c = float(p), float(c)
+    if p == c or (math.isnan(p) and math.isnan(c)):
+        return 0.0
+    if not (math.isfinite(p) and math.isfinite(c)):
+        return math.inf
+    return abs(p - c) / max(abs(p), abs(c))
+
+
+def _is_float_column(cells: list) -> bool:
+    """Floats are written with repr, so a float column holds a cell that is
+    no integer (``1.0``, ``2e-05``, ``nan``); empty cells are allowed."""
+    def parses(text, kind):
+        try:
+            kind(text)
+        except ValueError:
+            return False
+        return True
+
+    filled = [text for text in cells if text != ""]
+    return (all(parses(text, float) for text in filled)
+            and any(not parses(text, int) for text in filled))
+
+
+def _column_lines(columns: dict) -> list:
+    """Describe matched columns: {name: (parent cells, change cells)}."""
+    lines, equal = [], []
+    for name, (parent, change) in columns.items():
+        if _is_float_column(parent + change):
+            worst = max(map(relative_difference, parent, change), default=0.0)
+            lines.append(f"{name}: max relative difference {worst:.3g}")
+        elif parent == change:
+            equal.append(name)
+        else:
+            rows = [i for i, (p, c) in enumerate(zip(parent, change)) if p != c]
+            lines.append(f"{name}: differs in {len(rows)} of {len(parent)} rows, "
+                         f"first at {rows[:5]}")
+    if equal:
+        lines.append(f"equal: {', '.join(equal)}")
+    return lines
+
+
+def _read_csv(path: Path) -> dict:
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    header, body = rows[0], rows[1:]
+    return {name: [row[i] for row in body] for i, name in enumerate(header)}
+
+
+def _flatten_json(doc, prefix="") -> dict:
+    """Leaves of a JSON document as {dotted key: list of cell texts}; a list
+    of numbers is one column, any other leaf one cell."""
+    if isinstance(doc, dict):
+        return {key: value for name, item in doc.items()
+                for key, value in _flatten_json(item, f"{prefix}{name}.").items()}
+    key = prefix[:-1]
+    if isinstance(doc, list) and all(isinstance(x, (int, float)) for x in doc):
+        return {key: [repr(float(x)) if isinstance(x, float) else str(x) for x in doc]}
+    return {key: [repr(doc) if isinstance(doc, float) else json.dumps(doc)]}
+
+
+def explain(parent_file: Path, change_file: Path) -> list:
+    """Lines that quantify how a differing CSV or JSON file differs; none
+    for other files."""
+    if parent_file.suffix == ".csv":
+        parent, change = _read_csv(parent_file), _read_csv(change_file)
+    elif parent_file.suffix == ".json":
+        parent = _flatten_json(json.loads(parent_file.read_text()))
+        change = _flatten_json(json.loads(change_file.read_text()))
+    else:
+        return []
+    if list(parent) != list(change):
+        return [f"columns differ: parent {list(parent)}, change {list(change)}"]
+    sizes = {name: (len(parent[name]), len(change[name])) for name in parent}
+    uneven = {name: size for name, size in sizes.items() if size[0] != size[1]}
+    if uneven:
+        return [f"{name}: parent {p} rows, change {c} rows"
+                for name, (p, c) in uneven.items()]
+    return _column_lines({name: (parent[name], change[name]) for name in parent})
+
+
 def compare(parent_src: Path, change_src: Path, work: Path, size: dict) -> tuple:
     """(difference lines, number of parent files, change-side exit codes)
-    of one run per side."""
+    of one run per side; under each differing file come its indented
+    ``explain`` lines, which the count of differences leaves out."""
     results = []
     for side, src in (("parent", parent_src), ("change", change_src)):
         side_dir = work / side
@@ -127,7 +222,14 @@ def compare(parent_src: Path, change_src: Path, work: Path, size: dict) -> tuple
         codes = run_script(src, side_dir, size)
         results.append((digests(side_dir), codes))
     (parent, parent_codes), (change, change_codes) = results
-    return differences(parent, change, parent_codes, change_codes), len(parent), change_codes
+    lines = []
+    for line in differences(parent, change, parent_codes, change_codes):
+        lines.append(line)
+        if line.startswith("differs: "):
+            name = line[len("differs: "):]
+            lines += ["    " + detail
+                      for detail in explain(work / "parent" / name, work / "change" / name)]
+    return lines, len(parent), change_codes
 
 
 def main(argv=None) -> int:
@@ -151,7 +253,8 @@ def main(argv=None) -> int:
             shutil.rmtree(work, ignore_errors=True)
     for line in lines:
         print(line)
-    print(f"{len(lines)} difference(s) over {n_files} parent file(s) "
+    n_differences = sum(not line.startswith(" ") for line in lines)
+    print(f"{n_differences} difference(s) over {n_files} parent file(s) "
           f"and {len(script(size))} commands")
     print("exit codes: " + " ".join(f"{name}={code}" for name, code in codes.items()))
     return 1 if lines else 0
