@@ -111,7 +111,7 @@ def backward(params: SrnParams, trace: ForwardTrace, output_delta: np.ndarray,
         np.matmul(steps[j + 1], params.w_rec.T, out=steps[j])
         steps[j] *= step_fprime(trace, n_steps - h + j)
     deltas = steps[::-1].transpose(1, 0, 2)
-    finite = np.isfinite(steps[::-1]).all(axis=(1, 2))
+    finite = np.isfinite(deltas).all(axis=(0, 2))
     if not finite.all():
         raise NumericalError(f"non-finite delta at depth {int(np.argmin(finite))}")
 
