@@ -203,11 +203,10 @@ def explain(parent_file: Path, change_file: Path) -> list:
         return []
     if list(parent) != list(change):
         return [f"columns differ: parent {list(parent)}, change {list(change)}"]
-    sizes = {name: (len(parent[name]), len(change[name])) for name in parent}
-    uneven = {name: size for name, size in sizes.items() if size[0] != size[1]}
+    uneven = [f"{name}: parent {len(parent[name])} rows, change {len(change[name])} rows"
+              for name in parent if len(parent[name]) != len(change[name])]
     if uneven:
-        return [f"{name}: parent {p} rows, change {c} rows"
-                for name, (p, c) in uneven.items()]
+        return uneven
     return _column_lines({name: (parent[name], change[name]) for name in parent})
 
 
