@@ -18,13 +18,14 @@ from srngate.model import LossKind, SrnParams
 
 def deep_delta(w_rec, trace, delta_top, h):
     """The deep delta as the explicit factor product over the horizon, with
-    the forward trace frozen: h times g <- D * (g @ w_rec.T), where the
-    diagonal before step 1 is 1 - z0**2."""
+    the forward trace frozen: h times g <- D * (g @ w_rec.T), where factor i
+    takes its diagonal 1 - z**2 from the state z(T-i); z(0) is the zero
+    start."""
     T = trace.n_steps
     g = delta_top
     for i in range(1, h + 1):
-        fp = trace.fprime[:, T - i - 1, :] if i < T else 1.0 - trace.z0 ** 2
-        g = fp * (g @ w_rec.T)
+        z = trace.states[T - i]
+        g = (1.0 - z * z) * (g @ w_rec.T)
     return g
 
 

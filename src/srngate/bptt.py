@@ -10,13 +10,14 @@ recurrent matrix and the next diagonal of tanh derivatives,
 
     delta[n] = (delta[n-1] @ w_rec.T) * f'(a(T-n)).
 
-When h = T the deepest diagonal falls on the initial state and is taken as
-1 - z0**2 (exactly 1 for the usual zero start); ``step_fprime`` is the one
-place that rule lives.  Weight gradients sum the per-step outer products
-over the h steps inside the horizon; anything older contributes nothing.
-Each block is summed by one contraction over the h·N (step, sequence) rows,
-taken in forward-step order (steps T-h+1..T, the sequences within a step),
-so its rounding differs from a step-by-step accumulation in the last bits.
+Each diagonal is 1 - z(s)**2 of the forward state it sits on, computed once,
+over the horizon window z(T-h)..z(T) of the states.  Every sequence starts
+from the zero state, so at h = T the deepest diagonal falls on z(0) = 0 and
+is exactly 1.  Weight gradients sum the per-step outer products over the h
+steps inside the horizon; anything older contributes nothing.  Each block is
+summed by one contraction over the h·N (step, sequence) rows, taken in
+forward-step order (steps T-h+1..T, the sequences within a step), so its
+rounding differs from a step-by-step accumulation in the last bits.
 The gradients are means over the sequences, so the learning rate is
 independent of batch size.
 """
@@ -65,7 +66,10 @@ class BpttResult:
 
     ``deltas`` is (N, h+1, n_hid), a reversed, transposed view of a
     buffer that holds the deltas in forward-step order (deepest first), so
-    each ``deltas[:, n, :]`` is contiguous.
+    each ``deltas[:, n, :]`` is contiguous.  ``fprime`` is laid out the same
+    way: ``fprime[:, n]`` is the diagonal 1 - z(T-n)**2 that produced
+    ``deltas[:, n]``, and at h = T its deepest block, on the zero start, is
+    exactly 1.
     ``delta_norms`` (N, h+1) is C-ordered on purpose: callers sum it over
     the sequence axis, and numpy sums a contiguous axis pairwise but a
     strided one row by row, so a depth-major layout would change those sums
@@ -73,18 +77,9 @@ class BpttResult:
     """
 
     deltas: np.ndarray
+    fprime: np.ndarray
     grads: Gradients
     delta_norms: np.ndarray
-
-
-def step_fprime(trace: ForwardTrace, step: int) -> np.ndarray:
-    """Diagonal f' at 1-based forward step ``step``, shape (N, n_hid).
-
-    Step 0 is the initial state, whose diagonal is 1 - z0**2.
-    """
-    if step >= 1:
-        return trace.fprime[:, step - 1, :]
-    return 1.0 - trace.z0 * trace.z0
 
 
 def backward(params: SrnParams, trace: ForwardTrace, output_delta: np.ndarray,
@@ -102,14 +97,19 @@ def backward(params: SrnParams, trace: ForwardTrace, output_delta: np.ndarray,
     # deltas in forward-step order: steps[j] is the delta at forward step
     # T-h+j (depth h-j), one contiguous (N, n_hid) block, so the deltas of
     # steps T-h+1..T are one (h·N, n_hid) block whose rows line up with the
-    # states window z(T-h)..z(T-1) of trace.states
+    # states window z(T-h)..z(T-1) of trace.states; fprime[j] is the
+    # diagonal 1 - z(T-h+j)**2 that steps[j] is multiplied by
     n_seqs = trace.y.shape[0]
+    window = trace.states[n_steps - h:]
+    fprime = 1.0 - window * window
     steps = np.empty((h + 1, n_seqs, params.n_hid))
-    np.matmul(output_delta, params.w_out.T, out=steps[h])
-    steps[h] *= trace.fprime[:, n_steps - 1, :]
-    for j in range(h - 1, -1, -1):
-        np.matmul(steps[j + 1], params.w_rec.T, out=steps[j])
-        steps[j] *= step_fprime(trace, n_steps - h + j)
+    # an overflow leaves a non-finite delta, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(output_delta, params.w_out.T, out=steps[h])
+        steps[h] *= fprime[h]
+        for j in range(h - 1, -1, -1):
+            np.matmul(steps[j + 1], params.w_rec.T, out=steps[j])
+            steps[j] *= fprime[j]
     deltas = steps[::-1].transpose(1, 0, 2)
     finite = np.isfinite(deltas).all(axis=(0, 2))
     if not finite.all():
@@ -118,12 +118,11 @@ def backward(params: SrnParams, trace: ForwardTrace, output_delta: np.ndarray,
     # one contraction per block over the h·N rows, then divided through for
     # a per-sequence mean; only the small input window is copied
     rows = steps[1:].reshape(h * n_seqs, params.n_hid)
-    window = trace.states[n_steps - h:n_steps].reshape(h * n_seqs, params.n_hid)
+    prev = window[:h].reshape(h * n_seqs, params.n_hid)
     inputs = trace.inputs[:, n_steps - h:, :].transpose(1, 0, 2).reshape(h * n_seqs, -1)
-    grads = Gradients(w_in=inputs.T @ rows, w_rec=window.T @ rows,
-                      w_out=trace.z[:, n_steps - 1, :].T @ output_delta,
-                      b=rows.sum(axis=0))
+    grads = Gradients(w_in=inputs.T @ rows, w_rec=prev.T @ rows,
+                      w_out=window[h].T @ output_delta, b=rows.sum(axis=0))
     for name in PARAM_BLOCKS:
         setattr(grads, name, getattr(grads, name) / n_seqs)
-    return BpttResult(deltas=deltas, grads=grads,
+    return BpttResult(deltas=deltas, fprime=fprime[::-1].transpose(1, 0, 2), grads=grads,
                       delta_norms=np.sqrt(np.sum(deltas * deltas, axis=-1), order="C"))

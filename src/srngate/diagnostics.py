@@ -64,8 +64,7 @@ def depth_scan(params: SrnParams, probes: SequenceBatch, h: int,
         n_steps = trace.n_steps
         delta_norms = back.delta_norms                      # (N, h+1)
         input_norms = np.sqrt(np.sum(trace.inputs ** 2, axis=2))  # (N, T)
-        state_norms = np.sqrt(np.sum(trace.z ** 2, axis=2))       # (N, T)
-        z0_norms = np.sqrt(np.sum(trace.z0 ** 2, axis=1))
+        state_norms = np.sqrt(np.sum(trace.states ** 2, axis=2))  # (T+1, N), z(0) = 0
 
         gwin = np.full_like(delta_norms, np.nan)
         gwrec = np.full_like(delta_norms, np.nan)
@@ -75,8 +74,7 @@ def depth_scan(params: SrnParams, probes: SequenceBatch, h: int,
                 continue
             # rank-one contribution: ||outer(u, d)||_F = ||u|| * ||d||
             gwin[:, n] = input_norms[:, step - 1] * delta_norms[:, n]
-            prev = state_norms[:, step - 2] if step >= 2 else z0_norms
-            gwrec[:, n] = prev * delta_norms[:, n]
+            gwrec[:, n] = state_norms[step - 1] * delta_norms[:, n]
         part_sums = np.stack([delta_norms.sum(axis=0), gwin.sum(axis=0),
                               gwrec.sum(axis=0)])
         sums = part_sums if sums is None else sums + part_sums

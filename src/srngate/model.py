@@ -16,7 +16,6 @@ produced.  A single sequence is a batch of one: ``seq[None]``.
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -79,28 +78,28 @@ class SrnParams:
 class ForwardTrace:
     """What the forward pass saw over a batch of N sequences.
 
-    A full trace (``forward_batch(..., keep_trace=True)``, the default) is
-    kept for backpropagation.  It stores what the forward computed, step-major:
-    the presynaptic activations as one (T, N, n_hid) buffer ``steps`` and the
-    states as one (T+1, N, n_hid) buffer ``states`` whose block 0 is z0.
-    ``a`` and ``z`` are (N, T, n_hid) transposed views of them: indexing is
-    batch-first, while each per-step slice ``x[:, k, :]`` that the backward
-    pass reads is one contiguous block, and a run of consecutive states is
-    one contiguous (k·N, n_hid) window.  Code that reduces over a whole array
-    and needs the batch-first summation order must take a C-ordered copy
-    first.  ``fprime`` is built from ``z`` on first use.
+    Every sequence starts from the zero state.  A full trace
+    (``forward_batch(..., keep_trace=True)``, the default) is kept for
+    backpropagation.  It stores what the forward computed, step-major: the
+    presynaptic activations as one (T, N, n_hid) buffer ``steps`` and the
+    states as one (T+1, N, n_hid) buffer ``states`` whose block 0 is the
+    zero start.  ``a`` and ``z`` are (N, T, n_hid) transposed views of them:
+    indexing is batch-first, while each per-step slice ``x[:, k, :]`` that
+    the backward pass reads is one contiguous block, and a run of
+    consecutive states is one contiguous (k·N, n_hid) window.  Code that
+    reduces over a whole array and needs the batch-first summation order
+    must take a C-ordered copy first.
 
-    A scoring trace (``keep_trace=False``) carries ``y``, ``inputs``, ``z0``
-    and ``output_activation`` only, which is all ``loss_batch`` reads; its
-    ``steps`` and ``states`` are None, and reading ``a``, ``z``, ``fprime`` or
+    A scoring trace (``keep_trace=False``) carries ``y``, ``inputs`` and
+    ``output_activation`` only, which is all ``loss_batch`` reads; its
+    ``steps`` and ``states`` are None, and reading ``a``, ``z`` or
     ``n_steps`` raises RuntimeError."""
 
     inputs: np.ndarray   # (N, T, n_in)
-    z0: np.ndarray       # (N, n_hid) initial states
     y: np.ndarray        # (N, n_out) readout after the final step
     output_activation: OutputActivation
     steps: np.ndarray | None = None   # (T, N, n_hid) a(k) per step; None when scoring
-    states: np.ndarray | None = None  # (T+1, N, n_hid) z(0)..z(T); None when scoring
+    states: np.ndarray | None = None  # (T+1, N, n_hid) z(0) = 0..z(T); None when scoring
 
     def _kept(self, buffer: np.ndarray | None) -> np.ndarray:
         if buffer is None:
@@ -120,13 +119,8 @@ class ForwardTrace:
 
     @property
     def z(self) -> np.ndarray:
-        """(N, T, n_hid) states tanh(a), a view of ``states`` without z0."""
+        """(N, T, n_hid) states tanh(a), a view of ``states`` without z(0)."""
         return self._kept(self.states)[1:].transpose(1, 0, 2)
-
-    @cached_property
-    def fprime(self) -> np.ndarray:
-        """(N, T, n_hid) tanh derivatives, 1 - z**2."""
-        return 1.0 - self.z * self.z
 
 
 def init_gaussian(n_in: int, n_hid: int, n_out: int, sigma: float, seed,
@@ -163,10 +157,9 @@ def _softmax(y_pre: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def forward_batch(params: SrnParams, inputs: np.ndarray,
-                  z0: np.ndarray | None = None, *, keep_trace: bool = True) -> ForwardTrace:
-    """Run a batch (N, T, n_in) of sequences from z0, which is (n_hid,) for a
-    start shared by all sequences or (N, n_hid); it defaults to zeros.
+def forward_batch(params: SrnParams, inputs: np.ndarray, *,
+                  keep_trace: bool = True) -> ForwardTrace:
+    """Run a batch (N, T, n_in) of sequences, each from the zero state.
 
     With ``keep_trace`` (the default) the trace keeps every a(k) and z(k) for
     backpropagation, as written by the step loop.  With ``keep_trace=False``
@@ -180,14 +173,6 @@ def forward_batch(params: SrnParams, inputs: np.ndarray,
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[2] != params.n_in:
         raise DimensionError(f"batch shape {inputs.shape} does not match n_in={params.n_in}")
-    if z0 is None:
-        z0 = np.zeros(params.n_hid)
-    z0 = np.asarray(z0, dtype=np.float64)
-    try:
-        z0 = np.broadcast_to(z0, (inputs.shape[0], params.n_hid))
-    except ValueError as e:
-        raise DimensionError(f"z0 shape {z0.shape} does not match "
-                             f"{inputs.shape[0]} sequences of n_hid={params.n_hid}") from e
 
     n_seqs, n_steps = inputs.shape[:2]
     # step-major storage: every per-step block steps[k] and states[k] is
@@ -199,13 +184,13 @@ def forward_batch(params: SrnParams, inputs: np.ndarray,
     states = np.empty((n_steps + 1 if keep_trace else 1, n_seqs, params.n_hid))
     bias = np.broadcast_to(params.b, (n_seqs, params.n_hid)).copy()
     r = np.empty((n_seqs, params.n_hid))
-    z_prev = z0
+    z_prev = np.zeros((n_seqs, params.n_hid))
     # an overflow leaves a non-finite a(k) or y, which the checks here and in
     # loss_batch report
     with np.errstate(over="ignore", invalid="ignore"):
         if keep_trace:
             np.matmul(inputs.transpose(1, 0, 2), params.w_in, out=steps)
-            states[0] = z0
+            states[0] = z_prev
         for k in range(n_steps):
             if keep_trace:
                 a_k = steps[k]
@@ -227,7 +212,7 @@ def forward_batch(params: SrnParams, inputs: np.ndarray,
             y = _softmax(y_pre)
         else:
             y = y_pre
-    return ForwardTrace(inputs=inputs, z0=z0, y=y, output_activation=params.output_activation,
+    return ForwardTrace(inputs=inputs, y=y, output_activation=params.output_activation,
                         steps=steps if keep_trace else None,
                         states=states if keep_trace else None)
 

@@ -77,7 +77,7 @@ class RegReport:
     decision: Decision
 
 
-def compute_dg(params: SrnParams, trace: ForwardTrace, back: bptt_mod.BpttResult,
+def compute_dg(params: SrnParams, back: bptt_mod.BpttResult,
                dw_rec: np.ndarray) -> np.ndarray:
     """Per-sequence differential (N, n_hid) of the deep delta along dw_rec,
     diagonals held fixed, over the horizon h that ``back`` was run with.
@@ -89,14 +89,13 @@ def compute_dg(params: SrnParams, trace: ForwardTrace, back: bptt_mod.BpttResult
     if dw_rec.shape != params.w_rec.shape:
         raise DimensionError(
             f"dw_rec {dw_rec.shape} does not match w_rec {params.w_rec.shape}")
-    n_steps = trace.n_steps
     h = back.deltas.shape[1] - 1
 
     # walk the prefix operator inward from the deep end while substituting;
     # back.deltas[:, i] is the product of the first i factors applied to
     # delta(k).  The walk reuses two (N, n_hid, n_hid) buffers; the product
     # stays one matmul per sequence, as one stacked GEMM rounds differently.
-    prefix = np.eye(params.n_hid) * bptt_mod.step_fprime(trace, n_steps - h)[:, None, :]
+    prefix = np.eye(params.n_hid) * back.fprime[:, h, None, :]
     spare = np.empty_like(prefix)
     dg = None
     for i in range(h, 0, -1):
@@ -107,7 +106,7 @@ def compute_dg(params: SrnParams, trace: ForwardTrace, back: bptt_mod.BpttResult
             dg += term
         if i > 1:
             np.matmul(prefix, params.w_rec, out=spare)
-            spare *= bptt_mod.step_fprime(trace, n_steps - i + 1)[:, None, :]
+            spare *= back.fprime[:, i - 1, None, :]
             prefix, spare = spare, prefix
     return dg
 
@@ -149,13 +148,16 @@ def gate(dS: float, q: float, cfg: RegConfig, S: float | None = None) -> Decisio
 def report_from_backward(params: SrnParams, trace: ForwardTrace,
                          back: bptt_mod.BpttResult, candidate_dw_rec: np.ndarray,
                          cfg: RegConfig) -> RegReport:
-    """Build the gate report from an already-computed backward pass."""
+    """Build the gate report from an already-computed backward pass.
+
+    Everything is read from ``back``; ``trace`` names the forward it came
+    from."""
     h = cfg.h
     if back.deltas.shape[1] != h + 1:
         raise DimensionError(
             f"backward result carries {back.deltas.shape[1] - 1} depths, need h={h}")
     g = back.deltas[:, h, :].mean(axis=0)
-    dg = compute_dg(params, trace, back, candidate_dw_rec).mean(axis=0)
+    dg = compute_dg(params, back, candidate_dw_rec).mean(axis=0)
     S = 0.5 * float(g @ g)
     dS = float(g @ dg)
     q = q_factor(float(back.delta_norms[:, 0].mean()),

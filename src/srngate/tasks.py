@@ -218,7 +218,9 @@ def load_batch(path) -> SequenceBatch:
 
     The batch's spec comes from the header's task, T and success tolerance.
     Rejects with FormatError a file whose loss_kind contradicts its task, a
-    file holding no sequences, a spec that fails TaskSpec.validate, non-finite
+    file holding no sequences, targets that are not float (n, 1) for the
+    regression tasks or integer (n,) for the temporal-order tasks, a spec
+    that fails TaskSpec.validate, an n_in other than the task's, non-finite
     inputs or targets and, for the temporal-order tasks, class ids outside
     [0, 2**specials).
     """
@@ -244,10 +246,19 @@ def load_batch(path) -> SequenceBatch:
         if min((T, n_in) + t_shape) < 0:
             raise FormatError(f"malformed dataset header: negative size in "
                               f"T={T}, n_in={n_in}, targets_shape={list(t_shape)}")
+        want_shape, want_kinds = ((n, 1), "f") if spec.regression else ((n,), "iu")
+        if t_shape != want_shape or t_dtype.kind not in want_kinds:
+            raise FormatError(
+                f"{spec.kind.value} targets must be "
+                f"{'float' if spec.regression else 'integer'} {list(want_shape)}, "
+                f"header says {t_dtype} {list(t_shape)}")
         try:
             spec.validate()
         except ConfigError as e:
             raise FormatError(f"dataset header: {e}") from e
+        if n_in != spec.n_in:
+            raise FormatError(f"{spec.kind.value} has {spec.n_in} input channels, "
+                              f"header says n_in={n_in}")
         payload_bytes = os.fstat(f.fileno()).st_size - f.tell()
         expected = n * T * n_in * 8 + int(np.prod(t_shape)) * 8
         if payload_bytes != expected:

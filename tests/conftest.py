@@ -10,6 +10,7 @@ same for the backward pass.  ``read_table`` and
 """
 
 import csv
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +31,15 @@ def mse_batch(inputs, targets):
     """Arbitrary inputs and targets scored by squared error, as the
     regression specs score them."""
     return SequenceBatch(inputs, targets, TaskSpec(TaskKind.ADDING, inputs.shape[1]))
+
+
+def rewrite_header(path, cut=0, **change):
+    """Change keys of a dataset file's JSON header and drop ``cut`` bytes
+    from the end of its payload."""
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    doc = {**json.loads(header), **change}
+    path.write_bytes(b"\n".join([magic, json.dumps(doc).encode(),
+                                 payload[:len(payload) - cut]]))
 
 
 def read_table(path, columns: dict) -> list:
@@ -67,13 +77,12 @@ def random_net(rng, n_in, n_hid, n_out, activation, scale=0.6):
     )
 
 
-def forward_reference(params, inputs, z0=None):
-    """Forward pass one step at a time: per step the input projection, the
-    recurrence and the bias, in that order, then tanh once more over all
-    steps.  Returns a, z, fprime and y."""
+def forward_reference(params, inputs):
+    """Forward pass one step at a time from the zero state: per step the
+    input projection, the recurrence and the bias, in that order, then tanh
+    once more over all steps.  Returns a, z and y."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    z_prev = np.broadcast_to(np.zeros(params.n_hid) if z0 is None else z0,
-                             (inputs.shape[0], params.n_hid))
+    z_prev = np.zeros((inputs.shape[0], params.n_hid))
     a_steps = []
     for k in range(inputs.shape[1]):
         a_k = inputs[:, k, :] @ params.w_in + z_prev @ params.w_rec + params.b
@@ -84,24 +93,28 @@ def forward_reference(params, inputs, z0=None):
     y = z[:, -1, :] @ params.w_out
     if params.output_activation is OutputActivation.SOFTMAX:
         y = model._softmax(y)
-    return SimpleNamespace(a=a, z=z, fprime=1.0 - z * z, y=y)
+    return SimpleNamespace(a=a, z=z, y=y)
+
+
+def diagonal(trace, step):
+    """The tanh derivatives 1 - z**2, (N, n_hid), at 1-based forward step
+    ``step``, computed from ``trace.z``; step 0 is the zero start, where
+    they are 1."""
+    if step < 1:
+        return np.ones((trace.z.shape[0], trace.z.shape[2]))
+    z = trace.z[:, step - 1, :]
+    return 1.0 - z * z
 
 
 def _reference_deltas(params, trace, output_delta, h):
-    """(N, h+1, n_hid) deltas by depth, kept in a list and stacked
-    batch-first."""
-    fprime = np.ascontiguousarray(trace.fprime)
+    """(N, h+1, n_hid) deltas and the diagonals that produced them, by
+    depth, each kept in a list and stacked batch-first."""
     n_steps = trace.n_steps
-
-    def fprime_at(step):
-        return fprime[:, step - 1, :] if step >= 1 else 1.0 - trace.z0 * trace.z0
-
-    delta = (output_delta @ params.w_out.T) * fprime[:, n_steps - 1, :]
-    deltas = [delta]
+    fprime = [diagonal(trace, n_steps - n) for n in range(h + 1)]
+    deltas = [(output_delta @ params.w_out.T) * fprime[0]]
     for n in range(1, h + 1):
-        delta = (delta @ params.w_rec.T) * fprime_at(n_steps - n)
-        deltas.append(delta)
-    return np.stack(deltas, axis=1)
+        deltas.append((deltas[-1] @ params.w_rec.T) * fprime[n])
+    return np.stack(deltas, axis=1), np.stack(fprime, axis=1)
 
 
 def _mean_over_batch(grads, n_seqs):
@@ -118,20 +131,21 @@ def backward_reference(params, trace, output_delta, h):
     C-ordered."""
     z = np.ascontiguousarray(trace.z)
     n_steps = trace.n_steps
-    deltas = _reference_deltas(params, trace, output_delta, h)
+    deltas, fprime = _reference_deltas(params, trace, output_delta, h)
 
     def step_rows(x):
         # batch-first (N, h, m) in step order -> (h·N, m), one step after another
         return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, x.shape[2])
 
-    states = np.concatenate([trace.z0[:, None, :], z], axis=1)  # z(0)..z(T)
+    states = np.concatenate([np.zeros_like(z[:, :1]), z], axis=1)  # z(0) = 0..z(T)
     rows = step_rows(deltas[:, h - 1::-1, :])                    # depths h-1..0
     grads = bptt.Gradients(
         w_in=step_rows(trace.inputs[:, n_steps - h:n_steps, :]).T @ rows,
         w_rec=step_rows(states[:, n_steps - h:n_steps, :]).T @ rows,
         w_out=z[:, n_steps - 1, :].T @ output_delta,
         b=rows.sum(axis=0))
-    return bptt.BpttResult(deltas=deltas, grads=_mean_over_batch(grads, deltas.shape[0]),
+    return bptt.BpttResult(deltas=deltas, fprime=fprime,
+                           grads=_mean_over_batch(grads, deltas.shape[0]),
                            delta_norms=np.sqrt(np.sum(deltas * deltas, axis=-1)))
 
 
@@ -141,13 +155,13 @@ def per_step_gradients(params, trace, output_delta, h):
     sums.  A second oracle in another summation order."""
     z = np.ascontiguousarray(trace.z)
     n_steps = trace.n_steps
-    deltas = _reference_deltas(params, trace, output_delta, h)
+    deltas, _ = _reference_deltas(params, trace, output_delta, h)
     grads = bptt.Gradients.zeros_like(params)
     grads.w_out += z[:, n_steps - 1, :].T @ output_delta
     for n in range(h):
         step = n_steps - n
         delta_n = deltas[:, n, :]
-        z_prev = z[:, step - 2, :] if step >= 2 else trace.z0
+        z_prev = z[:, step - 2, :] if step >= 2 else np.zeros_like(z[:, 0])
         grads.w_rec += z_prev.T @ delta_n
         grads.w_in += trace.inputs[:, step - 1, :].T @ delta_n
         grads.b += delta_n.sum(axis=0)
@@ -159,14 +173,14 @@ def compute_dg_reference(params, trace, back, dw_rec):
     fresh sum at every position, in the same order of operations."""
     n_steps = trace.n_steps
     h = back.deltas.shape[1] - 1
-    prefix = np.eye(params.n_hid) * bptt.step_fprime(trace, n_steps - h)[:, None, :]
+    prefix = np.eye(params.n_hid) * diagonal(trace, n_steps - h)[:, None, :]
     dg = None
     for i in range(h, 0, -1):
         term = (prefix @ (back.deltas[:, i - 1, :] @ dw_rec.T)[..., None])[..., 0]
         dg = term if dg is None else dg + term
         if i > 1:
             prefix = ((prefix @ params.w_rec)
-                      * bptt.step_fprime(trace, n_steps - i + 1)[:, None, :])
+                      * diagonal(trace, n_steps - i + 1)[:, None, :])
     return dg
 
 
@@ -178,13 +192,12 @@ def loss_of(params, seq, target, kind):
 
 def compute_g(params, trace, delta_top, h):
     """Deep deltas (N, n_hid) built as the explicit factor product applied to
-    delta(k): factor i = 1..h is D(T-i) W, where the diagonal before step 1
-    is 1 - z0**2.  h = 0 returns delta(k) itself."""
+    delta(k): factor i = 1..h is D(T-i) W, where D(0), on the zero start,
+    is 1.  h = 0 returns delta(k) itself."""
     T = trace.n_steps
     g = np.array(delta_top, dtype=np.float64)
     for i in range(1, h + 1):
-        fp = trace.fprime[:, T - i - 1, :] if i < T else 1.0 - trace.z0 ** 2
-        g = fp * (g @ params.w_rec.T)
+        g = diagonal(trace, T - i) * (g @ params.w_rec.T)
     return g
 
 

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import (backward_reference, compute_dg_reference, delta_norm_profile,
-                      fd_gradient, generate_task, jacobian, mse_batch, per_step_gradients,
+                      diagonal, fd_gradient, generate_task, jacobian, per_step_gradients,
                       random_net, random_tiny_case)
 
 from srngate import bptt, diagnostics, model, regularizer
@@ -84,8 +84,7 @@ class TestBackwardStructure:
         params = model.SrnParams(np.zeros((1, 2)), 1e200 * np.eye(2), np.ones((2, 1)),
                                  np.zeros(2), OutputActivation.LINEAR)
         tr = model.forward_batch(params, np.ones((3, 4, 1)))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalError, match="non-finite delta at depth 2$"):
+        with pytest.raises(NumericalError, match="non-finite delta at depth 2$"):
             bptt.backward(params, tr, np.ones((3, 1)), bptt.BpttConfig(h=4))
 
     def test_linearity_in_output_delta(self):
@@ -111,6 +110,25 @@ class TestBackwardStructure:
         assert not np.allclose(r_full.grads.w_rec, r_trunc.grads.w_rec)
         npt.assert_allclose(r_full.deltas[:, :3], r_trunc.deltas, rtol=1e-13)
 
+    @pytest.mark.parametrize("h", [3, 7])
+    def test_fprime_is_one_minus_state_squared_by_depth(self, h):
+        # fprime[:, n] is 1 - z(T-n)**2 of the forward's states, laid out like
+        # deltas; at h = T the deepest diagonal sits on the zero start
+        rng = np.random.default_rng(34)
+        params = random_net(rng, 2, 4, 2, OutputActivation.LINEAR)
+        tr = model.forward_batch(params, rng.standard_normal((3, 7, 2)))
+        back = bptt.backward(params, tr, rng.standard_normal((3, 2)), bptt.BpttConfig(h=h))
+        assert back.fprime.shape == back.deltas.shape
+        for n in range(min(h, 6) + 1):
+            z = tr.z[:, 6 - n]
+            assert back.fprime[:, n].tobytes() == (1.0 - z * z).tobytes(), n
+        if h == 7:
+            assert (back.fprime[:, 7] == 1.0).all()
+        # each depth's delta is its diagonal times the pushed-back delta above it
+        for n in range(1, h + 1):
+            pushed = back.deltas[:, n - 1] @ params.w_rec.T
+            assert back.deltas[:, n].tobytes() == (pushed * back.fprime[:, n]).tobytes()
+
 
 class TestJacobian:
     def test_linear_regime_is_w_rec_transpose(self):
@@ -132,8 +150,7 @@ class TestJacobian:
         delta = result.deltas[0, 0]
         for n in range(1, 7):
             step = 6 - n  # 1-based step holding the next diagonal
-            fp = tr.fprime[0, step - 1] if step >= 1 else 1.0 - tr.z0[0] ** 2
-            delta = delta @ jacobian(params, fp)
+            delta = delta @ jacobian(params, diagonal(tr, step)[0])
             npt.assert_allclose(delta, result.deltas[0, n], rtol=1e-12, atol=1e-300)
 
     def test_product_form_identity(self):
@@ -148,8 +165,7 @@ class TestJacobian:
             mat = np.eye(5)
             for n in range(1, 8):
                 step = 7 - n
-                fp = tr.fprime[0, step - 1] if step >= 1 else 1.0 - tr.z0[0] ** 2
-                mat = mat @ jacobian(params, fp)
+                mat = mat @ jacobian(params, diagonal(tr, step)[0])
             npt.assert_allclose(result.deltas[0, 0] @ mat, result.deltas[0, 7],
                                 rtol=1e-12, atol=1e-300)
 
@@ -164,7 +180,7 @@ class TestDeltaNormProfile:
         assert profile == [(n, 0.0) for n in range(5)]
 
     def test_orthogonal_recurrence_preserves_norms(self):
-        # with w_in = 0 and z0 = 0 all activations stay at 0, so fprime = 1
+        # with w_in = 0 and the zero start all activations stay at 0, so fprime = 1
         # and an orthogonal w_rec makes every backward step an isometry
         rng = np.random.default_rng(31)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
@@ -213,7 +229,7 @@ class TestBatchedBackward:
                                 rtol=1e-10, atol=1e-300)
 
 
-@pytest.fixture(params=["adding_T200_h100_N10", "order_T100_h100_N10", "N1_nonzero_z0"])
+@pytest.fixture(params=["adding_T200_h100_N10", "order_T100_h100_N10"])
 def oracle_case(request):
     """(params, trace, output deltas, h) of one named backward case."""
     name = request.param
@@ -221,17 +237,11 @@ def oracle_case(request):
         batch, h = generate_task("adding", 200, 10, 1), 100
         params = model.init_gaussian(2, 100, 1, 0.01, seed=2)
         trace = model.forward_batch(params, batch.inputs)
-    elif name == "order_T100_h100_N10":
+    else:
         batch, h = generate_task("temporal_order", 100, 10, 3), 100
         params = model.init_gaussian(6, 100, 4, 0.01, seed=4,
                                      output_activation=OutputActivation.SOFTMAX)
         trace = model.forward_batch(params, batch.inputs)
-    else:  # one sequence from a nonzero start, h = T so z0 enters the deltas
-        rng = np.random.default_rng(5)
-        params = random_net(rng, 3, 20, 2, OutputActivation.LINEAR, scale=0.3)
-        batch = mse_batch(rng.standard_normal((1, 30, 3)), rng.standard_normal((1, 2)))
-        h = 30
-        trace = model.forward_batch(params, batch.inputs, z0=rng.uniform(-0.9, 0.9, 20))
     _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind,
                                     batch.spec.success_tolerance)
     return params, trace, deltas, h
@@ -247,6 +257,7 @@ class TestBackwardOracle:
         ref = backward_reference(params, trace, deltas, h)
         assert got.deltas.shape == ref.deltas.shape
         assert got.deltas.tobytes() == ref.deltas.tobytes()
+        assert got.fprime.tobytes() == ref.fprime.tobytes()
         assert got.delta_norms.flags.c_contiguous
         assert got.delta_norms.tobytes() == ref.delta_norms.tobytes()
         for name in bptt.PARAM_BLOCKS:
@@ -279,7 +290,7 @@ class TestBackwardOracle:
         params, trace, deltas, h = oracle_case
         back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=h))
         dw_rec = np.random.default_rng(7).standard_normal(params.w_rec.shape) * 1e-3
-        got = regularizer.compute_dg(params, trace, back, dw_rec)
+        got = regularizer.compute_dg(params, back, dw_rec)
         ref = compute_dg_reference(params, trace, back, dw_rec)
         assert got.tobytes() == ref.tobytes()
 

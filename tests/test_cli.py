@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import generate_task, read_profile_csv, read_table
+from conftest import generate_task, read_profile_csv, read_table, rewrite_header
 from srngate import cli, diagnostics, model, tasks, trainer
 
 
@@ -164,6 +164,21 @@ class TestTrain:
         assert code == cli.EXIT_INPUT
         assert f"{task} T=20 tolerance=0.04" in err
         assert f"{task} T=20 tolerance=0.5" in err
+        assert not out.exists()
+
+    def test_short_test_targets_are_input_error_before_training(self, tmp_path, capsys):
+        # a test split whose header lists 10 targets for 20 sequences, with
+        # the payload trimmed to match, is refused before any seed trains
+        data_dir = tmp_path / "data"
+        assert run_cli(["gen", "--task", "adding", "--T", "15", "--seed", "1",
+                        "--out", str(data_dir)] + GEN_SMALL, capsys)[0] == 0
+        rewrite_header(data_dir / "adding_T15_test.dat", cut=80, targets_shape=[10, 1])
+        out = tmp_path / "out"
+        code, _, err = run_cli(["train", "--task", "adding", "--T", "15", "--seeds", "0",
+                                "--out", str(out), "--run-name", "short",
+                                "--data", str(data_dir)] + TRAIN_SMALL, capsys)
+        assert code == cli.EXIT_INPUT
+        assert "adding targets must be float [20, 1]" in err
         assert not out.exists()
 
     def test_tolerance_flag_trains_on_matching_data(self, tmp_path, capsys):
@@ -401,6 +416,16 @@ class TestEval:
                                 "--data", str(data_path)], capsys)
         assert code == cli.EXIT_INPUT
         assert "class ids" in err
+
+    def test_float_class_targets_are_input_error(self, tmp_path, capsys):
+        model_path, data_path = self._order_case(tmp_path, capsys, n_out=4)
+        rewrite_header(data_path, targets_dtype="float64")
+        out_json = tmp_path / "eval.json"
+        code, out, err = run_cli(["eval", "--model", str(model_path), "--data",
+                                  str(data_path), "--out", str(out_json)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert "temporal_order targets must be integer [20]" in err
+        assert "accuracy" not in out and not out_json.exists()
 
     def test_non_finite_model_is_input_error(self, tmp_path, capsys):
         model_path, data_path = self._order_case(tmp_path, capsys, n_out=4)

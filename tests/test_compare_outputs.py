@@ -36,7 +36,8 @@ def test_same_tree_writes_identical_outputs(tmp_path):
     written = {p.relative_to(work / "change").as_posix()
                for p in (work / "change").rglob("*") if p.is_file()}
     assert {"eval.json", "runs/ungated_seed1/dynamics.csv", "runs/batch1_seed1/model.json",
-            "scan/depth_profile_sigma0.02.csv", "runs/fail_seed7/failure.json"} <= written
+            "scan/depth_profile_sigma0.02.csv", "scan_adding/depth_profile_sigma0.01.csv",
+            "runs/fail_seed7/failure.json"} <= written
 
 
 def test_differences_lists_every_kind():

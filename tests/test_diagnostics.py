@@ -76,7 +76,7 @@ class TestDepthScan:
         # one-hot inputs make the input contribution equal the delta norm
         npt.assert_allclose(profile.gwin_norm[:-1], profile.delta_norm[:-1],
                             rtol=1e-12)
-        # the deepest step starts from z0 = 0, so its recurrent term is zero
+        # the deepest step starts from the zero state, so its recurrent term is zero
         assert profile.gwrec_norm[-2] == 0.0
 
 

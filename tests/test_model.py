@@ -108,10 +108,13 @@ class TestForward:
         assert t1.y.tobytes() == t2.y.tobytes()
 
     def test_fprime_identity(self):
+        # the backward pass reads f' = 1 - z**2 off the forward's states
         p = tiny_params(5)
         tr = model.forward_batch(p, np.random.default_rng(6).standard_normal((1, 5, 2)))
-        npt.assert_array_equal(tr.fprime, 1.0 - tr.z * tr.z)
-        assert np.all(tr.fprime > 0) and np.all(tr.fprime <= 1)
+        fprime = bptt.backward(p, tr, np.ones((1, 2)), bptt.BpttConfig(h=4)).fprime
+        z = tr.z[0, ::-1]  # z(5)..z(1), depths 0..4
+        npt.assert_array_equal(fprime[0], 1.0 - z * z)
+        assert np.all(fprime > 0) and np.all(fprime <= 1)
         assert np.all(np.abs(tr.z) < 1)
 
     def test_softmax_normalized(self):
@@ -135,8 +138,6 @@ class TestForward:
             model.forward_batch(p, np.zeros((1, 4, 3)))
         with pytest.raises(DimensionError):
             model.forward_batch(p, np.zeros((4, 2)))
-        with pytest.raises(DimensionError):
-            model.forward_batch(p, np.zeros((1, 4, 2)), z0=np.zeros(2))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_reports_step(self):
@@ -150,10 +151,10 @@ class TestForward:
 class TestForwardOracle:
     """The forward pass against the step-by-step reference, bit for bit."""
 
-    def _assert_bit_equal(self, params, inputs, z0=None):
-        trace = model.forward_batch(params, inputs, z0)
-        ref = forward_reference(params, inputs, z0)
-        for name in ("a", "z", "fprime", "y"):
+    def _assert_bit_equal(self, params, inputs):
+        trace = model.forward_batch(params, inputs)
+        ref = forward_reference(params, inputs)
+        for name in ("a", "z", "y"):
             assert getattr(trace, name).tobytes() == getattr(ref, name).tobytes(), name
 
     def test_temporal_order_chunk(self):
@@ -165,25 +166,20 @@ class TestForwardOracle:
         params = model.init_gaussian(2, 100, 1, 0.01, seed=3)
         self._assert_bit_equal(params, generate_task("adding", 200, 10, 4).inputs)
 
-    def test_single_sequence_nonzero_start(self):
-        rng = np.random.default_rng(5)
-        params = tiny_params(6, n_in=3, n_hid=7, n_out=2)
-        self._assert_bit_equal(params, rng.standard_normal((1, 9, 3)),
-                               z0=rng.standard_normal(7))
-
     def test_scoring_builds_no_states(self):
-        # loss_batch reads only y; the (N, T, n_hid) derivatives stay unbuilt
+        # loss_batch reads only y; the trace holds what the forward wrote and
+        # no derivatives, which the backward pass computes for its horizon
         params = tiny_params(7, n_out=3, activation=OutputActivation.SOFTMAX)
         trace = model.forward_batch(params, np.random.default_rng(8).standard_normal((4, 6, 2)))
         model.loss_batch(trace, np.array([0, 2, 1, 1]), LossKind.CROSS_ENTROPY)
-        assert "fprime" not in trace.__dict__
+        assert set(vars(trace)) == {"inputs", "y", "output_activation", "steps", "states"}
 
     def test_states_are_kept_from_the_loop(self, monkeypatch):
-        # z is a view of the buffer the step loop's tanh wrote, z0 included,
-        # so a forward and backward run tanh once per step and never again
+        # z is a view of the buffer the step loop's tanh wrote, after the
+        # zero start, so a forward and backward run tanh once per step and
+        # never again
         rng = np.random.default_rng(9)
         params = tiny_params(10, n_in=3, n_hid=5)
-        z0 = rng.uniform(-0.9, 0.9, (4, 5))
         tanh, calls = np.tanh, []
 
         def counting_tanh(x, *args, **kwargs):
@@ -191,34 +187,30 @@ class TestForwardOracle:
             return tanh(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "tanh", counting_tanh)
-        trace = model.forward_batch(params, rng.standard_normal((4, 6, 3)), z0)
+        trace = model.forward_batch(params, rng.standard_normal((4, 6, 3)))
         _, deltas, _ = model.loss_batch(trace, rng.standard_normal((4, 2)), LossKind.MSE)
         bptt.backward(params, trace, deltas, bptt.BpttConfig(h=6))
         assert calls == [(4, 5)] * 6
         assert np.shares_memory(trace.z, trace.states)
         assert trace.states.shape == (7, 4, 5) and trace.states.flags.c_contiguous
-        assert trace.states[0].tobytes() == z0.tobytes()
+        assert trace.states[0].tobytes() == np.zeros((4, 5)).tobytes()
         assert trace.z.tobytes() == tanh(trace.a).tobytes()
 
 
 SCORING_CASES = {
-    "N1_softmax": (1, OutputActivation.SOFTMAX, None),
-    "N9_linear": (9, OutputActivation.LINEAR, None),
-    "N6_softmax_shared_z0": (6, OutputActivation.SOFTMAX, "shared"),
-    "N5_linear_per_sequence_z0": (5, OutputActivation.LINEAR, "per_sequence"),
+    "N1_softmax": (1, OutputActivation.SOFTMAX),
+    "N9_linear": (9, OutputActivation.LINEAR),
 }
 
 
 @pytest.fixture(params=list(SCORING_CASES))
 def scoring_case(request):
-    """(params, inputs (N, 11, 3), z0) of one named scoring case."""
-    n_seqs, activation, start = SCORING_CASES[request.param]
+    """(params, inputs (N, 11, 3)) of one named scoring case."""
+    n_seqs, activation = SCORING_CASES[request.param]
     rng = np.random.default_rng(n_seqs)
     n_out = 4 if activation is OutputActivation.SOFTMAX else 2
     params = tiny_params(13, n_in=3, n_hid=7, n_out=n_out, activation=activation, scale=0.8)
-    z0 = {None: None, "shared": rng.uniform(-0.9, 0.9, 7),
-          "per_sequence": rng.uniform(-0.9, 0.9, (n_seqs, 7))}[start]
-    return params, rng.standard_normal((n_seqs, 11, 3)), z0
+    return params, rng.standard_normal((n_seqs, 11, 3))
 
 
 class TestScoringTrace:
@@ -226,15 +218,14 @@ class TestScoringTrace:
     per-step activations, and gives the same readout and the same errors."""
 
     def test_y_bit_equal_to_full_trace(self, scoring_case):
-        params, inputs, z0 = scoring_case
-        full = model.forward_batch(params, inputs, z0)
-        scoring = model.forward_batch(params, inputs, z0, keep_trace=False)
+        params, inputs = scoring_case
+        full = model.forward_batch(params, inputs)
+        scoring = model.forward_batch(params, inputs, keep_trace=False)
         assert scoring.y.tobytes() == full.y.tobytes()
-        assert scoring.z0.tobytes() == full.z0.tobytes()
         assert scoring.inputs.tobytes() == full.inputs.tobytes()
         assert scoring.output_activation is full.output_activation
 
-    @pytest.mark.parametrize("name", ["a", "z", "fprime", "n_steps"])
+    @pytest.mark.parametrize("name", ["a", "z", "n_steps"])
     def test_per_step_values_are_not_kept(self, name):
         trace = model.forward_batch(tiny_params(14), np.zeros((2, 4, 2)), keep_trace=False)
         assert trace.steps is None
@@ -244,26 +235,26 @@ class TestScoringTrace:
     @pytest.mark.parametrize("bad_step", [1, 4, 11])
     def test_non_finite_activation_names_the_same_step(self, scoring_case, bad_step):
         # tanh(inf) is finite, so only the check on a(k) itself can see it
-        params, inputs, z0 = scoring_case
+        params, inputs = scoring_case
         inputs = inputs.copy()
         inputs[-1, bad_step - 1, 0] = np.inf
         for keep_trace in (True, False):
             with pytest.raises(NumericalError) as err:
-                model.forward_batch(params, inputs, z0, keep_trace=keep_trace)
+                model.forward_batch(params, inputs, keep_trace=keep_trace)
             assert str(err.value) == f"non-finite activation at step {bad_step}"
 
     def test_spreading_nan_names_its_first_step(self, scoring_case):
         # the NaN at step 3 reaches every later a(k) through the recurrence;
         # the full trace checks all steps after the loop, scoring each step
-        params, inputs, z0 = scoring_case
+        params, inputs = scoring_case
         inputs = inputs.copy()
         inputs[0, 2, 1] = np.nan
         with np.errstate(invalid="ignore"):
-            ref = forward_reference(params, inputs, z0)
+            ref = forward_reference(params, inputs)
         assert np.isnan(ref.a[:, 2:]).any(axis=(0, 2)).all()
         for keep_trace in (True, False):
             with pytest.raises(NumericalError) as err:
-                model.forward_batch(params, inputs, z0, keep_trace=keep_trace)
+                model.forward_batch(params, inputs, keep_trace=keep_trace)
             assert str(err.value) == "non-finite activation at step 3"
 
     @pytest.mark.parametrize("keep_trace", [True, False])
@@ -292,8 +283,7 @@ class TestOutputLoss:
         """A one-sequence trace whose readout comes from the given y_pre."""
         y_pre = y_pre[None]
         y = model._softmax(y_pre) if activation is OutputActivation.SOFTMAX else y_pre
-        return model.ForwardTrace(inputs=np.zeros((1, 1, 1)), z0=np.zeros((1, 1)),
-                                  y=y, output_activation=activation)
+        return model.ForwardTrace(inputs=np.zeros((1, 1, 1)), y=y, output_activation=activation)
 
     def _loss(self, y_pre, activation, target, kind, tolerance=0.04):
         """(loss, output_delta, correct) of the single sequence."""

@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import (compute_g, deep_norm_half_sq, evaluate_minibatch, mse_batch,
-                      random_net, theorem1_hit_rate)
+from conftest import (compute_g, deep_norm_half_sq, diagonal, evaluate_minibatch,
+                      mse_batch, random_net, theorem1_hit_rate)
 
 from srngate import bptt, model, regularizer as reg
 from srngate.errors import ConfigError, DimensionError
@@ -67,14 +67,14 @@ class TestComputeG:
 class TestComputeDg:
     def test_zero_direction(self):
         params, tr, back, _ = backward_case(3, h=3)
-        dg = reg.compute_dg(params, tr, back, np.zeros((4, 4)))
+        dg = reg.compute_dg(params, back, np.zeros((4, 4)))
         npt.assert_array_equal(dg, np.zeros((1, 4)))
 
     def test_single_factor_closed_form(self):
         params, tr, back, rng = backward_case(4, h=1)
         dw = rng.standard_normal((4, 4))
-        dg = reg.compute_dg(params, tr, back, dw)
-        expected = tr.fprime[:, -2] * (back.deltas[:, 0] @ dw.T)
+        dg = reg.compute_dg(params, back, dw)
+        expected = diagonal(tr, tr.n_steps - 1) * (back.deltas[:, 0] @ dw.T)
         npt.assert_allclose(dg, expected, rtol=1e-13)
 
     def test_linearity(self):
@@ -82,15 +82,15 @@ class TestComputeDg:
         dw1 = rng.standard_normal((4, 4))
         dw2 = rng.standard_normal((4, 4))
         a, b = 0.7, -2.3
-        lhs = reg.compute_dg(params, tr, back, a * dw1 + b * dw2)
-        rhs = (a * reg.compute_dg(params, tr, back, dw1)
-               + b * reg.compute_dg(params, tr, back, dw2))
+        lhs = reg.compute_dg(params, back, a * dw1 + b * dw2)
+        rhs = (a * reg.compute_dg(params, back, dw1)
+               + b * reg.compute_dg(params, back, dw2))
         npt.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-300)
 
     def test_shape_errors(self):
         params, tr, back, _ = backward_case(6, h=2)
         with pytest.raises(DimensionError):
-            reg.compute_dg(params, tr, back, np.zeros((3, 3)))
+            reg.compute_dg(params, back, np.zeros((3, 3)))
         # dg needs at least one factor: a zero horizon never gets a backward pass
         with pytest.raises(ConfigError):
             bptt.BpttConfig(h=0)
@@ -108,7 +108,7 @@ class TestComputeDg:
             dw = rng.standard_normal((n_hid, n_hid))
             dw /= np.linalg.norm(dw)
             g = compute_g(params, tr, back.deltas[:, 0], h)
-            dg = reg.compute_dg(params, tr, back, dw)
+            dg = reg.compute_dg(params, back, dw)
             ds = float(g[0] @ dg[0])
             eps = 1e-6
             s_up = deep_norm_half_sq(params, tr, back.deltas[:, 0], h,
@@ -121,11 +121,10 @@ class TestComputeDg:
             checked += 1
         assert checked == 100
 
-    def test_report_ds_matches_fd_with_nonzero_z0(self):
-        # the gate's dS over batches of N >= 2 sequences started from random
-        # nonzero states, at h < T and at h = T, against central differences
-        # of the frozen-trace S; at h = T the deepest diagonal is 1 - z0**2,
-        # which a zero start would hide behind the value 1
+    def test_report_ds_matches_fd_over_batches(self):
+        # the gate's dS over batches of N >= 2 sequences, at h < T and at
+        # h = T, against central differences of the frozen-trace S; at h = T
+        # the deepest diagonal sits on the zero start
         for seed in range(40):
             rng = np.random.default_rng(7000 + seed)
             T = int(rng.integers(2, 8))
@@ -133,8 +132,7 @@ class TestComputeDg:
             n = int(rng.integers(2, 5))
             for h in (int(rng.integers(1, T)), T):
                 params = random_net(rng, 2, n_hid, 2, OutputActivation.LINEAR, 0.5)
-                z0 = rng.uniform(-0.9, 0.9, size=(n, n_hid))
-                tr = model.forward_batch(params, rng.standard_normal((n, T, 2)), z0)
+                tr = model.forward_batch(params, rng.standard_normal((n, T, 2)))
                 _, deltas, _ = model.loss_batch(tr, rng.standard_normal((n, 2)),
                                                 LossKind.MSE)
                 back = bptt.backward(params, tr, deltas, bptt.BpttConfig(h=h))

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import stats
 
-from conftest import generate_task
+from conftest import generate_task, rewrite_header
 
 from srngate import tasks
 from srngate.errors import ConfigError, FormatError
@@ -276,6 +277,35 @@ class TestDumpLoad:
         doc = {**json.loads(header), **change}
         path.write_bytes(b"\n".join([magic, json.dumps(doc).encode(), payload]))
         with pytest.raises(FormatError, match=message):
+            tasks.load_batch(path)
+
+    @pytest.mark.parametrize("task, change, cut", [
+        ("temporal_order", {"targets_dtype": "float64"}, 0),
+        ("temporal_order", {"targets_shape": [10, 1]}, 0),
+        ("temporal_order", {"targets_shape": [5]}, 40),
+        ("adding", {"targets_dtype": "int64"}, 0),
+        ("adding", {"targets_shape": [10]}, 0),
+        ("adding", {"targets_shape": [5, 1]}, 40),
+    ], ids=["order_float", "order_column", "order_short", "adding_int", "adding_flat",
+            "adding_short"])
+    def test_targets_must_fit_the_task(self, tmp_path, task, change, cut):
+        # each changed header still matches the payload size (``cut`` trims
+        # the bytes of the missing targets), so only the targets rule can
+        # reject it
+        path = tmp_path / f"{task}.dat"
+        tasks.save_batch(path, generate_task(task, 30, 10, 31))
+        rewrite_header(path, cut, **change)
+        kind = "float [10, 1]" if task == "adding" else "integer [10]"
+        with pytest.raises(FormatError, match=rf"{task} targets must be {re.escape(kind)}"):
+            tasks.load_batch(path)
+
+    def test_input_channels_must_fit_the_task(self, tmp_path):
+        # 31 one-channel adding sequences of 15 steps and their 31 targets
+        # take as many bytes as 16 two-channel ones
+        path = tmp_path / "adding.dat"
+        tasks.save_batch(path, generate_task("adding", 15, 16, 32))
+        rewrite_header(path, n=31, n_in=1, targets_shape=[31, 1])
+        with pytest.raises(FormatError, match="adding has 2 input channels, header says n_in=1"):
             tasks.load_batch(path)
 
     def test_loaded_arrays_are_owned_and_writeable(self, tmp_path):

@@ -8,7 +8,8 @@ command runs as ``python -m srngate.cli`` with that directory on PYTHONPATH,
 from its own working directory, so that the paths written into outputs are
 the same on both sides.  The script covers ``gen`` for two tasks, a gated and
 an ungated ``train --data`` (the ungated one with ``--record-dynamics``), a
-``--batch 1`` run, a three-sigma ``scan``, ``eval --out``, an ``eval`` of a
+``--batch 1`` run, a three-sigma temporal-order ``scan`` at h = T and a
+two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval`` of a
 hand-written model whose finite weights overflow an activation, and a run
 whose learning rate makes it fail, started twice.  ``--tiny`` shrinks every
 size so the whole script takes seconds.
@@ -76,6 +77,9 @@ def script(size: dict) -> list:
         ("scan", ["scan", *order, "--hidden", str(size["hidden"]),
                   "--sigmas", "0.005,0.01,0.02", "--probes", str(size["probes"]),
                   "--seed", "3", "--out", "scan"]),
+        ("scan_adding", ["scan", *add, "--hidden", str(size["hidden"]),
+                         "--sigmas", "0.01,0.02", "--probes", str(size["probes"]),
+                         "--seed", "4", "--out", "scan_adding"]),
         ("eval", ["eval", "--model", "runs/gated_seed1/model.json",
                   "--data", f"data/temporal_order_T{size['T_order']}_test.dat",
                   "--out", "eval.json"]),
