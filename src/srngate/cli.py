@@ -224,18 +224,23 @@ def cmd_scan(args) -> int:
     cfg = _config_from_args(args)
     sigmas = (_parse_list(args.sigmas, float, "sigmas")
               if args.sigmas else [cfg.sigma])
+    files = {}  # profile file name -> sigma
     for sigma in sigmas:  # RunConfig checks each one as it checks --sigma
         replace(cfg, sigma=sigma)
+        name = f"depth_profile_sigma{sigma:g}.csv"
+        if name in files:
+            raise ConfigError(f"sigmas: {files[name]!r} and {sigma!r} both write {name}")
+        files[name] = sigma
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = cfg.task_spec()
     probes = tasks.generate(spec, cfg.probes, seed=cfg.seeds[0])
-    for sigma in sigmas:
+    for name, sigma in files.items():
         params = model.init_gaussian(spec.n_in, cfg.hidden, spec.n_out, sigma,
                                      seed=cfg.seeds[0],
                                      output_activation=spec.output_activation)
         profile = diagnostics.depth_scan(params, probes, cfg.h)
-        path = out_dir / f"depth_profile_sigma{sigma:g}.csv"
+        path = out_dir / name
         diagnostics.write_profile_csv(path, profile)
         corr = diagnostics.correlation_check(profile)
         print(f"sigma={sigma:g}: depth 0 norm {profile.delta_norm[0]:.3e}, "

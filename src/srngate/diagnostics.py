@@ -39,10 +39,6 @@ class DepthProfile:
     gwin_norm: np.ndarray   # mean per-step input-weight gradient norm; nan if no step
     gwrec_norm: np.ndarray  # mean per-step recurrent-weight gradient norm
 
-    @property
-    def h(self) -> int:
-        return len(self.depths) - 1
-
 
 def depth_scan(params: SrnParams, probes: SequenceBatch, h: int,
                chunk: int = 256) -> DepthProfile:
@@ -61,20 +57,17 @@ def depth_scan(params: SrnParams, probes: SequenceBatch, h: int,
         _, deltas, _ = model_mod.loss_batch(trace, part.targets, part.spec.loss_kind,
                                             part.spec.success_tolerance)
         back = backward(params, trace, deltas, BpttConfig(h=h))
-        n_steps = trace.n_steps
         delta_norms = back.delta_norms                      # (N, h+1)
         input_norms = np.sqrt(np.sum(trace.inputs ** 2, axis=2))  # (N, T)
         state_norms = np.sqrt(np.sum(trace.states ** 2, axis=2))  # (T+1, N), z(0) = 0
 
+        # each depth n < T pairs with inputs[:, T-1-n] and states[T-1-n];
+        # rank-one contribution: ||outer(u, d)||_F = ||u|| * ||d||
+        stepped = min(h + 1, trace.n_steps)
         gwin = np.full_like(delta_norms, np.nan)
         gwrec = np.full_like(delta_norms, np.nan)
-        for n in range(h + 1):
-            step = n_steps - n  # 1-based
-            if step < 1:
-                continue
-            # rank-one contribution: ||outer(u, d)||_F = ||u|| * ||d||
-            gwin[:, n] = input_norms[:, step - 1] * delta_norms[:, n]
-            gwrec[:, n] = state_norms[step - 1] * delta_norms[:, n]
+        gwin[:, :stepped] = input_norms[:, ::-1][:, :stepped] * delta_norms[:, :stepped]
+        gwrec[:, :stepped] = state_norms[-2::-1][:stepped].T * delta_norms[:, :stepped]
         part_sums = np.stack([delta_norms.sum(axis=0), gwin.sum(axis=0),
                               gwrec.sum(axis=0)])
         sums = part_sums if sums is None else sums + part_sums
@@ -132,7 +125,6 @@ class DynamicsRecorder:
     """
 
     def __init__(self, h: int):
-        self.h = h
         self.depths = (0, h // 2, h)
         self.rows = []
 

@@ -298,6 +298,9 @@ def deserialize(data: bytes) -> SrnParams:
                           if isinstance(doc, dict) else "model document must be an object")
     try:
         n_in, n_hid, n_out = int(doc["n_in"]), int(doc["n_hid"]), int(doc["n_out"])
+        if min(n_in, n_hid, n_out) < 1:
+            raise FormatError(f"layer sizes must be at least 1, got n_in={n_in}, "
+                              f"n_hid={n_hid}, n_out={n_out}")
         activation = OutputActivation(doc["output_activation"])
         w_in = np.array(doc["w_in"], dtype=np.float64).reshape(n_in, n_hid)
         w_rec = np.array(doc["w_rec"], dtype=np.float64).reshape(n_hid, n_hid)

@@ -69,8 +69,6 @@ class RegConfig:
 class RegReport:
     """Gate evidence for one minibatch; no weights are touched."""
 
-    g: np.ndarray        # batch-mean deep delta (transposed)
-    dg: np.ndarray       # its differential along the candidate update
     dS: float            # (g, dg)
     S: float             # 0.5 * ||g||^2
     q: float             # log10(mean top norm / mean deep norm)
@@ -125,14 +123,10 @@ def q_factor(norm_top: float, norm_deep: float) -> float:
     return float(np.log10(norm_top / norm_deep))
 
 
-def gate(dS: float, q: float, cfg: RegConfig, S: float | None = None) -> Decision:
-    """Accept or reject one minibatch from its (dS, Q) evidence."""
-    if cfg.r0_absolute:
-        r0_eff = cfg.r0
-    else:
-        if S is None:
-            raise ConfigError("relative r0 mode needs the current S")
-        r0_eff = cfg.r0 * S
+def gate(dS: float, q: float, cfg: RegConfig, S: float) -> Decision:
+    """Accept or reject one minibatch from its (dS, Q) evidence; S scales
+    the threshold unless r0 is absolute."""
+    r0_eff = cfg.r0 if cfg.r0_absolute else cfg.r0 * S
     if abs(dS) > r0_eff:
         return Decision.REJECT_LARGE_DS
     if not np.isfinite(q):
@@ -162,4 +156,4 @@ def report_from_backward(params: SrnParams, trace: ForwardTrace,
     dS = float(g @ dg)
     q = q_factor(float(back.delta_norms[:, 0].mean()),
                  float(back.delta_norms[:, h].mean()))
-    return RegReport(g=g, dg=dg, dS=dS, S=S, q=q, decision=gate(dS, q, cfg, S))
+    return RegReport(dS=dS, S=S, q=q, decision=gate(dS, q, cfg, S))

@@ -1,4 +1,4 @@
-"""Shared oracle helpers used by both the module tests and the acceptance suite.
+"""Shared oracle helpers for the module tests.
 
 The product-form oracles here (``compute_g``, ``deep_norm_half_sq``,
 ``jacobian``) restate the horizon's boundary rule on their own, so that a
@@ -223,12 +223,17 @@ def delta_norm_profile(result):
     return [(n, float(norm)) for n, norm in enumerate(result.delta_norms[0])]
 
 
-def evaluate_minibatch(params, batch, cfg, candidate_dw_rec):
-    """Forward, backward and gate report over a batch; mutates nothing."""
+def batch_backward(params, batch, h):
+    """Forward and backward over a batch, error injected by its task loss."""
     trace = model.forward_batch(params, batch.inputs)
     _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind,
                                     batch.spec.success_tolerance)
-    back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=cfg.h))
+    return trace, bptt.backward(params, trace, deltas, bptt.BpttConfig(h=h))
+
+
+def evaluate_minibatch(params, batch, cfg, candidate_dw_rec):
+    """Forward, backward and gate report over a batch; mutates nothing."""
+    trace, back = batch_backward(params, batch, cfg.h)
     return reg.report_from_backward(params, trace, back, candidate_dw_rec, cfg)
 
 

@@ -320,6 +320,16 @@ class TestScan:
         assert "sigma: must be positive, got -1.0" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("sigmas", ["0.01,0.01", "0.01,0.010000001"])
+    def test_sigmas_sharing_a_file_name_write_nothing(self, sigmas, tmp_path, capsys):
+        out_dir = tmp_path / "scan"
+        code, _, err = run_cli(["scan", "--task", "adding", "--T", "20",
+                                "--hidden", "8", "--sigmas", sigmas, "--probes", "10",
+                                "--seed", "2", "--out", str(out_dir)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert "both write depth_profile_sigma0.01.csv" in err
+        assert not out_dir.exists()
+
     def test_h1_two_row_profile(self, tmp_path, capsys):
         code, _, _ = run_cli(["scan", "--task", "adding", "--T", "20", "--h", "1",
                               "--hidden", "8", "--probes", "10", "--seed", "2",

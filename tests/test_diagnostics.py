@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import generate_task, random_net, read_profile_csv, read_table
+from conftest import (batch_backward, generate_task, random_net, read_profile_csv,
+                      read_table)
 from srngate import bptt, diagnostics as diag, model, trainer
 from srngate.config import RunConfig
 from srngate.model import LossKind, OutputActivation
@@ -78,6 +79,22 @@ class TestDepthScan:
                             rtol=1e-12)
         # the deepest step starts from the zero state, so its recurrent term is zero
         assert profile.gwrec_norm[-2] == 0.0
+
+    @pytest.mark.parametrize("h", [7, 20])
+    def test_weight_contributions_match_outer_products(self, h):
+        # per depth and sequence, the Frobenius norm of the step's rank-one
+        # gradient terms, taken from the outer products one depth at a time
+        params = model.init_gaussian(2, 10, 1, 0.3, seed=14)
+        batch = generate_task("adding", 20, 6, 15)
+        profile = diag.depth_scan(params, batch, h=h)
+        trace, back = batch_backward(params, batch, h)
+        for n in range(min(h, 19) + 1):
+            step = 19 - n  # 0-based index of the forward step at depth n
+            d = back.deltas[:, n]
+            gwin = [np.linalg.norm(np.outer(u, e)) for u, e in zip(trace.inputs[:, step], d)]
+            gwrec = [np.linalg.norm(np.outer(z, e)) for z, e in zip(trace.states[step], d)]
+            npt.assert_allclose(profile.gwin_norm[n], np.mean(gwin), rtol=1e-12)
+            npt.assert_allclose(profile.gwrec_norm[n], np.mean(gwrec), rtol=1e-12)
 
 
 class TestCorrelationCheck:

@@ -417,6 +417,16 @@ class TestSerialization:
             with pytest.raises(FormatError, match="non-finite w_rec"):
                 model.deserialize(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("sizes", [{"n_in": -1}, {"n_out": -1},
+                                       {"n_hid": 0, "w_in": [], "w_rec": [],
+                                        "w_out": [], "b": []}],
+                             ids=["n_in", "n_out", "n_hid"])
+    def test_layer_sizes_below_one_rejected(self, sizes):
+        # a negative size would otherwise act as a reshape wildcard
+        doc = {**json.loads(model.serialize(tiny_params(0)).decode()), **sizes}
+        with pytest.raises(FormatError, match="layer sizes must be at least 1"):
+            model.deserialize(json.dumps(doc).encode())
+
     def test_save_load_file(self, tmp_path):
         p = tiny_params(21)
         path = tmp_path / "model.json"

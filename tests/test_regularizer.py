@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import (compute_g, deep_norm_half_sq, diagonal, evaluate_minibatch,
-                      mse_batch, random_net, theorem1_hit_rate)
+from conftest import (batch_backward, compute_g, deep_norm_half_sq, diagonal,
+                      evaluate_minibatch, mse_batch, random_net, theorem1_hit_rate)
 
 from srngate import bptt, model, regularizer as reg
 from srngate.errors import ConfigError, DimensionError
@@ -168,6 +168,11 @@ class TestQFactor:
             assert not math.isnan(reg.q_factor(a, b))
 
 
+# the S passed in absolute mode: read as a relative scale it would reject
+# every nonzero dS, so a gate that ignored r0_absolute would fail these tests
+ABSOLUTE_S = 1e-300
+
+
 def expected_gate(ds, q, r0, q_min=-1.0, q_max=1.0):
     """Independent enumeration of the accept/reject branches."""
     if abs(ds) > r0:
@@ -190,24 +195,24 @@ class TestGate:
         ds_values = [-2 * r0, -r0, -r0 / 2, 0.0, r0 / 2, r0, 2 * r0]
         for q in qs:
             for ds in ds_values:
-                assert reg.gate(ds, q, cfg) == expected_gate(ds, q, r0), \
+                assert reg.gate(ds, q, cfg, ABSOLUTE_S) == expected_gate(ds, q, r0), \
                     f"q={q} ds={ds}"
 
     def test_inside_safe_range_accepts(self):
         cfg = RegConfig(h=1, r0=1.0, r0_absolute=True)
-        assert reg.gate(0.5, 0.5, cfg) == Decision.ACCEPT
+        assert reg.gate(0.5, 0.5, cfg, ABSOLUTE_S) == Decision.ACCEPT
 
     def test_vanishing_side_branches(self):
         cfg = RegConfig(h=1, r0=1.0, r0_absolute=True)
-        assert reg.gate(0.5, -2.0, cfg) == Decision.ACCEPT
-        assert reg.gate(-0.5, -2.0, cfg) == Decision.REJECT_Q_DIRECTION
-        assert reg.gate(-0.5, 2.0, cfg) == Decision.ACCEPT
-        assert reg.gate(0.5, 2.0, cfg) == Decision.REJECT_Q_DIRECTION
+        assert reg.gate(0.5, -2.0, cfg, ABSOLUTE_S) == Decision.ACCEPT
+        assert reg.gate(-0.5, -2.0, cfg, ABSOLUTE_S) == Decision.REJECT_Q_DIRECTION
+        assert reg.gate(-0.5, 2.0, cfg, ABSOLUTE_S) == Decision.ACCEPT
+        assert reg.gate(0.5, 2.0, cfg, ABSOLUTE_S) == Decision.REJECT_Q_DIRECTION
 
     def test_large_ds_rejected_first(self):
         cfg = RegConfig(h=1, r0=1.0, r0_absolute=True)
-        assert reg.gate(2.0, 0.0, cfg) == Decision.REJECT_LARGE_DS
-        assert reg.gate(-2.0, 0.0, cfg) == Decision.REJECT_LARGE_DS
+        assert reg.gate(2.0, 0.0, cfg, ABSOLUTE_S) == Decision.REJECT_LARGE_DS
+        assert reg.gate(-2.0, 0.0, cfg, ABSOLUTE_S) == Decision.REJECT_LARGE_DS
 
     def test_relative_threshold_scales_with_s(self):
         cfg = RegConfig(h=1, r0=0.5)
@@ -215,15 +220,13 @@ class TestGate:
         assert reg.gate(0.6, 0.0, cfg, S=1.0) == Decision.REJECT_LARGE_DS
         assert reg.gate(0.6e-6, 0.0, cfg, S=1e-6) == Decision.REJECT_LARGE_DS
         assert reg.gate(0.4e-6, 0.0, cfg, S=1e-6) == Decision.ACCEPT
-        with pytest.raises(ConfigError):
-            reg.gate(0.1, 0.0, cfg)
 
     def test_infinite_q_uses_growth_rule(self):
         cfg = RegConfig(h=1, r0=1.0, r0_absolute=True)
-        assert reg.gate(0.5, math.inf, cfg) == Decision.ACCEPT
-        assert reg.gate(-0.5, math.inf, cfg) == Decision.REJECT_Q_DIRECTION
-        assert reg.gate(0.5, -math.inf, cfg) == Decision.ACCEPT
-        assert reg.gate(-0.5, -math.inf, cfg) == Decision.REJECT_Q_DIRECTION
+        assert reg.gate(0.5, math.inf, cfg, ABSOLUTE_S) == Decision.ACCEPT
+        assert reg.gate(-0.5, math.inf, cfg, ABSOLUTE_S) == Decision.REJECT_Q_DIRECTION
+        assert reg.gate(0.5, -math.inf, cfg, ABSOLUTE_S) == Decision.ACCEPT
+        assert reg.gate(-0.5, -math.inf, cfg, ABSOLUTE_S) == Decision.REJECT_Q_DIRECTION
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -239,6 +242,14 @@ class TestEvaluateMinibatch:
         inputs = rng.standard_normal((n, T, params.n_in))
         targets = rng.standard_normal((n, params.n_out))
         return mse_batch(inputs, targets)
+
+    def _evidence(self, params, batch, cfg, dw):
+        """The gate report with the batch-mean g and dg it is built from."""
+        trace, back = batch_backward(params, batch, cfg.h)
+        report = reg.report_from_backward(params, trace, back, dw, cfg)
+        g = back.deltas[:, cfg.h].mean(axis=0)
+        dg = reg.compute_dg(params, back, dw).mean(axis=0)
+        return report, g, dg
 
     def test_zero_candidate_gives_zero_ds(self):
         rng = np.random.default_rng(40)
@@ -259,10 +270,10 @@ class TestEvaluateMinibatch:
         batch = mse_batch(np.repeat(seq[None], 5, axis=0),
                           np.repeat(target[None], 5, axis=0))
         single = mse_batch(seq[None], target[None])
-        rb = evaluate_minibatch(params, batch, cfg, dw)
-        rs = evaluate_minibatch(params, single, cfg, dw)
-        npt.assert_allclose(rb.g, rs.g, rtol=1e-12)
-        npt.assert_allclose(rb.dg, rs.dg, rtol=1e-12)
+        rb, gb, dgb = self._evidence(params, batch, cfg, dw)
+        rs, gs, dgs = self._evidence(params, single, cfg, dw)
+        npt.assert_allclose(gb, gs, rtol=1e-12)
+        npt.assert_allclose(dgb, dgs, rtol=1e-12)
         npt.assert_allclose(rb.dS, rs.dS, rtol=1e-12)
         npt.assert_allclose(rb.q, rs.q, rtol=1e-12)
         assert rb.decision == rs.decision
@@ -274,10 +285,10 @@ class TestEvaluateMinibatch:
             params = random_net(r, 2, 4, 2, OutputActivation.LINEAR, 0.5)
             batch = self._batch(r, params)
             dw = r.standard_normal((4, 4)) * 1e-4
-            report = evaluate_minibatch(params, batch, RegConfig(h=6), dw)
-            norm_g = float(np.sqrt(np.sum(report.g * report.g)))
+            report, g, dg = self._evidence(params, batch, RegConfig(h=6), dw)
+            norm_g = float(np.sqrt(np.sum(g * g)))
             npt.assert_allclose(report.S, 0.5 * norm_g ** 2, rtol=1e-12)
-            assert report.dS == float(report.g @ report.dg)
+            assert report.dS == float(g @ dg)
 
     def test_no_weight_mutation(self):
         rng = np.random.default_rng(43)
