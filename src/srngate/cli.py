@@ -108,10 +108,16 @@ def _config_from_args(args) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else None
     flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     if flags["seeds"] is not None:
+        if args.seed is not None:
+            raise ConfigError("--seed and --seeds: give one or the other")
         flags["seeds"] = _parse_list(flags["seeds"], int, "seeds")
-    elif getattr(args, "seed", None) is not None:
+    elif args.seed is not None:
         flags["seeds"] = (args.seed,)
-    return build_config(file_values, **flags)
+    cfg = build_config(file_values, **flags)
+    # only train has --seeds; gen and scan run once, from one seed
+    if len(cfg.seeds) > 1 and not hasattr(args, "seeds"):
+        raise ConfigError(f"seeds: {args.command} takes one seed, got {list(cfg.seeds)}")
+    return cfg
 
 
 def _split_path(out_dir: Path, cfg, name: str) -> Path:
@@ -161,17 +167,24 @@ def cmd_train(args) -> int:
     for seed, run_dir in run_dirs.items():
         run_dir.mkdir(parents=True)
         recorder = diagnostics.DynamicsRecorder(cfg.h) if cfg.record_dynamics else None
+        state = error = None  # state stays None if the run fails while starting
         try:
-            state, test_accuracy = trainer.train(cfg, seed, data=data, hook=recorder,
-                                                 log=print)
-        except trainer.RunFailed as e:
-            _write_failure(run_dir, seed, e, recorder)
-            failed.append(seed)
-            continue
-        trainer.write_metrics_csv(run_dir / "metrics.csv", state.rows)
-        model.save_model(run_dir / "model.json", state.best_params, seed=seed)
+            state, splits = trainer.start_run(cfg, seed, data)
+            test_accuracy = trainer.train(state, splits, cfg, hook=recorder, log=print)
+        except NumericalError as e:
+            error = e
+        # a failed seed keeps the rows and dynamics drawn before its failure
+        trainer.write_metrics_csv(run_dir / "metrics.csv", state.rows if state else [])
         if recorder is not None:
             recorder.write(run_dir / "dynamics.csv")
+        if error is not None:
+            _write_json(run_dir / "failure.json", {
+                "seed": seed, "epoch": state.epoch if state else 0,
+                "iteration": state.iteration if state else 0, "message": str(error)})
+            print(f"numerical failure: seed {seed}: {error} -> {run_dir}", file=sys.stderr)
+            failed.append(seed)
+            continue
+        model.save_model(run_dir / "model.json", state.best_params, seed=seed)
         results[seed] = {"best_valid_accuracy": state.best_valid_accuracy,
                          "test_accuracy": test_accuracy,
                          "corrections": state.corrections,
@@ -198,20 +211,6 @@ def cmd_train(args) -> int:
           f"best {summary['test_accuracy_best']:.4f}, "
           f"mean {summary['test_accuracy_mean']:.4f} -> {summary_path}")
     return 0
-
-
-def _write_failure(run_dir: Path, seed: int, error: trainer.RunFailed,
-                   recorder) -> None:
-    """Keep a failed seed's evidence: the rows drawn so far, the dynamics
-    recorded so far, and failure.json naming where and why it failed."""
-    state = error.state
-    trainer.write_metrics_csv(run_dir / "metrics.csv", state.rows if state else [])
-    if recorder is not None:
-        recorder.write(run_dir / "dynamics.csv")
-    _write_json(run_dir / "failure.json", {
-        "seed": seed, "epoch": state.epoch if state else 0,
-        "iteration": state.iteration if state else 0, "message": str(error)})
-    print(f"numerical failure: seed {seed}: {error} -> {run_dir}", file=sys.stderr)
 
 
 def _write_json(path: Path, doc: dict) -> None:

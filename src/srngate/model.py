@@ -246,7 +246,7 @@ def loss_batch(trace: ForwardTrace, targets, kind: LossKind, tolerance: float = 
         with np.errstate(over="ignore"):  # an overflow is reported below
             losses = 0.5 * np.sum(deltas * deltas, axis=-1)
         correct = np.max(np.abs(deltas), axis=-1) < tolerance
-    elif kind is LossKind.CROSS_ENTROPY:
+    else:  # CROSS_ENTROPY, the only other kind check_loss_pairing lets through
         cls = np.asarray(targets)
         if cls.shape != y.shape[:-1]:
             raise DimensionError(f"targets shape {cls.shape} does not match batch {y.shape[:-1]}")
@@ -258,8 +258,6 @@ def loss_batch(trace: ForwardTrace, targets, kind: LossKind, tolerance: float = 
         deltas = y.copy()
         deltas[rows, cls] -= 1.0
         correct = np.argmax(y, axis=-1) == cls
-    else:
-        raise ConfigError(f"unknown loss kind {kind!r}")
     if not np.isfinite(losses).all():
         bad = int(np.argwhere(~np.isfinite(losses))[0][0])
         raise NumericalError(f"non-finite loss for sequence {bad} of the batch")

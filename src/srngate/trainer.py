@@ -1,8 +1,10 @@
 """SGD-with-momentum training loop with the minibatch gate in the inner loop.
 
 A ``TrainState`` owns the run: parameters, velocity, shuffle generator,
-counters, best snapshot and metrics rows.  ``train`` builds the starting
-state with ``start_run`` and calls ``run_epoch`` on it once per epoch.
+counters, best snapshot and metrics rows.  ``start_run`` builds the starting
+state, and ``train`` calls ``run_epoch`` on it once per epoch.  Neither
+catches a ``NumericalError``: the caller holds the state, so after a failure
+its rows are the draws logged before the failing one.
 
 An epoch draws minibatches from a shuffled pool until the configured number
 of *accepted* corrections has been applied; rejected batches go back to the
@@ -201,29 +203,13 @@ def run_epoch(state: TrainState, data: dict, cfg: RunConfig, hook=None,
     return valid_acc
 
 
-class RunFailed(NumericalError):
-    """A NumericalError raised inside ``train``, carrying the state the run
-    had reached: its rows are the draws logged before the failing one.
-    ``state`` is None when the run failed while starting."""
-
-    def __init__(self, state: TrainState | None, cause: NumericalError):
-        super().__init__(str(cause))
-        self.state = state
-
-
-def train(cfg: RunConfig, seed: int, data: dict | None = None,
-          hook=None, log=print) -> tuple:
-    """Run the full protocol; returns (final state, test accuracy of the
-    validation-selected best snapshot).  See start_run and run_epoch.
-    Raises RunFailed on a numerical failure."""
-    state = None
-    try:
-        state, data = start_run(cfg, seed, data)
-        for _ in range(cfg.epochs):
-            run_epoch(state, data, cfg, hook, log)
-        return state, evaluate(state.best_params, data["test"])
-    except NumericalError as e:
-        raise RunFailed(state, e) from e
+def train(state: TrainState, data: dict, cfg: RunConfig, hook=None,
+          log=print) -> float:
+    """Run cfg.epochs epochs of a run that start_run began; returns the test
+    accuracy of the validation-selected best snapshot.  See run_epoch."""
+    for _ in range(cfg.epochs):
+        run_epoch(state, data, cfg, hook, log)
+    return evaluate(state.best_params, data["test"])
 
 
 def format_value(value) -> str:

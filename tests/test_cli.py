@@ -292,13 +292,18 @@ class TestTrainFailure:
     def test_failure_while_starting(self, tmp_path, capsys):
         # the initial network already overflows the validation loss
         code, _, _ = run_cli(["train", "--task", "adding", "--T", "15", "--hidden", "6",
-                              "--sigma", "1e200", "--seeds", "3", "--run-name", "start",
-                              "--out", str(tmp_path)] + FAIL_SMALL, capsys)
+                              "--sigma", "1e200", "--seeds", "3", "--record-dynamics",
+                              "--run-name", "start", "--out", str(tmp_path)] + FAIL_SMALL,
+                             capsys)
         assert code == cli.EXIT_NUMERICAL
         run_dir = tmp_path / "start_seed3"
         failure = json.loads((run_dir / "failure.json").read_text())
         assert (failure["epoch"], failure["iteration"]) == (0, 0)
         assert read_table(run_dir / "metrics.csv", trainer.METRICS_COLUMNS) == []
+        assert read_table(run_dir / "dynamics.csv", diagnostics.DYNAMICS_COLUMNS) == []
+        assert not (run_dir / "model.json").exists()
+        summary = json.loads((tmp_path / "start_summary.json").read_text())
+        assert summary["failed_seeds"] == [3]
 
 
 class TestScan:
@@ -502,6 +507,23 @@ class TestUsageAndConfig:
         assert code == cli.EXIT_INPUT
         assert f"{field}: expected" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, doc, names", [
+        (["train", "--seed", "5", "--seeds", "1"], {}, ["--seed", "--seeds"]),
+        (["gen"], {"seeds": [1, 2]}, ["seeds"]),
+        (["scan"], {"seeds": [1, 2]}, ["seeds"])], ids=["train", "gen", "scan"])
+    def test_seed_conflict_is_input_error(self, tmp_path, capsys, argv, doc, names):
+        # gen and scan run from one seed; train takes --seed or --seeds, not both
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"task": "adding", "T": 10, "hidden": 4,
+                                        "epochs": 0, "train_size": 10, "valid_size": 10,
+                                        "test_size": 10, "probes": 2, **doc}))
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(argv + ["--config", str(cfg_path), "--out", str(out)],
+                                    capsys)
+        assert code == cli.EXIT_INPUT
+        assert all(name in err for name in names)
+        assert stdout == "" and not out.exists()
 
     def test_unknown_config_key_is_input_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -27,17 +27,24 @@ def test_same_tree_writes_identical_outputs(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     summary, codes_line = proc.stdout.splitlines()
     assert summary.startswith("0 difference(s)")
-    # the overflowing model and the failing run fail numerically (3), and
+    # the overflowing model and the failing runs fail numerically (3), and
     # the rerun of the failing run is refused as an input error (2)
     tool = load_tool()
     expected = {name: "0" for name, _ in tool.script(tool.TINY)}
-    expected.update(eval_overflow="3", train_failing="3", train_failing_again="2")
+    expected.update(eval_overflow="3", train_failing="3", train_failing_again="2",
+                    train_failing_start="3")
     assert codes_line == "exit codes: " + " ".join(f"{k}={v}" for k, v in expected.items())
     written = {p.relative_to(work / "change").as_posix()
                for p in (work / "change").rglob("*") if p.is_file()}
     assert {"eval.json", "runs/ungated_seed1/dynamics.csv", "runs/batch1_seed1/model.json",
             "scan/depth_profile_sigma0.02.csv", "scan_adding/depth_profile_sigma0.01.csv",
-            "runs/fail_seed7/failure.json"} <= written
+            "runs/fail_seed7/failure.json", "runs/start_seed3/failure.json",
+            "runs/start_seed3/metrics.csv", "runs/start_seed3/dynamics.csv"} <= written
+    assert "runs/start_seed3/model.json" not in written
+    start = work / "change" / "runs" / "start_seed3"
+    failure = json.loads((start / "failure.json").read_text())
+    assert (failure["epoch"], failure["iteration"]) == (0, 0)
+    assert (start / "dynamics.csv").read_text().count("\n") == 1  # the header only
 
 
 def test_differences_lists_every_kind():

@@ -146,7 +146,8 @@ class TestDynamicsRecorder:
                         batch=5, epochs=epochs, iters=3, h=12, reg=reg,
                         train_size=60, valid_size=20, test_size=30)
         recorder = diag.DynamicsRecorder(h=cfg.h)
-        state, _ = trainer.train(cfg, seed, hook=recorder, log=lambda *_: None)
+        state, data = trainer.start_run(cfg, seed)
+        trainer.train(state, data, cfg, hook=recorder, log=lambda *_: None)
         return recorder, state
 
     def test_rows_ordered_per_iteration(self):

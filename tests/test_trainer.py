@@ -43,7 +43,8 @@ def quiet(*_):
 
 def train_quietly(cfg, seed=1):
     """(final state, test accuracy) of a run that logs nothing."""
-    return trainer.train(cfg, seed, log=quiet)
+    state, data = trainer.start_run(cfg, seed)
+    return state, trainer.train(state, data, cfg, log=quiet)
 
 
 class TestSgdStep:

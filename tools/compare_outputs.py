@@ -10,9 +10,10 @@ the same on both sides.  The script covers ``gen`` for two tasks, a gated and
 an ungated ``train --data`` (the ungated one with ``--record-dynamics``), a
 ``--batch 1`` run, a three-sigma temporal-order ``scan`` at h = T and a
 two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval`` of a
-hand-written model whose finite weights overflow an activation, and a run
-whose learning rate makes it fail, started twice.  ``--tiny`` shrinks every
-size so the whole script takes seconds.
+hand-written model whose finite weights overflow an activation, a run
+whose learning rate makes it fail, started twice, and a ``--record-dynamics``
+run whose initial network already fails validation.  ``--tiny`` shrinks
+every size so the whole script takes seconds.
 
 Every file whose sha256 differs, or that exists on one side only, is listed,
 as is every command whose exit code differs; the last line gives each
@@ -61,10 +62,10 @@ def script(size: dict) -> list:
              "--h", str(size["h_order"])]
     train = ["train", "--hidden", str(size["hidden"]), "--epochs", str(size["epochs"]),
              "--iters", str(size["iters"]), "--seed", "1", "--out", "runs"]
+    fail_sizes = ["--train-size", "40", "--valid-size", "10", "--test-size", "10"]
     failing = ["train", "--task", "adding", "--T", "20", "--hidden", "8",
                "--epochs", "2", "--iters", "4", "--batch", "5", "--alpha", "1e300",
-               "--seed", "7", "--run-name", "fail", "--out", "runs",
-               "--train-size", "40", "--valid-size", "10", "--test-size", "10"]
+               "--seed", "7", "--run-name", "fail", "--out", "runs", *fail_sizes]
     return [
         ("gen_adding", ["gen", *add[:4], "--seed", "1", "--out", "data", *split_flags]),
         ("gen_order", ["gen", *order[:4], "--seed", "2", "--out", "data", *split_flags]),
@@ -87,6 +88,9 @@ def script(size: dict) -> list:
                            "--data", f"data/temporal_order_T{size['T_order']}_test.dat"]),
         ("train_failing", failing),
         ("train_failing_again", failing),
+        ("train_failing_start", ["train", "--task", "adding", "--T", "15", "--hidden", "6",
+                                 "--sigma", "1e200", "--seed", "3", "--record-dynamics",
+                                 "--run-name", "start", "--out", "runs", *fail_sizes]),
     ]
 
 
