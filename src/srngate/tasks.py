@@ -134,18 +134,20 @@ class SequenceBatch:
 def _marked_value_data(spec: TaskSpec, n: int, rng) -> tuple:
     """Values and markers; the target is the mean of the two marked values
     for adding (so it stays inside [0, 1]) and their product otherwise."""
-    T = spec.T
-    values = rng.uniform(0.0, 1.0, size=(n, T))
+    # one (n, T, 2) allocation: values and markers are written into its
+    # channels; the draws keep the order values, m1, m2, which fixes the batch
+    inputs = np.zeros((n, spec.T, 2))
+    values, markers = inputs[:, :, 0], inputs[:, :, 1]
+    values[...] = rng.uniform(0.0, 1.0, size=(n, spec.T))
     (lo1, hi1), (lo2, hi2) = spec.windows()
     m1 = rng.integers(lo1, hi1 + 1, size=n)
     m2 = rng.integers(lo2, hi2 + 1, size=n)
-    markers = np.zeros((n, T))
     rows = np.arange(n)
     markers[rows, m1 - 1] = 1.0
     markers[rows, m2 - 1] = 1.0
     v1, v2 = values[rows, m1 - 1], values[rows, m2 - 1]
     targets = (v1 + v2) / 2.0 if spec.kind is TaskKind.ADDING else v1 * v2
-    return np.stack([values, markers], axis=2), targets[:, None]
+    return inputs, targets[:, None]
 
 
 def _temporal_order_data(spec: TaskSpec, n: int, rng) -> tuple:
@@ -192,7 +194,9 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
 
     Layout: magic line, one JSON header line, then the raw little-endian
     C-order array bytes (inputs, then targets).  Identical batches produce
-    byte-identical files.
+    byte-identical files.  The payload goes out from the arrays' own
+    buffers, with no copy; only a non-contiguous or non-``<f8``/``<i8``
+    array is converted first.
     """
     header = {
         "task": batch.spec.kind.value,
@@ -208,9 +212,9 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
     with open(path, "wb") as f:
         f.write(DATA_MAGIC + b"\n")
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        f.write(np.ascontiguousarray(batch.inputs, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(batch.targets).astype(
-            "<f8" if batch.targets.dtype.kind == "f" else "<i8").tobytes())
+        f.write(np.ascontiguousarray(batch.inputs, dtype="<f8"))
+        f.write(np.ascontiguousarray(
+            batch.targets, dtype="<f8" if batch.targets.dtype.kind == "f" else "<i8"))
 
 
 def load_batch(path) -> SequenceBatch:
@@ -271,7 +275,10 @@ def load_batch(path) -> SequenceBatch:
             if f.readinto(block) != block.nbytes:
                 raise FormatError("dataset payload ended early")
     targets = raw.astype(t_dtype, copy=False)
-    if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
+    # min and max need no input-sized temporary: a nan propagates through
+    # both and an infinity is one of them
+    if not (np.isfinite(inputs.min()) and np.isfinite(inputs.max())
+            and np.isfinite(targets).all()):
         raise FormatError("dataset holds non-finite inputs or targets")
     if not spec.regression and ((targets < 0) | (targets >= spec.n_out)).any():
         raise FormatError(f"{spec.kind.value} class ids must lie in [0, {spec.n_out})")

@@ -36,6 +36,11 @@ def test_same_tree_writes_identical_outputs(tmp_path):
     assert codes_line == "exit codes: " + " ".join(f"{k}={v}" for k, v in expected.items())
     written = {p.relative_to(work / "change").as_posix()
                for p in (work / "change").rglob("*") if p.is_file()}
+    tiny = tool.TINY
+    assert {f"data/{task}_T{T}_{split}.dat"
+            for task, T in (("multiplication", tiny["T_add"]),
+                            ("temporal_order_3bit", tiny["T_order"]))
+            for split in ("train", "valid", "test")} <= written
     assert {"eval.json", "runs/ungated_seed1/dynamics.csv", "runs/batch1_seed1/model.json",
             "scan/depth_profile_sigma0.02.csv", "scan_adding/depth_profile_sigma0.01.csv",
             "runs/fail_seed7/failure.json", "runs/start_seed3/failure.json",

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,24 @@ from srngate import tasks
 from srngate.errors import ConfigError, FormatError
 from srngate.model import LossKind
 from srngate.tasks import SYMBOL_X, SYMBOL_Y, TaskKind, TaskSpec
+
+
+def traced_peak(fn):
+    """fn's result and the peak of memory that tracemalloc traced while it
+    ran, above what was traced when it started; numpy reports its array
+    buffers to tracemalloc."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak - base
 
 
 def marker_positions(seq):
@@ -206,6 +225,28 @@ class TestDumpLoad:
         tasks.save_batch(p2, generate_task("adding", 25, 40, 20), seed=20)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("task", ["adding", "temporal_order"])
+    @pytest.mark.parametrize("rows", [slice(0, 9, 2), slice(0, 0)],
+                             ids=["every_other", "empty"])
+    def test_file_bytes_follow_the_documented_layout(self, tmp_path, task, rows):
+        # FORMATS.md: magic line, JSON header line, inputs as <f8, then
+        # targets as <f8 (regression) or <i8 (class ids); a strided subset
+        # is not contiguous and an empty one has no payload at all
+        batch = generate_task(task, 30, 9, 33).subset(rows)
+        path = tmp_path / "layout.dat"
+        tasks.save_batch(path, batch, seed=33)
+        spec = batch.spec
+        header = {"task": task, "T": 30, "n": batch.n, "n_in": spec.n_in, "seed": 33,
+                  "loss_kind": spec.loss_kind.value,
+                  "success_tolerance": spec.success_tolerance,
+                  "targets_dtype": str(batch.targets.dtype),
+                  "targets_shape": list(batch.targets.shape)}
+        target_dtype = "<f8" if spec.regression else "<i8"
+        expected = (b"SRNDATA1\n" + json.dumps(header).encode("utf-8") + b"\n"
+                    + batch.inputs.astype("<f8").tobytes()
+                    + batch.targets.astype(target_dtype).tobytes())
+        assert path.read_bytes() == expected
+
     def test_bad_files(self, tmp_path):
         path = tmp_path / "junk.dat"
         path.write_bytes(b"NOTDATA\n{}\n")
@@ -326,9 +367,10 @@ class TestDumpLoad:
             tasks.save_batch(second, tasks.load_batch(first), seed=28)
             assert first.read_bytes() == second.read_bytes()
 
-    def test_non_finite_inputs_rejected(self, tmp_path):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_inputs_rejected(self, tmp_path, bad):
         batch = generate_task("adding", 25, 4, 22)
-        batch.inputs[1, 3, 0] = np.nan
+        batch.inputs[1, 3, 0] = bad
         path = tmp_path / "nan_inputs.dat"
         tasks.save_batch(path, batch)
         with pytest.raises(FormatError, match="non-finite"):
@@ -353,3 +395,25 @@ class TestDumpLoad:
                 tasks.save_batch(path, batch)
                 with pytest.raises(FormatError, match="class ids"):
                     tasks.load_batch(path)
+
+
+class TestMemory:
+    """Each split's inputs exist once between generation and the file."""
+
+    def test_save_writes_without_copying_the_inputs(self, tmp_path):
+        batch = generate_task("temporal_order", 100, 2000, 34)
+        _, peak = traced_peak(lambda: tasks.save_batch(tmp_path / "order.dat", batch))
+        assert peak < 0.05 * batch.inputs.nbytes
+
+    @pytest.mark.parametrize("task", ["adding", "multiplication"])
+    def test_marked_value_inputs_are_built_in_place(self, task):
+        # the inputs themselves plus one (n, T) draw of values: 1.5x
+        batch, peak = traced_peak(lambda: generate_task(task, 100, 2000, 35))
+        assert peak < 1.9 * batch.inputs.nbytes
+
+    def test_load_needs_no_input_sized_temporary(self, tmp_path):
+        path = tmp_path / "order.dat"
+        tasks.save_batch(path, generate_task("temporal_order", 100, 2000, 36))
+        loaded, peak = traced_peak(lambda: tasks.load_batch(path))
+        returned = loaded.inputs.nbytes + loaded.targets.nbytes
+        assert peak - returned < 0.05 * loaded.inputs.nbytes

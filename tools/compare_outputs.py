@@ -6,7 +6,7 @@ compare every file they write, byte for byte.
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts; each
 command runs as ``python -m srngate.cli`` with that directory on PYTHONPATH,
 from its own working directory, so that the paths written into outputs are
-the same on both sides.  The script covers ``gen`` for two tasks, a gated and
+the same on both sides.  The script covers ``gen`` for four tasks, a gated and
 an ungated ``train --data`` (the ungated one with ``--record-dynamics``), a
 ``--batch 1`` run, a three-sigma temporal-order ``scan`` at h = T and a
 two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval`` of a
@@ -60,6 +60,8 @@ def script(size: dict) -> list:
     add = ["--task", "adding", "--T", str(size["T_add"]), "--h", str(size["h_add"])]
     order = ["--task", "temporal_order", "--T", str(size["T_order"]),
              "--h", str(size["h_order"])]
+    multiplication = ["--task", "multiplication", "--T", str(size["T_add"])]
+    order3 = ["--task", "temporal_order_3bit", "--T", str(size["T_order"])]
     train = ["train", "--hidden", str(size["hidden"]), "--epochs", str(size["epochs"]),
              "--iters", str(size["iters"]), "--seed", "1", "--out", "runs"]
     fail_sizes = ["--train-size", "40", "--valid-size", "10", "--test-size", "10"]
@@ -69,6 +71,9 @@ def script(size: dict) -> list:
     return [
         ("gen_adding", ["gen", *add[:4], "--seed", "1", "--out", "data", *split_flags]),
         ("gen_order", ["gen", *order[:4], "--seed", "2", "--out", "data", *split_flags]),
+        ("gen_multiplication", ["gen", *multiplication, "--seed", "5", "--out", "data",
+                                *split_flags]),
+        ("gen_order3", ["gen", *order3, "--seed", "6", "--out", "data", *split_flags]),
         ("train_gated", [*train, *order, "--reg", "on", "--data", "data",
                          "--run-name", "gated"]),
         ("train_ungated", [*train, *add, "--reg", "off", "--data", "data",
