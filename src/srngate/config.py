@@ -7,6 +7,7 @@ and an error names the offending field.
 """
 
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import get_args
 
@@ -50,8 +51,7 @@ class RunConfig:
             raise ConfigError(
                 f"task: unknown task {self.task!r}; choose from "
                 f"{sorted(TASK_NAMES)}")
-        if self.T < 1:
-            raise ConfigError(f"T: sequence length must be positive, got {self.T}")
+        self.task_spec().validate()  # T and tolerance, before h defaults to T
         if self.h is None:
             object.__setattr__(self, "h", self.T)
         if self.h < 1 or self.h > self.T:
@@ -74,7 +74,6 @@ class RunConfig:
                      "test_size", "probes", "max_consecutive_rejects"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        self.task_spec().validate()
         self.reg_config()  # RegConfig checks qmin < qmax and r0 > 0
 
     def _check_types(self) -> None:
@@ -93,6 +92,9 @@ class RunConfig:
                     or isinstance(value, bool) and bool not in accepted):
                 name = getattr(f.type, "__name__", str(f.type))
                 raise ConfigError(f"{f.name}: expected {name}, got {value!r}")
+            # nan passes every range check below, as comparisons with it are false
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value!r}")
 
     def task_spec(self) -> TaskSpec:
         return TaskSpec(TASK_NAMES[self.task], self.T, self.tolerance)

@@ -295,7 +295,11 @@ def deserialize(data: bytes) -> SrnParams:
         raise FormatError(f"unknown model format {doc.get('format')!r}"
                           if isinstance(doc, dict) else "model document must be an object")
     try:
-        n_in, n_hid, n_out = int(doc["n_in"]), int(doc["n_hid"]), int(doc["n_out"])
+        n_in, n_hid, n_out = doc["n_in"], doc["n_hid"], doc["n_out"]
+        # JSON integers only: int() would truncate 2.9 and parse "3"; bool is no size
+        if any(type(size) is not int for size in (n_in, n_hid, n_out)):
+            raise FormatError(f"layer sizes must be JSON integers, got n_in={n_in!r}, "
+                              f"n_hid={n_hid!r}, n_out={n_out!r}")
         if min(n_in, n_hid, n_out) < 1:
             raise FormatError(f"layer sizes must be at least 1, got n_in={n_in}, "
                               f"n_hid={n_hid}, n_out={n_out}")

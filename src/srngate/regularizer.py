@@ -17,6 +17,8 @@ minibatch of N sequences
 
 dS is the directional derivative of S with the forward trace frozen:  its
 sign predicts whether applying dW grows or shrinks the deep gradient norm.
+In training, dW is the recurrent block of the draw's momentum step, the
+very array that ``trainer.sgd_step`` applies when the draw is accepted.
 The Q-factor log10(||delta(k)|| / ||delta(k-h)||), from batch-mean norms,
 measures how much the norm changed across the horizon; together they gate
 which minibatches are used for training:
@@ -144,8 +146,9 @@ def report_from_backward(params: SrnParams, trace: ForwardTrace,
                          cfg: RegConfig) -> RegReport:
     """Build the gate report from an already-computed backward pass.
 
-    Everything is read from ``back``; ``trace`` names the forward it came
-    from."""
+    ``candidate_dw_rec`` is the dW that dS is taken along; the trainer
+    passes the w_rec of the step it applies on acceptance.  Everything else
+    is read from ``back``; ``trace`` names the forward it came from."""
     h = cfg.h
     if back.deltas.shape[1] != h + 1:
         raise DimensionError(

@@ -9,12 +9,14 @@ its rows are the draws logged before the failing one.
 An epoch draws minibatches from a shuffled pool until the configured number
 of *accepted* corrections has been applied; rejected batches go back to the
 end of the pool and stay eligible (they may be usable later once the
-network's gradient flow has moved).  A starvation guard force-accepts the
-next draw after too many consecutive rejections, so an epoch always
-terminates.  The pool and the guard start afresh every epoch, so they are
-locals of ``run_epoch``.  After each epoch the current network is scored on
-the validation split and the best snapshot so far is kept; that snapshot is
-what gets scored on the test split at the end.
+network's gradient flow has moved).  Each draw computes its momentum step
+once; the gate judges that step's recurrent block, and an applied draw
+applies the same step through ``sgd_step``.  A starvation guard
+force-accepts the next draw after too many consecutive rejections, so an
+epoch always terminates.  The pool and the guard start afresh every epoch,
+so they are locals of ``run_epoch``.  After each epoch the current network
+is scored on the validation split and the best snapshot so far is kept;
+that snapshot is what gets scored on the test split at the end.
 
 Each draw appends its own row to ``state.rows``: iteration and epoch
 counters, batch loss, the gate evidence (dS, S, Q, decision), the top and
@@ -72,24 +74,25 @@ class IterationResult:
     forced: bool = False
 
 
-def sgd_step(state: TrainState, grads: Gradients, cfg: RunConfig) -> None:
-    """Heavy-ball update: v <- mu*v - alpha*g, w <- w + v.  The applied dw
-    is the new state.velocity."""
-    # an overflow leaves a non-finite block, which the check reports
+def momentum_step(state: TrainState, grads: Gradients, cfg: RunConfig) -> Gradients:
+    """The heavy-ball step v' = mu*v - alpha*g of every block; mutates nothing.
+    The gate judges its w_rec, and sgd_step applies it."""
+    # an overflow leaves a non-finite block, which sgd_step reports if applied
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Gradients(*(cfg.mu * getattr(state.velocity, name)
+                           - cfg.alpha * getattr(grads, name) for name in PARAM_BLOCKS))
+
+
+def sgd_step(state: TrainState, step: Gradients) -> None:
+    """Apply a momentum_step: it becomes state.velocity, w <- w + step."""
+    state.velocity = step
     with np.errstate(over="ignore", invalid="ignore"):
         for name in PARAM_BLOCKS:
-            v = cfg.mu * getattr(state.velocity, name) - cfg.alpha * getattr(grads, name)
-            setattr(state.velocity, name, v)
             block = getattr(state.params, name)
-            block += v
+            block += getattr(step, name)
             if not np.isfinite(block).all():
                 raise NumericalError(
                     f"non-finite {name} after update at iteration {state.iteration}")
-
-
-def candidate_update(state: TrainState, grads: Gradients, cfg: RunConfig) -> np.ndarray:
-    """The dw_rec that sgd_step would apply right now; mutates nothing."""
-    return cfg.mu * state.velocity.w_rec - cfg.alpha * grads.w_rec
 
 
 def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
@@ -101,10 +104,10 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
                                              batch.spec.success_tolerance)
     back = backward(state.params, trace, deltas, BpttConfig(h=cfg.h))
 
+    step = momentum_step(state, back.grads, cfg)
     report = None
     if cfg.reg == "on":
-        dw_rec = candidate_update(state, back.grads, cfg)
-        report = report_from_backward(state.params, trace, back, dw_rec,
+        report = report_from_backward(state.params, trace, back, step.w_rec,
                                       cfg.reg_config())
         applied = force_accept or report.decision is Decision.ACCEPT
     else:
@@ -125,7 +128,7 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
     if hook is not None:
         hook(state, result, trace, back)
     if applied:
-        sgd_step(state, back.grads, cfg)
+        sgd_step(state, step)
         state.corrections += 1
     return result
 

@@ -132,7 +132,8 @@ class TestTrain:
         base = ["train", "--task", "adding", "--T", "15", "--seeds", "0",
                 "--out", str(tmp_path), "--run-name", "bad"] + TRAIN_SMALL
         for bad in (["--qmin", "2", "--qmax", "1"], ["--sigma", "0"], ["--r0", "0"],
-                    ["--r0", "-1", "--reg", "off"]):
+                    ["--r0", "-1", "--reg", "off"], ["--r0", "nan"], ["--sigma", "nan"],
+                    ["--alpha", "inf"], ["--tolerance", "nan"]):
             assert run_cli(base + bad, capsys)[0] == cli.EXIT_INPUT, bad
             assert not (tmp_path / "bad_seed0").exists(), bad
         assert run_cli(base, capsys)[0] == 0

@@ -409,6 +409,11 @@ class TestSerialization:
         del doc["w_rec"]
         with pytest.raises(FormatError):
             model.deserialize(json.dumps(doc).encode())
+        # tiny_params has n_in = 2 and n_hid = 3: int() would accept these
+        for sizes in ({"n_in": 2.9}, {"n_hid": "3"}, {"n_out": True}, {"n_in": 2.0}):
+            doc = {**json.loads(model.serialize(tiny_params(0)).decode()), **sizes}
+            with pytest.raises(FormatError, match="layer sizes must be JSON integers"):
+                model.deserialize(json.dumps(doc).encode())
 
     def test_non_finite_weights_rejected(self):
         doc = json.loads(model.serialize(tiny_params(0)).decode())

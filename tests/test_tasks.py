@@ -10,6 +10,7 @@ from scipy import stats
 from conftest import generate_task, rewrite_header
 
 from srngate import tasks
+from srngate.config import RunConfig
 from srngate.errors import ConfigError, FormatError
 from srngate.model import LossKind
 from srngate.tasks import SYMBOL_X, SYMBOL_Y, TaskKind, TaskSpec
@@ -184,10 +185,36 @@ class TestMakeSplits:
         assert len(seen) == 1500
 
     def test_paper_default_sizes(self):
-        spec = TaskSpec(TaskKind.ADDING, 20)
-        children = np.random.SeedSequence(0).spawn(3)
-        assert tasks.make_splits.__defaults__[0] == (20000, 1000, 10000)
-        assert len(children) == 3
+        # the paper's split sizes are declared once, as RunConfig defaults;
+        # make_splits takes its sizes from every caller
+        cfg = RunConfig()
+        assert (cfg.train_size, cfg.valid_size, cfg.test_size) == (20000, 1000, 10000)
+        with pytest.raises(TypeError, match="sizes"):
+            tasks.make_splits(TaskSpec(TaskKind.ADDING, 20), seed=0)
+
+
+class TestWindowTable:
+    """The window table is a constant; validate checks only T >= 10, and
+    these tests show that this one inequality is what keeps the table
+    consistent."""
+
+    @pytest.mark.parametrize("kind", list(TaskKind))
+    def test_windows_fit_in_order_and_apart(self, kind):
+        for T in range(10, 1001):
+            windows = TaskSpec(kind, T).windows()
+            assert windows[0][0] >= 1 and windows[-1][1] <= T, (T, windows)
+            assert all(lo <= hi for lo, hi in windows), (T, windows)
+            assert all(prev_hi < lo for (_, prev_hi), (lo, _)
+                       in zip(windows, windows[1:])), (T, windows)
+
+    @pytest.mark.parametrize("kind", list(TaskKind))
+    def test_validate_accepts_exactly_t_from_10(self, kind):
+        for T in range(-2, 1001):
+            if T >= 10:
+                TaskSpec(kind, T).validate()
+            else:
+                with pytest.raises(ConfigError, match=f"^T: .*needs T >= 10.*got {T}$"):
+                    TaskSpec(kind, T).validate()
 
 
 class TestSubset:
@@ -286,11 +313,13 @@ class TestDumpLoad:
             tasks.load_batch(path)
 
     def test_malformed_sizes_in_header_rejected(self, tmp_path):
-        # each pair of negative sizes multiplies out to the true payload size
+        # each pair of negative sizes multiplies out to the true payload size;
+        # a size that int() would turn into the true one is no JSON integer
         path, _ = self._payload_case(tmp_path, b"")
         magic, header, payload = path.read_bytes().split(b"\n", 2)
         for change in ({"targets_shape": ["x"]}, {"targets_shape": [-4, -1]},
-                       {"T": -25, "n_in": -2}):
+                       {"T": -25, "n_in": -2}, {"n": 4.5}, {"T": "25"}, {"n_in": 2.0},
+                       {"targets_shape": [4, True]}):
             doc = {**json.loads(header), **change}
             path.write_bytes(b"\n".join([magic, json.dumps(doc).encode(), payload]))
             with pytest.raises(FormatError, match="malformed dataset header"):
@@ -308,7 +337,9 @@ class TestDumpLoad:
 
     @pytest.mark.parametrize("task, change, message", [
         ("adding", {"success_tolerance": -1.0}, "tolerance must be positive"),
-        ("temporal_order", {"T": 4, "n_in": 45}, "does not fit"),
+        ("temporal_order", {"T": 4, "n_in": 45}, "needs T >= 10"),
+        ("adding", {"success_tolerance": float("nan")}, "tolerance must be positive"),
+        ("adding", {"success_tolerance": float("inf")}, "tolerance must be positive"),
     ])
     def test_header_spec_validated(self, tmp_path, task, change, message):
         # the changed T * n_in keeps the payload size right: only the spec is bad

@@ -8,7 +8,7 @@ from srngate.bptt import Gradients
 from srngate.config import RunConfig
 from srngate.errors import ConfigError, FormatError, NumericalError
 from srngate.model import OutputActivation
-from srngate.regularizer import Decision
+from srngate.regularizer import Decision, report_from_backward
 from srngate.trainer import TrainState
 
 
@@ -47,11 +47,15 @@ def train_quietly(cfg, seed=1):
     return state, trainer.train(state, data, cfg, log=quiet)
 
 
+def apply_step(state, grads, cfg):
+    trainer.sgd_step(state, trainer.momentum_step(state, grads, cfg))
+
+
 class TestSgdStep:
     def test_single_step_plain_sgd(self):
         state = scalar_state()
         cfg = small_config(mu=0.0, alpha=0.1)
-        assert trainer.sgd_step(state, unit_grads(), cfg) is None
+        assert trainer.sgd_step(state, trainer.momentum_step(state, unit_grads(), cfg)) is None
         npt.assert_allclose(state.velocity.w_rec, [[-0.1]], rtol=1e-15)
         npt.assert_allclose(state.params.w_rec, [[0.9]], rtol=1e-15)
 
@@ -59,55 +63,38 @@ class TestSgdStep:
         # alpha=0.1, mu=0.9, g=1 twice: v = -0.1 then -0.19
         state = scalar_state()
         cfg = small_config(mu=0.9, alpha=0.1)
-        trainer.sgd_step(state, unit_grads(), cfg)
+        apply_step(state, unit_grads(), cfg)
         npt.assert_allclose(state.velocity.w_rec, [[-0.1]], rtol=1e-14)
-        trainer.sgd_step(state, unit_grads(), cfg)
+        apply_step(state, unit_grads(), cfg)
         npt.assert_allclose(state.velocity.w_rec, [[-0.19]], rtol=1e-14)
         npt.assert_allclose(state.params.w_rec, [[1.0 - 0.1 - 0.19]], rtol=1e-14)
 
     def test_velocity_decays_geometrically(self):
         state = scalar_state()
         cfg = small_config(mu=0.5, alpha=0.1)
-        trainer.sgd_step(state, unit_grads(), cfg)
+        apply_step(state, unit_grads(), cfg)
         v0 = state.velocity.w_rec.copy()
         for k in range(1, 4):
-            trainer.sgd_step(state, unit_grads(0.0), cfg)
+            apply_step(state, unit_grads(0.0), cfg)
             npt.assert_allclose(state.velocity.w_rec, v0 * 0.5 ** k, rtol=1e-14)
 
     def test_all_blocks_updated(self):
         state = scalar_state()
         cfg = small_config(mu=0.0, alpha=0.5)
-        trainer.sgd_step(state, unit_grads(2.0), cfg)
+        apply_step(state, unit_grads(2.0), cfg)
         for name in trainer.PARAM_BLOCKS:
             npt.assert_allclose(getattr(state.velocity, name).ravel(), [-1.0])
 
     def test_overflow_is_reported_not_warned(self):
         # pytest turns warnings into errors, so an overflow warning escaping
-        # the update would fail this test instead of the finite check
+        # the step (first case) or the update (second) would fail this test
+        # instead of the finite check
         state = scalar_state()
         with pytest.raises(NumericalError, match="non-finite w_in after update"):
-            trainer.sgd_step(state, unit_grads(1e300), small_config(alpha=1e10))
-
-
-class TestCandidateUpdate:
-    def test_matches_sgd_step_and_mutates_nothing(self):
-        for seed in range(3):
-            rng = np.random.default_rng(seed)
-            params = model.init_gaussian(2, 4, 2, 0.05, seed)
-            state = TrainState.fresh(params)
-            state.velocity.w_rec += rng.standard_normal((4, 4)) * 0.01
-            grads = Gradients(rng.standard_normal((2, 4)), rng.standard_normal((4, 4)),
-                              rng.standard_normal((4, 2)), rng.standard_normal(4))
-            cfg = small_config()
-            before_w = state.params.w_rec.tobytes()
-            before_v = state.velocity.w_rec.tobytes()
-            dw = trainer.candidate_update(state, grads, cfg)
-            assert state.params.w_rec.tobytes() == before_w
-            assert state.velocity.w_rec.tobytes() == before_v
-            trainer.sgd_step(state, grads, cfg)
-            npt.assert_array_equal(dw, state.velocity.w_rec)
-            npt.assert_array_equal(state.params.w_rec,
-                                   np.frombuffer(before_w).reshape(4, 4) + dw)
+            apply_step(state, unit_grads(1e300), small_config(alpha=1e10))
+        state = scalar_state(1e308)
+        with pytest.raises(NumericalError, match="non-finite w_in after update"):
+            trainer.sgd_step(state, unit_grads(1e308))
 
 
 class TestTrainIteration:
@@ -173,10 +160,33 @@ class TestTrainIteration:
                                         batch.spec.success_tolerance)
         back = backward(state.params, trace, deltas, BpttConfig(h=cfg.h))
         trainer.train_iteration(state, batch, cfg)
-        trainer.sgd_step(twin, back.grads, cfg)
+        apply_step(twin, back.grads, cfg)
         for n in trainer.PARAM_BLOCKS:
             npt.assert_array_equal(getattr(state.params, n),
                                    getattr(twin.params, n))
+
+    @pytest.mark.parametrize("force", [False, True], ids=["accepted", "forced"])
+    def test_gate_judges_the_step_it_applies(self, monkeypatch, force):
+        # the dw_rec handed to the gate must be, byte for byte, the velocity
+        # the draw then applies; a nonzero velocity makes mu*v count.  A vast
+        # threshold and range accept the draw, a vanishing threshold rejects
+        # it, so it is applied by the gate or by force
+        cfg, batch, state = self._setup(r0=1e-300 if force else 1e300, r0_absolute=True,
+                                        qmin=-1e300, qmax=1e300)
+        state.velocity.w_rec += 1e-3
+        seen = []
+
+        def spy(params, trace, back, dw_rec, reg_cfg):
+            seen.append(dw_rec.copy())
+            return report_from_backward(params, trace, back, dw_rec, reg_cfg)
+
+        monkeypatch.setattr(trainer, "report_from_backward", spy)
+        w_before = state.params.w_rec.copy()
+        res = trainer.train_iteration(state, batch, cfg, force_accept=force)
+        assert res.applied and (res.report.decision is Decision.ACCEPT) is not force
+        assert len(seen) == 1
+        assert seen[0].tobytes() == state.velocity.w_rec.tobytes()
+        assert (w_before + seen[0]).tobytes() == state.params.w_rec.tobytes()
 
 
 class TestEvaluate:
@@ -354,6 +364,14 @@ class TestConfigValidation:
             field = next(iter(kw))
             with pytest.raises(ConfigError, match=f"^{field}: expected"):
                 small_config(**kw)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["sigma", "alpha", "mu", "qmin", "qmax", "r0",
+                                       "tolerance"])
+    def test_non_finite_floats_named(self, field, value):
+        # nan fails no range comparison, so each field needs the finite check
+        with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
+            small_config(**{field: value})
 
     def test_int_for_float_and_list_of_seeds_accepted(self):
         cfg = small_config(alpha=1, mu=0, seeds=[3, 1])

@@ -8,7 +8,8 @@ command runs as ``python -m srngate.cli`` with that directory on PYTHONPATH,
 from its own working directory, so that the paths written into outputs are
 the same on both sides.  The script covers ``gen`` for four tasks, a gated and
 an ungated ``train --data`` (the ungated one with ``--record-dynamics``), a
-``--batch 1`` run, a three-sigma temporal-order ``scan`` at h = T and a
+``--batch 1`` run, a gated adding run without momentum under an absolute
+``r0``, a three-sigma temporal-order ``scan`` at h = T and a
 two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval`` of a
 hand-written model whose finite weights overflow an activation, a run
 whose learning rate makes it fail, started twice, and a ``--record-dynamics``
@@ -38,10 +39,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+# r0_abs sits inside the spread of |dS| on the adding task at each size, so the
+# absolute threshold rejects some draws and passes others
 FULL = {"T_add": 200, "h_add": 100, "T_order": 100, "h_order": 100, "hidden": 100,
-        "sizes": (2000, 200, 1000), "epochs": 2, "iters": 20, "probes": 100}
+        "sizes": (2000, 200, 1000), "epochs": 2, "iters": 20, "probes": 100,
+        "r0_abs": "1e-4"}
 TINY = {"T_add": 20, "h_add": 10, "T_order": 20, "h_order": 20, "hidden": 8,
-        "sizes": (60, 20, 30), "epochs": 2, "iters": 3, "probes": 10}
+        "sizes": (60, 20, 30), "epochs": 2, "iters": 3, "probes": 10,
+        "r0_abs": "1.3e-34"}
 
 
 # written into each work dir before the script runs: a temporal-order model
@@ -80,6 +85,9 @@ def script(size: dict) -> list:
                            "--record-dynamics", "--run-name", "ungated"]),
         ("train_batch1", [*train, *order, "--reg", "on", "--batch", "1", "--data", "data",
                           "--run-name", "batch1"]),
+        ("train_absolute", [*train, *add, "--reg", "on", "--mu", "0", "--r0-absolute",
+                            "--r0", size["r0_abs"], "--data", "data",
+                            "--run-name", "absolute"]),
         ("scan", ["scan", *order, "--hidden", str(size["hidden"]),
                   "--sigmas", "0.005,0.01,0.02", "--probes", str(size["probes"]),
                   "--seed", "3", "--out", "scan"]),
