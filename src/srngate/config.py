@@ -18,6 +18,14 @@ from .tasks import TaskKind, TaskSpec
 TASK_NAMES = {kind.value: kind for kind in TaskKind}
 
 
+def _finite_as_float(value) -> bool:
+    """Whether float(value) is finite; math.isfinite converts an int."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class RunConfig:
     task: str = "temporal_order"   # one of the four benchmark names
@@ -92,9 +100,13 @@ class RunConfig:
                     or isinstance(value, bool) and bool not in accepted):
                 name = getattr(f.type, "__name__", str(f.type))
                 raise ConfigError(f"{f.name}: expected {name}, got {value!r}")
-            # nan passes every range check below, as comparisons with it are false
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name}: must be finite, got {value!r}")
+            # nan passes every range check below, as comparisons with it are
+            # false; an int in a float field is used as a float, and one too
+            # large for a float would first fail inside training
+            if float in accepted and not _finite_as_float(value):
+                shown = (f"an integer of {value.bit_length()} bits"
+                         if isinstance(value, int) else repr(value))
+                raise ConfigError(f"{f.name}: must be finite, got {shown}")
 
     def task_spec(self) -> TaskSpec:
         return TaskSpec(TASK_NAMES[self.task], self.T, self.tolerance)
@@ -109,7 +121,7 @@ def load_config_file(path) -> dict:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # bad JSON, or an int of too many digits
         raise ConfigError(f"config file {path}: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")

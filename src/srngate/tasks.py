@@ -20,9 +20,14 @@ carrying information across most of the sequence:
   variant at [0.1T, 0.2T], [0.3T, 0.4T] and [0.6T, 0.7T].
 
 Generation is a pure function of (spec, n, seed): repeating a call gives a
-bit-identical batch.  Split generation derives independent child seeds with
-numpy's SeedSequence spawning, so train / validation / test never share a
-stream.
+bit-identical batch.  Each batch is built in place, block by block: its
+inputs array is allocated once, and the per-step draws (values or
+distractors) are made and written into it one block of rows at a time, so a
+split needs its returned arrays plus one block of rows.  The block size never
+changes the bytes: the blocks take the draws from the stream in the order
+that one whole-batch draw would.  Split generation derives independent child
+seeds with numpy's SeedSequence spawning, so train / validation / test never
+share a stream.
 """
 
 import json
@@ -41,6 +46,12 @@ DATA_MAGIC = b"SRNDATA1"
 N_DISTRACTORS = 4  # temporal-order alphabet: distractors 0..3, X=4, Y=5
 SYMBOL_X = 4
 SYMBOL_Y = 5
+
+# Rows per generation block.  Even, because Generator.integers draws a small
+# range two values to each 64-bit word and drops the unused half at the end
+# of a call: an even block of rows spends whole words for any T, so the
+# blocks read the stream exactly as one whole-batch call does.
+GEN_BLOCK_ROWS = 1024
 
 
 class TaskKind(Enum):
@@ -124,14 +135,25 @@ class SequenceBatch:
                        targets=self.targets[indices])
 
 
+def _row_blocks(n: int):
+    """Consecutive row slices of at most GEN_BLOCK_ROWS rows covering n."""
+    return (slice(start, min(start + GEN_BLOCK_ROWS, n))
+            for start in range(0, n, GEN_BLOCK_ROWS))
+
+
 def _marked_value_data(spec: TaskSpec, n: int, rng) -> tuple:
     """Values and markers; the target is the mean of the two marked values
     for adding (so it stays inside [0, 1]) and their product otherwise."""
-    # one (n, T, 2) allocation: values and markers are written into its
-    # channels; the draws keep the order values, m1, m2, which fixes the batch
+    # one (n, T, 2) allocation: the values are drawn into one block buffer
+    # and copied into channel 0, the markers written into channel 1; the
+    # draws keep the order values (row by row), m1, m2, which fixes the
+    # batch.  random() is uniform(0, 1) bit for bit and can fill a buffer
     inputs = np.zeros((n, spec.T, 2))
     values, markers = inputs[:, :, 0], inputs[:, :, 1]
-    values[...] = rng.uniform(0.0, 1.0, size=(n, spec.T))
+    drawn = np.empty((min(n, GEN_BLOCK_ROWS), spec.T))
+    for block in _row_blocks(n):
+        values[block] = rng.random(out=drawn[:block.stop - block.start])
+    del drawn  # not held while the (n,) marker arrays are built
     (lo1, hi1), (lo2, hi2) = spec.windows()
     m1 = rng.integers(lo1, hi1 + 1, size=n)
     m2 = rng.integers(lo2, hi2 + 1, size=n)
@@ -145,15 +167,24 @@ def _marked_value_data(spec: TaskSpec, n: int, rng) -> tuple:
 
 def _temporal_order_data(spec: TaskSpec, n: int, rng) -> tuple:
     """One-hot symbol streams and the class of their ordered specials."""
-    symbols = rng.integers(0, N_DISTRACTORS, size=(n, spec.T))
+    # the distractors are drawn and one-hot expanded into the inputs one
+    # block of rows at a time; then each window's positions and bits are
+    # drawn for all rows and their specials overwrite the distractors there
+    inputs = np.empty((n, spec.T, spec.n_in))
+    eye = np.eye(spec.n_in)
+    for block in _row_blocks(n):
+        # every id is in range, so mode="clip" changes nothing; it lets take
+        # write straight into out, where "raise" would buffer the block
+        np.take(eye, rng.integers(0, N_DISTRACTORS, size=inputs[block].shape[:2]),
+                axis=0, out=inputs[block], mode="clip")
     rows = np.arange(n)
     classes = np.zeros(n, dtype=np.int64)
     for lo, hi in spec.windows():
         pos = rng.integers(lo, hi + 1, size=n)
         bit = rng.integers(0, 2, size=n)  # 0 -> X, 1 -> Y
-        symbols[rows, pos - 1] = SYMBOL_X + bit
+        inputs[rows, pos - 1] = eye[SYMBOL_X + bit]
         classes = classes * 2 + bit
-    return np.eye(spec.n_in)[symbols], classes
+    return inputs, classes
 
 
 def generate(spec: TaskSpec, n: int, seed) -> SequenceBatch:
@@ -213,12 +244,13 @@ def load_batch(path) -> SequenceBatch:
     """Read a file produced by save_batch.
 
     The batch's spec comes from the header's task, T and success tolerance.
-    Rejects with FormatError a header whose sizes are not JSON integers, a
-    file whose loss_kind contradicts its task, a file holding no sequences,
-    targets that are not float (n, 1) for the regression tasks or integer
-    (n,) for the temporal-order tasks, a spec that fails TaskSpec.validate,
-    an n_in other than the task's, non-finite inputs or targets and, for the
-    temporal-order tasks, class ids outside [0, 2**specials).
+    Rejects with FormatError a header whose sizes are not JSON integers or
+    whose success tolerance is not a JSON number, a file whose loss_kind
+    contradicts its task, a file holding no sequences, targets that are not
+    float (n, 1) for the regression tasks or integer (n,) for the
+    temporal-order tasks, a spec that fails TaskSpec.validate, an n_in other
+    than the task's, non-finite inputs or targets and, for the temporal-order
+    tasks, class ids outside [0, 2**specials).
     """
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
@@ -232,11 +264,15 @@ def load_batch(path) -> SequenceBatch:
             if any(type(size) is not int for size in (n, T, n_in) + t_shape):
                 raise ValueError(f"sizes must be JSON integers, got n={n!r}, T={T!r}, "
                                  f"n_in={n_in!r}, targets_shape={list(t_shape)!r}")
-            spec = TaskSpec(TaskKind(header["task"]), T,
-                            float(header["success_tolerance"]))
+            tolerance = header["success_tolerance"]
+            # a JSON number only: float() would also parse the string "0.04"
+            if type(tolerance) not in (int, float):
+                raise ValueError(f"success_tolerance must be a JSON number, "
+                                 f"got {tolerance!r}")
+            spec = TaskSpec(TaskKind(header["task"]), T, float(tolerance))
             loss = LossKind(header["loss_kind"])
             t_dtype = np.dtype(header["targets_dtype"])
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, OverflowError) as e:
             raise FormatError(f"malformed dataset header: {e}") from e
         if loss is not spec.loss_kind:
             raise FormatError(f"{spec.kind.value} is scored by "

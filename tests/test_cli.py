@@ -526,6 +526,20 @@ class TestUsageAndConfig:
         assert all(name in err for name in names)
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("digits, message", [(400, "alpha: must be finite"),
+                                                 (5000, "big.json: Exceeds the limit")])
+    def test_int_too_large_for_a_float_is_input_error(self, tmp_path, capsys, digits,
+                                                      message):
+        # 400 digits overflow a float; 5000 are more than Python parses
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text('{"alpha": 1' + "0" * digits + "}")
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(["train", "--config", str(cfg_path), "--task", "adding",
+                                     "--T", "20", "--out", str(out)] + TRAIN_SMALL, capsys)
+        assert code == cli.EXIT_INPUT
+        assert message in err
+        assert stdout == "" and not out.exists()
+
     def test_unknown_config_key_is_input_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"task": "adding", "Tee": 20}))

@@ -39,7 +39,8 @@ def test_same_tree_writes_identical_outputs(tmp_path):
     tiny = tool.TINY
     assert {f"data/{task}_T{T}_{split}.dat"
             for task, T in (("multiplication", tiny["T_add"]),
-                            ("temporal_order_3bit", tiny["T_order"]))
+                            ("temporal_order_3bit", tiny["T_order"]),
+                            ("temporal_order_3bit", tiny["T_odd"]))
             for split in ("train", "valid", "test")} <= written
     assert {"eval.json", "runs/ungated_seed1/dynamics.csv", "runs/batch1_seed1/model.json",
             "scan/depth_profile_sigma0.02.csv", "scan_adding/depth_profile_sigma0.01.csv",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tracemalloc
@@ -158,6 +159,30 @@ class TestTemporalOrder:
         assert batch.targets.shape == (4,)
         assert batch.targets.dtype == np.int64
         assert batch.spec.loss_kind is LossKind.CROSS_ENTROPY
+
+
+class TestPinnedBytes:
+    """generate's bytes are fixed: any change to the draws or their order
+    shows here.  Odd T and 2500 rows put two seams between generation
+    blocks inside each batch."""
+
+    DIGESTS = {
+        TaskKind.ADDING:
+            "9104a103cc28fd29efd0ac64546153b4e87cc37da3c4c897acb674d9182665b0",
+        TaskKind.MULTIPLICATION:
+            "4a03cc921781750e6c9838c977c10943028f49cae236c1b05417fabae1ec1789",
+        TaskKind.TEMPORAL_ORDER:
+            "8aae52df41e2431330132795d079f8cd02f33227ab71e6516359e001d839a5c3",
+        TaskKind.TEMPORAL_ORDER_3BIT:
+            "af782a9261ab4807738b6540741d7e915ea6609191dbeac9b4a55ab65ee701c7",
+    }
+
+    @pytest.mark.parametrize("kind", list(TaskKind), ids=lambda kind: kind.value)
+    def test_generated_bytes(self, kind):
+        assert 2500 > 2 * tasks.GEN_BLOCK_ROWS
+        batch = tasks.generate(TaskSpec(kind, 37), 2500, seed=5)
+        data = batch.inputs.tobytes() + batch.targets.tobytes()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[kind]
 
 
 class TestMakeSplits:
@@ -351,6 +376,16 @@ class TestDumpLoad:
         with pytest.raises(FormatError, match=message):
             tasks.load_batch(path)
 
+    @pytest.mark.parametrize("tolerance", ["0.04", True, None, [0.04], 10 ** 400],
+                             ids=["string", "bool", "null", "list", "int_1e400"])
+    def test_tolerance_must_be_a_json_number(self, tmp_path, tolerance):
+        # float() would parse the string and the bool, and overflow on the int
+        path = tmp_path / "adding.dat"
+        tasks.save_batch(path, generate_task("adding", 30, 4, 30))
+        rewrite_header(path, success_tolerance=tolerance)
+        with pytest.raises(FormatError, match="malformed dataset header"):
+            tasks.load_batch(path)
+
     @pytest.mark.parametrize("task, change, cut", [
         ("temporal_order", {"targets_dtype": "float64"}, 0),
         ("temporal_order", {"targets_shape": [10, 1]}, 0),
@@ -429,18 +464,24 @@ class TestDumpLoad:
 
 
 class TestMemory:
-    """Each split's inputs exist once between generation and the file."""
+    """Each split's inputs exist once between generation and the file, and
+    generation needs no more than one block of rows beside them."""
 
     def test_save_writes_without_copying_the_inputs(self, tmp_path):
         batch = generate_task("temporal_order", 100, 2000, 34)
         _, peak = traced_peak(lambda: tasks.save_batch(tmp_path / "order.dat", batch))
         assert peak < 0.05 * batch.inputs.nbytes
 
-    @pytest.mark.parametrize("task", ["adding", "multiplication"])
-    def test_marked_value_inputs_are_built_in_place(self, task):
-        # the inputs themselves plus one (n, T) draw of values: 1.5x
-        batch, peak = traced_peak(lambda: generate_task(task, 100, 2000, 35))
-        assert peak < 1.9 * batch.inputs.nbytes
+    @pytest.mark.parametrize("n", [2000, 8000])
+    @pytest.mark.parametrize("task", [kind.value for kind in TaskKind])
+    def test_generation_builds_the_inputs_in_place(self, task, n):
+        # beside the returned arrays, one block's draws (half an adding
+        # block, a sixth of a temporal-order one) and a few (n,) vectors;
+        # a temporary that grows with n passes at most one of the two sizes
+        generate_task(task, 100, 1, 35)  # first-call allocations of numpy
+        batch, peak = traced_peak(lambda: generate_task(task, 100, n, 35))
+        block_bytes = tasks.GEN_BLOCK_ROWS * 100 * batch.inputs.shape[2] * 8
+        assert peak - batch.inputs.nbytes - batch.targets.nbytes < 0.75 * block_bytes
 
     def test_load_needs_no_input_sized_temporary(self, tmp_path):
         path = tmp_path / "order.dat"

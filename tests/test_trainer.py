@@ -365,11 +365,14 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=f"^{field}: expected"):
                 small_config(**kw)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       10 ** 400, -10 ** 400],
+                             ids=["nan", "inf", "-inf", "int_1e400", "int_-1e400"])
     @pytest.mark.parametrize("field", ["sigma", "alpha", "mu", "qmin", "qmax", "r0",
                                        "tolerance"])
     def test_non_finite_floats_named(self, field, value):
-        # nan fails no range comparison, so each field needs the finite check
+        # nan fails no range comparison, so each field needs the finite
+        # check; an int too large for a float would overflow once trained on
         with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
             small_config(**{field: value})
 

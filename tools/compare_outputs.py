@@ -5,16 +5,17 @@ compare every file they write, byte for byte.
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts; each
 command runs as ``python -m srngate.cli`` with that directory on PYTHONPATH,
-from its own working directory, so that the paths written into outputs are
-the same on both sides.  The script covers ``gen`` for four tasks, a gated and
-an ungated ``train --data`` (the ungated one with ``--record-dynamics``), a
-``--batch 1`` run, a gated adding run without momentum under an absolute
-``r0``, a three-sigma temporal-order ``scan`` at h = T and a
-two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval`` of a
-hand-written model whose finite weights overflow an activation, a run
-whose learning rate makes it fail, started twice, and a ``--record-dynamics``
-run whose initial network already fails validation.  ``--tiny`` shrinks
-every size so the whole script takes seconds.
+from its own working directory, so that the paths written into outputs are the
+same on both sides.  The script covers ``gen`` for four tasks and once more at
+an odd T (the full-size train split then crosses a seam between generation
+blocks), a gated and an ungated ``train --data`` (the ungated one with
+``--record-dynamics``), a ``--batch 1`` run, a gated adding run without
+momentum under an absolute ``r0``, a three-sigma temporal-order ``scan`` at
+h = T and a two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval``
+of a hand-written model whose finite weights overflow an activation, a run whose
+learning rate makes it fail, started twice, and a ``--record-dynamics`` run
+whose initial network already fails validation.  ``--tiny`` shrinks every size
+so the whole script takes seconds.
 
 Every file whose sha256 differs, or that exists on one side only, is listed,
 as is every command whose exit code differs; the last line gives each
@@ -41,11 +42,11 @@ from pathlib import Path
 
 # r0_abs sits inside the spread of |dS| on the adding task at each size, so the
 # absolute threshold rejects some draws and passes others
-FULL = {"T_add": 200, "h_add": 100, "T_order": 100, "h_order": 100, "hidden": 100,
-        "sizes": (2000, 200, 1000), "epochs": 2, "iters": 20, "probes": 100,
-        "r0_abs": "1e-4"}
-TINY = {"T_add": 20, "h_add": 10, "T_order": 20, "h_order": 20, "hidden": 8,
-        "sizes": (60, 20, 30), "epochs": 2, "iters": 3, "probes": 10,
+FULL = {"T_add": 200, "h_add": 100, "T_order": 100, "h_order": 100, "T_odd": 37,
+        "hidden": 100, "sizes": (2000, 200, 1000), "epochs": 2, "iters": 20,
+        "probes": 100, "r0_abs": "1e-4"}
+TINY = {"T_add": 20, "h_add": 10, "T_order": 20, "h_order": 20, "T_odd": 11,
+        "hidden": 8, "sizes": (60, 20, 30), "epochs": 2, "iters": 3, "probes": 10,
         "r0_abs": "1.3e-34"}
 
 
@@ -67,6 +68,7 @@ def script(size: dict) -> list:
              "--h", str(size["h_order"])]
     multiplication = ["--task", "multiplication", "--T", str(size["T_add"])]
     order3 = ["--task", "temporal_order_3bit", "--T", str(size["T_order"])]
+    order3_odd = ["--task", "temporal_order_3bit", "--T", str(size["T_odd"])]
     train = ["train", "--hidden", str(size["hidden"]), "--epochs", str(size["epochs"]),
              "--iters", str(size["iters"]), "--seed", "1", "--out", "runs"]
     fail_sizes = ["--train-size", "40", "--valid-size", "10", "--test-size", "10"]
@@ -79,6 +81,8 @@ def script(size: dict) -> list:
         ("gen_multiplication", ["gen", *multiplication, "--seed", "5", "--out", "data",
                                 *split_flags]),
         ("gen_order3", ["gen", *order3, "--seed", "6", "--out", "data", *split_flags]),
+        ("gen_order3_odd", ["gen", *order3_odd, "--seed", "8", "--out", "data",
+                            *split_flags]),
         ("train_gated", [*train, *order, "--reg", "on", "--data", "data",
                          "--run-name", "gated"]),
         ("train_ungated", [*train, *add, "--reg", "off", "--data", "data",
