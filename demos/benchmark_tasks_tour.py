@@ -22,6 +22,7 @@ def show_marked_value_task(name, batch):
     print(f"target                        : {batch.targets[0, 0]:.3f}")
     print(f"success criterion             : |prediction - target| < "
           f"{batch.spec.success_tolerance}")
+    print(f"inputs in memory              : {seq.dtype}, {seq.nbytes} bytes per sequence")
 
 
 def show_temporal_order_task(name, batch):
@@ -35,6 +36,8 @@ def show_temporal_order_task(name, batch):
     print(f"specials      : {read!r} at steps {pos + 1} (1-based)")
     print(f"class         : {batch.targets[0]} of {batch.spec.n_out} "
           f"(binary reading of the tuple, X=0, Y=1)")
+    print(f"in memory     : {batch.inputs.dtype} one-hot, "
+          f"{batch.inputs[0].nbytes} bytes per sequence")
 
 
 def main():

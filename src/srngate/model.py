@@ -161,6 +161,9 @@ def forward_batch(params: SrnParams, inputs: np.ndarray, *,
                   keep_trace: bool = True) -> ForwardTrace:
     """Run a batch (N, T, n_in) of sequences, each from the zero state.
 
+    Inputs are converted to float64 first, so the uint8 one-hot inputs of
+    the temporal-order tasks give the same bits as their float64 copy.
+
     With ``keep_trace`` (the default) the trace keeps every a(k) and z(k) for
     backpropagation, as written by the step loop.  With ``keep_trace=False``
     each a(k) and z(k) is written into one reused (N, n_hid) block, and the

@@ -19,6 +19,11 @@ carrying information across most of the sequence:
   cross-entropy.  Windows sit at [0.1T, 0.2T] and [0.5T, 0.6T], the 3-special
   variant at [0.1T, 0.2T], [0.3T, 0.4T] and [0.6T, 0.7T].
 
+In memory, adding and multiplication inputs are float64; temporal-order
+inputs are uint8 0/1 arrays, one byte per entry instead of eight.  Both
+become float64 where a float is needed: in ``model.forward_batch`` and in
+the dataset file, which holds float64 for every task.
+
 Generation is a pure function of (spec, n, seed): repeating a call gives a
 bit-identical batch.  Each batch is built in place, block by block: its
 inputs array is allocated once, and the per-step draws (values or
@@ -52,6 +57,11 @@ SYMBOL_Y = 5
 # of a call: an even block of rows spends whole words for any T, so the
 # blocks read the stream exactly as one whole-batch call does.
 GEN_BLOCK_ROWS = 1024
+
+# Bytes of float64 inputs per chunk at the file boundary: save_batch converts
+# one chunk of rows at a time to <f8, and load_batch reads temporal-order
+# inputs one chunk at a time into a reused float64 buffer.
+IO_CHUNK_BYTES = 1 << 18
 
 
 class TaskKind(Enum):
@@ -122,7 +132,7 @@ class TaskSpec:
 
 @dataclass
 class SequenceBatch:
-    inputs: np.ndarray        # (n, T, n_in) float64
+    inputs: np.ndarray        # (n, T, n_in) float64, or uint8 one-hot for temporal order
     targets: np.ndarray       # (n, n_out) float64 or (n,) int64 class ids
     spec: TaskSpec
 
@@ -135,10 +145,14 @@ class SequenceBatch:
                        targets=self.targets[indices])
 
 
-def _row_blocks(n: int):
-    """Consecutive row slices of at most GEN_BLOCK_ROWS rows covering n."""
-    return (slice(start, min(start + GEN_BLOCK_ROWS, n))
-            for start in range(0, n, GEN_BLOCK_ROWS))
+def _row_blocks(n: int, rows: int = GEN_BLOCK_ROWS):
+    """Consecutive row slices of at most ``rows`` rows covering n."""
+    return (slice(start, min(start + rows, n)) for start in range(0, n, rows))
+
+
+def _io_rows(T: int, n_in: int) -> int:
+    """Rows per file chunk: as many as fit IO_CHUNK_BYTES as float64, at least one."""
+    return max(1, IO_CHUNK_BYTES // (8 * max(1, T * n_in)))
 
 
 def _marked_value_data(spec: TaskSpec, n: int, rng) -> tuple:
@@ -166,12 +180,12 @@ def _marked_value_data(spec: TaskSpec, n: int, rng) -> tuple:
 
 
 def _temporal_order_data(spec: TaskSpec, n: int, rng) -> tuple:
-    """One-hot symbol streams and the class of their ordered specials."""
+    """uint8 one-hot symbol streams and the class of their ordered specials."""
     # the distractors are drawn and one-hot expanded into the inputs one
     # block of rows at a time; then each window's positions and bits are
     # drawn for all rows and their specials overwrite the distractors there
-    inputs = np.empty((n, spec.T, spec.n_in))
-    eye = np.eye(spec.n_in)
+    inputs = np.empty((n, spec.T, spec.n_in), dtype=np.uint8)
+    eye = np.eye(spec.n_in, dtype=np.uint8)
     for block in _row_blocks(n):
         # every id is in range, so mode="clip" changes nothing; it lets take
         # write straight into out, where "raise" would buffer the block
@@ -216,10 +230,12 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
     """Write a batch as a self-describing flat binary file.
 
     Layout: magic line, one JSON header line, then the raw little-endian
-    C-order array bytes (inputs, then targets).  Identical batches produce
-    byte-identical files.  The payload goes out from the arrays' own
-    buffers, with no copy; only a non-contiguous or non-``<f8``/``<i8``
-    array is converted first.
+    C-order array bytes (inputs as float64, then targets).  Identical
+    batches produce byte-identical files.  The inputs go out in chunks of
+    rows, each converted to ``<f8``: a chunk of contiguous float64 inputs is
+    a view and goes out from the array's own buffer, while the uint8 inputs
+    of the temporal-order tasks need one float64 chunk at a time.  Targets
+    go out from their own buffer unless non-contiguous or not ``<f8``/``<i8``.
     """
     header = {
         "task": batch.spec.kind.value,
@@ -235,7 +251,8 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
     with open(path, "wb") as f:
         f.write(DATA_MAGIC + b"\n")
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        f.write(np.ascontiguousarray(batch.inputs, dtype="<f8"))
+        for block in _row_blocks(batch.n, _io_rows(*batch.inputs.shape[1:])):
+            f.write(np.ascontiguousarray(batch.inputs[block], dtype="<f8"))
         f.write(np.ascontiguousarray(
             batch.targets, dtype="<f8" if batch.targets.dtype.kind == "f" else "<i8"))
 
@@ -244,13 +261,17 @@ def load_batch(path) -> SequenceBatch:
     """Read a file produced by save_batch.
 
     The batch's spec comes from the header's task, T and success tolerance.
-    Rejects with FormatError a header whose sizes are not JSON integers or
-    whose success tolerance is not a JSON number, a file whose loss_kind
-    contradicts its task, a file holding no sequences, targets that are not
-    float (n, 1) for the regression tasks or integer (n,) for the
-    temporal-order tasks, a spec that fails TaskSpec.validate, an n_in other
-    than the task's, non-finite inputs or targets and, for the temporal-order
-    tasks, class ids outside [0, 2**specials).
+    Regression inputs are read straight into the float64 array returned;
+    temporal-order inputs are read in row chunks into one reused float64
+    buffer and stored as uint8.  Rejects with FormatError a header whose
+    sizes are not JSON integers or whose success tolerance is not a JSON
+    number, a file whose loss_kind contradicts its task, a file holding no
+    sequences, targets that are not float (n, 1) for the regression tasks or
+    integer (n,) for the temporal-order tasks, a spec that fails
+    TaskSpec.validate, an n_in other than the task's, non-finite regression
+    inputs, non-finite targets and, for the temporal-order tasks, inputs
+    that are not one-hot (an entry other than 0.0 or 1.0, or a step without
+    exactly one 1.0) or class ids outside [0, 2**specials).
     """
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
@@ -300,18 +321,48 @@ def load_batch(path) -> SequenceBatch:
         if payload_bytes != expected:
             raise FormatError(f"dataset payload has {payload_bytes} bytes, "
                               f"expected {expected}")
-        # read straight into the arrays that are returned: no intermediate copy
-        inputs = np.empty((n, T, n_in), dtype="<f8")
+        if spec.regression:
+            # read straight into the array that is returned: no intermediate copy
+            inputs = np.empty((n, T, n_in), dtype="<f8")
+            _read_into(f, inputs)
+            # min and max need no input-sized temporary: a nan propagates
+            # through both and an infinity is one of them
+            if not (np.isfinite(inputs.min()) and np.isfinite(inputs.max())):
+                raise FormatError("dataset holds non-finite inputs")
+        else:
+            inputs = _read_one_hot(f, spec, n)
         raw = np.empty(t_shape, dtype="<f8" if t_dtype.kind == "f" else "<i8")
-        for block in (inputs, raw):
-            if f.readinto(block) != block.nbytes:
-                raise FormatError("dataset payload ended early")
+        _read_into(f, raw)
     targets = raw.astype(t_dtype, copy=False)
-    # min and max need no input-sized temporary: a nan propagates through
-    # both and an infinity is one of them
-    if not (np.isfinite(inputs.min()) and np.isfinite(inputs.max())
-            and np.isfinite(targets).all()):
-        raise FormatError("dataset holds non-finite inputs or targets")
+    if not np.isfinite(targets).all():
+        raise FormatError("dataset holds non-finite targets")
     if not spec.regression and ((targets < 0) | (targets >= spec.n_out)).any():
         raise FormatError(f"{spec.kind.value} class ids must lie in [0, {spec.n_out})")
     return SequenceBatch(inputs=inputs, targets=targets, spec=spec)
+
+
+def _read_into(f, array: np.ndarray) -> None:
+    if f.readinto(array) != array.nbytes:
+        raise FormatError("dataset payload ended early")
+
+
+def _read_one_hot(f, spec: TaskSpec, n: int) -> np.ndarray:
+    """(n, T, n_in) uint8 inputs from <f8 one-hot rows, read in chunks.
+
+    Each chunk is compared with 1.0 straight into its rows of the result.
+    Every entry must be 1.0 or 0.0; then the step sums, one matrix-vector
+    product, count the 1.0s exactly, and each must be 1.
+    """
+    rows = _io_rows(spec.T, spec.n_in)
+    inputs = np.empty((n, spec.T, spec.n_in), dtype=np.uint8)
+    buffer = np.empty((min(rows, n), spec.T, spec.n_in), dtype="<f8")
+    unit = np.ones(spec.n_in)
+    for block in _row_blocks(n, rows):
+        chunk = buffer[:block.stop - block.start]
+        _read_into(f, chunk)
+        is_one = np.equal(chunk, 1.0, out=inputs[block].view(bool))
+        if not (np.count_nonzero(is_one) + np.count_nonzero(chunk == 0.0) == chunk.size
+                and (chunk @ unit == 1.0).all()):
+            raise FormatError(f"{spec.kind.value} inputs must be one-hot: every entry "
+                              f"0.0 or 1.0 and one 1.0 per step")
+    return inputs

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -156,6 +157,7 @@ class TestTemporalOrder:
     def test_metadata(self):
         batch = generate_task("temporal_order_3bit", 50, 4, 13)
         assert batch.inputs.shape == (4, 50, 6)
+        assert batch.inputs.dtype == np.uint8 and batch.inputs.nbytes == 4 * 50 * 6
         assert batch.targets.shape == (4,)
         assert batch.targets.dtype == np.int64
         assert batch.spec.loss_kind is LossKind.CROSS_ENTROPY
@@ -164,7 +166,8 @@ class TestTemporalOrder:
 class TestPinnedBytes:
     """generate's bytes are fixed: any change to the draws or their order
     shows here.  Odd T and 2500 rows put two seams between generation
-    blocks inside each batch."""
+    blocks inside each batch.  The inputs are hashed as float64, the bytes
+    a file holds, so the digests do not depend on the in-memory dtype."""
 
     DIGESTS = {
         TaskKind.ADDING:
@@ -181,7 +184,7 @@ class TestPinnedBytes:
     def test_generated_bytes(self, kind):
         assert 2500 > 2 * tasks.GEN_BLOCK_ROWS
         batch = tasks.generate(TaskSpec(kind, 37), 2500, seed=5)
-        data = batch.inputs.tobytes() + batch.targets.tobytes()
+        data = batch.inputs.astype("<f8").tobytes() + batch.targets.tobytes()
         assert hashlib.sha256(data).hexdigest() == self.DIGESTS[kind]
 
 
@@ -425,6 +428,17 @@ class TestDumpLoad:
                 assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata
                 assert arr.dtype.isnative
 
+    @pytest.mark.parametrize("task", ["temporal_order", "temporal_order_3bit"])
+    def test_loaded_order_inputs_are_uint8(self, tmp_path, task):
+        # one byte per entry: an eighth of the file's float64 inputs
+        path = tmp_path / f"{task}.dat"
+        tasks.save_batch(path, generate_task(task, 30, 500, 37))
+        loaded = tasks.load_batch(path)
+        payload = path.read_bytes().split(b"\n", 2)[2]
+        payload_inputs = len(payload) - loaded.targets.nbytes
+        assert loaded.inputs.dtype == np.uint8
+        assert loaded.inputs.nbytes * 8 == payload_inputs == 500 * 30 * 6 * 8
+
     def test_save_load_save_byte_identical(self, tmp_path):
         for batch in (generate_task("multiplication", 25, 7, 27),
                       generate_task("temporal_order_3bit", 30, 7, 28)):
@@ -450,6 +464,24 @@ class TestDumpLoad:
         with pytest.raises(FormatError, match="non-finite"):
             tasks.load_batch(path)
 
+    @pytest.mark.parametrize("row", [0, 399], ids=["first_chunk", "last_chunk"])
+    @pytest.mark.parametrize("change", [
+        {0: 0.5}, {0: 2.0}, {0: np.nan}, {0: np.inf}, {0: 1.0, 1: 1.0},
+        {c: 0.0 for c in range(6)}],
+        ids=["half", "two", "nan", "inf", "two_ones", "all_zeros"])
+    def test_order_inputs_must_be_one_hot(self, tmp_path, change, row):
+        # a float64 copy of the inputs carries the bad step into the file;
+        # 400 rows of T = 30 span three load chunks
+        batch = generate_task("temporal_order", 30, 400, 38)
+        assert 400 > 2 * tasks.IO_CHUNK_BYTES // (30 * 6 * 8)
+        dense = batch.inputs.astype(np.float64)
+        for channel, value in change.items():
+            dense[row, 7, channel] = value
+        path = tmp_path / "order.dat"
+        tasks.save_batch(path, replace(batch, inputs=dense))
+        with pytest.raises(FormatError, match="temporal_order inputs must be one-hot"):
+            tasks.load_batch(path)
+
     def test_class_ids_out_of_range_rejected(self, tmp_path):
         # 2 specials give classes 0..3, 3 specials 0..7
         for task, bad_ids in (("temporal_order", (-1, 4)),
@@ -463,14 +495,28 @@ class TestDumpLoad:
                     tasks.load_batch(path)
 
 
+def dense_bytes(batch) -> int:
+    """Bytes of the batch's inputs as float64, as the file holds them."""
+    return batch.inputs.size * 8
+
+
 class TestMemory:
     """Each split's inputs exist once between generation and the file, and
-    generation needs no more than one block of rows beside them."""
+    generation needs no more than one block of rows beside them.  Bounds are
+    shares of the inputs as float64 (n * T * n_in * 8 bytes), whatever the
+    dtype they have in memory."""
 
     def test_save_writes_without_copying_the_inputs(self, tmp_path):
+        # uint8 inputs go out one float64 chunk at a time
         batch = generate_task("temporal_order", 100, 2000, 34)
         _, peak = traced_peak(lambda: tasks.save_batch(tmp_path / "order.dat", batch))
-        assert peak < 0.05 * batch.inputs.nbytes
+        assert peak < 0.05 * dense_bytes(batch)
+
+    def test_save_writes_float64_inputs_from_their_own_buffer(self, tmp_path):
+        # each chunk of contiguous float64 inputs is a view, so none is copied
+        batch = generate_task("adding", 100, 2000, 34)
+        _, peak = traced_peak(lambda: tasks.save_batch(tmp_path / "adding.dat", batch))
+        assert peak < 0.01 * dense_bytes(batch)
 
     @pytest.mark.parametrize("n", [2000, 8000])
     @pytest.mark.parametrize("task", [kind.value for kind in TaskKind])
@@ -488,4 +534,4 @@ class TestMemory:
         tasks.save_batch(path, generate_task("temporal_order", 100, 2000, 36))
         loaded, peak = traced_peak(lambda: tasks.load_batch(path))
         returned = loaded.inputs.nbytes + loaded.targets.nbytes
-        assert peak - returned < 0.05 * loaded.inputs.nbytes
+        assert peak - returned < 0.05 * dense_bytes(loaded)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -259,6 +261,37 @@ class TestEvaluate:
         params = model.init_gaussian(2, 6, 1, 0.05, seed=9)
         trainer.evaluate(params, generate_task("adding", 15, 23, 10), chunk=10)
         assert calls == [("forward", {"keep_trace": False}), ("loss", {})] * 3
+
+
+class TestInputDtype:
+    @pytest.mark.parametrize("task", ["temporal_order", "temporal_order_3bit"])
+    def test_uint8_inputs_give_the_float64_results(self, tmp_path, task):
+        # a loaded temporal-order split holds uint8 inputs; gated draws log
+        # the same rows and leave the same weights, and scoring gives the
+        # same accuracy, as on the same batch with float64 inputs
+        cfg = small_config(task=task, T=10, h=10, alpha=0.05)
+        spec = cfg.task_spec()
+        path = tmp_path / "split.dat"
+        tasks.save_batch(path, tasks.generate(spec, 40, seed=13))
+        loaded = tasks.load_batch(path)
+        assert loaded.inputs.dtype == np.uint8
+        dense = replace(loaded, inputs=loaded.inputs.astype(np.float64))
+        params = model.init_gaussian(spec.n_in, cfg.hidden, spec.n_out, cfg.sigma,
+                                     seed=14, output_activation=spec.output_activation)
+        states = []
+        for batch in (loaded, dense):
+            state = TrainState.fresh(params.copy())
+            for start in range(0, batch.n, cfg.batch):
+                trainer.train_iteration(state, batch.subset(slice(start, start + cfg.batch)),
+                                        cfg)
+            states.append(state)
+        narrow, wide = states
+        assert narrow.corrections > 0
+        assert repr(narrow.rows) == repr(wide.rows)
+        for name in trainer.PARAM_BLOCKS:
+            assert getattr(narrow.params, name).tobytes() == getattr(wide.params, name).tobytes()
+        assert (trainer.evaluate(narrow.params, loaded, chunk=7)
+                == trainer.evaluate(narrow.params, dense, chunk=7))
 
 
 class TestTrain:

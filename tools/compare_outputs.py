@@ -9,7 +9,9 @@ from its own working directory, so that the paths written into outputs are the
 same on both sides.  The script covers ``gen`` for four tasks and once more at
 an odd T (the full-size train split then crosses a seam between generation
 blocks), a gated and an ungated ``train --data`` (the ungated one with
-``--record-dynamics``), a ``--batch 1`` run, a gated adding run without
+``--record-dynamics``), a gated ``train --data`` on the 3-special temporal
+order splits and an ``eval --out`` of its model, so that both temporal-order
+tasks go through the loader, a ``--batch 1`` run, a gated adding run without
 momentum under an absolute ``r0``, a three-sigma temporal-order ``scan`` at
 h = T and a two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval``
 of a hand-written model whose finite weights overflow an activation, a run whose
@@ -87,6 +89,11 @@ def script(size: dict) -> list:
                          "--run-name", "gated"]),
         ("train_ungated", [*train, *add, "--reg", "off", "--data", "data",
                            "--record-dynamics", "--run-name", "ungated"]),
+        ("train_order3", [*train, *order3, "--reg", "on", "--data", "data",
+                          "--run-name", "order3"]),
+        ("eval_order3", ["eval", "--model", "runs/order3_seed1/model.json",
+                         "--data", f"data/temporal_order_3bit_T{size['T_order']}_test.dat",
+                         "--out", "eval_order3.json"]),
         ("train_batch1", [*train, *order, "--reg", "on", "--batch", "1", "--data", "data",
                           "--run-name", "batch1"]),
         ("train_absolute", [*train, *add, "--reg", "on", "--mu", "0", "--r0-absolute",
