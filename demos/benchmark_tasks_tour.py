@@ -22,12 +22,14 @@ def show_marked_value_task(name, batch):
     print(f"target                        : {batch.targets[0, 0]:.3f}")
     print(f"success criterion             : |prediction - target| < "
           f"{batch.spec.success_tolerance}")
-    print(f"inputs in memory              : {seq.dtype}, {seq.nbytes} bytes per sequence")
+    held = batch.symbols[0].nbytes + batch.values[0].nbytes
+    print(f"in memory                     : uint8 marker + float64 value, "
+          f"{held} bytes per sequence ({seq.nbytes} as float64 inputs)")
 
 
 def show_temporal_order_task(name, batch):
     print(f"\n=== {name} (T={batch.spec.T}) ===")
-    symbols = np.argmax(batch.inputs[0], axis=1)
+    symbols = batch.symbols[0]
     letters = np.array(list("abcdXY"))
     text = "".join(letters[symbols])
     print(f"symbol stream : {text}")
@@ -36,8 +38,8 @@ def show_temporal_order_task(name, batch):
     print(f"specials      : {read!r} at steps {pos + 1} (1-based)")
     print(f"class         : {batch.targets[0]} of {batch.spec.n_out} "
           f"(binary reading of the tuple, X=0, Y=1)")
-    print(f"in memory     : {batch.inputs.dtype} one-hot, "
-          f"{batch.inputs[0].nbytes} bytes per sequence")
+    print(f"in memory     : {symbols.dtype} symbol ids, {symbols.nbytes} bytes per "
+          f"sequence ({batch.inputs[0].nbytes} as float64 one-hot inputs)")
 
 
 def main():

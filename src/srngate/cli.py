@@ -251,9 +251,9 @@ def cmd_scan(args) -> int:
 def cmd_eval(args) -> int:
     params = model.load_model(args.model)
     batch = tasks.load_batch(args.data)
-    if batch.inputs.shape[2] != params.n_in:
+    if batch.spec.n_in != params.n_in:
         raise ConfigError(f"model expects {params.n_in} input channels, "
-                          f"dataset has {batch.inputs.shape[2]}")
+                          f"dataset has {batch.spec.n_in}")
     if params.n_out != batch.spec.n_out:
         raise ConfigError(f"model has {params.n_out} outputs, {batch.spec.kind.value} "
                           f"needs {batch.spec.n_out}")

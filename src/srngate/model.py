@@ -161,8 +161,9 @@ def forward_batch(params: SrnParams, inputs: np.ndarray, *,
                   keep_trace: bool = True) -> ForwardTrace:
     """Run a batch (N, T, n_in) of sequences, each from the zero state.
 
-    Inputs are converted to float64 first, so the uint8 one-hot inputs of
-    the temporal-order tasks give the same bits as their float64 copy.
+    Inputs are converted to float64 first.  A ``SequenceBatch`` holds one
+    uint8 symbol per step, so its callers pass ``batch.inputs``, the float64
+    array built for just the rows of one draw, chunk or probe block.
 
     With ``keep_trace`` (the default) the trace keeps every a(k) and z(k) for
     backpropagation, as written by the step loop.  With ``keep_trace=False``

@@ -19,20 +19,21 @@ carrying information across most of the sequence:
   cross-entropy.  Windows sit at [0.1T, 0.2T] and [0.5T, 0.6T], the 3-special
   variant at [0.1T, 0.2T], [0.3T, 0.4T] and [0.6T, 0.7T].
 
-In memory, adding and multiplication inputs are float64; temporal-order
-inputs are uint8 0/1 arrays, one byte per entry instead of eight.  Both
-become float64 where a float is needed: in ``model.forward_batch`` and in
-the dataset file, which holds float64 for every task.
+In memory, a batch holds one uint8 symbol per step: the temporal-order
+symbol id (distractors 0-3, X = 4, Y = 5), or the 0/1 marker of adding and
+multiplication, whose float64 values sit beside it.  The float64
+(n, T, n_in) inputs the network reads are built only for the rows at hand: a
+draw, an evaluation chunk, a probe block or a file chunk.  The dataset file
+holds float64 inputs for every task.
 
 Generation is a pure function of (spec, n, seed): repeating a call gives a
-bit-identical batch.  Each batch is built in place, block by block: its
-inputs array is allocated once, and the per-step draws (values or
-distractors) are made and written into it one block of rows at a time, so a
-split needs its returned arrays plus one block of rows.  The block size never
-changes the bytes: the blocks take the draws from the stream in the order
-that one whole-batch draw would.  Split generation derives independent child
-seeds with numpy's SeedSequence spawning, so train / validation / test never
-share a stream.
+bit-identical batch.  Each batch is built in place: its arrays are allocated
+once, the values are drawn straight into theirs, and the int64 distractor
+draws are made one block of rows at a time, so a split needs its returned
+arrays plus one block of draws.  The block size never changes the bytes: the
+blocks take the draws from the stream in the order that one whole-batch draw
+would.  Split generation derives independent child seeds with numpy's
+SeedSequence spawning, so train / validation / test never share a stream.
 """
 
 import json
@@ -58,9 +59,9 @@ SYMBOL_Y = 5
 # blocks read the stream exactly as one whole-batch call does.
 GEN_BLOCK_ROWS = 1024
 
-# Bytes of float64 inputs per chunk at the file boundary: save_batch converts
-# one chunk of rows at a time to <f8, and load_batch reads temporal-order
-# inputs one chunk at a time into a reused float64 buffer.
+# Bytes of float64 inputs per chunk at the file boundary: save_batch builds
+# one chunk of rows at a time as <f8, and load_batch reads one chunk at a
+# time into a reused float64 buffer and decodes it.
 IO_CHUNK_BYTES = 1 << 18
 
 
@@ -132,16 +133,26 @@ class TaskSpec:
 
 @dataclass
 class SequenceBatch:
-    inputs: np.ndarray        # (n, T, n_in) float64, or uint8 one-hot for temporal order
-    targets: np.ndarray       # (n, n_out) float64 or (n,) int64 class ids
+    symbols: np.ndarray        # (n, T) uint8: temporal-order symbol ids, or 0/1 markers
+    values: np.ndarray | None  # (n, T) float64 marked values; None for temporal order
+    targets: np.ndarray        # (n, n_out) float64 or (n,) int64 class ids
     spec: TaskSpec
 
     @property
     def n(self) -> int:
-        return self.inputs.shape[0]
+        return self.symbols.shape[0]
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """The (n, T, n_in) float64 inputs, built anew on every access:
+        values and markers as channels 0 and 1, or one-hot symbols."""
+        if self.values is None:
+            return np.take(np.eye(self.spec.n_in), self.symbols, axis=0)
+        return np.stack((self.values, self.symbols), axis=2)
 
     def subset(self, indices) -> "SequenceBatch":
-        return replace(self, inputs=self.inputs[indices],
+        return replace(self, symbols=self.symbols[indices],
+                       values=None if self.values is None else self.values[indices],
                        targets=self.targets[indices])
 
 
@@ -156,57 +167,47 @@ def _io_rows(T: int, n_in: int) -> int:
 
 
 def _marked_value_data(spec: TaskSpec, n: int, rng) -> tuple:
-    """Values and markers; the target is the mean of the two marked values
-    for adding (so it stays inside [0, 1]) and their product otherwise."""
-    # one (n, T, 2) allocation: the values are drawn into one block buffer
-    # and copied into channel 0, the markers written into channel 1; the
-    # draws keep the order values (row by row), m1, m2, which fixes the
-    # batch.  random() is uniform(0, 1) bit for bit and can fill a buffer
-    inputs = np.zeros((n, spec.T, 2))
-    values, markers = inputs[:, :, 0], inputs[:, :, 1]
-    drawn = np.empty((min(n, GEN_BLOCK_ROWS), spec.T))
-    for block in _row_blocks(n):
-        values[block] = rng.random(out=drawn[:block.stop - block.start])
-    del drawn  # not held while the (n,) marker arrays are built
+    """Markers, values and targets; the target is the mean of the two marked
+    values for adding (so it stays inside [0, 1]) and their product otherwise."""
+    # the draws keep the order values (row by row), m1, m2, which fixes the
+    # batch; random() is uniform(0, 1) bit for bit
+    values = rng.random((n, spec.T))
     (lo1, hi1), (lo2, hi2) = spec.windows()
     m1 = rng.integers(lo1, hi1 + 1, size=n)
     m2 = rng.integers(lo2, hi2 + 1, size=n)
     rows = np.arange(n)
-    markers[rows, m1 - 1] = 1.0
-    markers[rows, m2 - 1] = 1.0
+    markers = np.zeros((n, spec.T), dtype=np.uint8)
+    markers[rows, m1 - 1] = 1
+    markers[rows, m2 - 1] = 1
     v1, v2 = values[rows, m1 - 1], values[rows, m2 - 1]
     targets = (v1 + v2) / 2.0 if spec.kind is TaskKind.ADDING else v1 * v2
-    return inputs, targets[:, None]
+    return markers, values, targets[:, None]
 
 
 def _temporal_order_data(spec: TaskSpec, n: int, rng) -> tuple:
-    """uint8 one-hot symbol streams and the class of their ordered specials."""
-    # the distractors are drawn and one-hot expanded into the inputs one
-    # block of rows at a time; then each window's positions and bits are
-    # drawn for all rows and their specials overwrite the distractors there
-    inputs = np.empty((n, spec.T, spec.n_in), dtype=np.uint8)
-    eye = np.eye(spec.n_in, dtype=np.uint8)
+    """uint8 symbol streams, no values, and the class of their ordered specials."""
+    # the distractors are drawn one block of rows at a time; then each
+    # window's positions and bits are drawn for all rows and their specials
+    # overwrite the distractors there
+    symbols = np.empty((n, spec.T), dtype=np.uint8)
     for block in _row_blocks(n):
-        # every id is in range, so mode="clip" changes nothing; it lets take
-        # write straight into out, where "raise" would buffer the block
-        np.take(eye, rng.integers(0, N_DISTRACTORS, size=inputs[block].shape[:2]),
-                axis=0, out=inputs[block], mode="clip")
+        symbols[block] = rng.integers(0, N_DISTRACTORS, size=symbols[block].shape)
     rows = np.arange(n)
     classes = np.zeros(n, dtype=np.int64)
     for lo, hi in spec.windows():
         pos = rng.integers(lo, hi + 1, size=n)
         bit = rng.integers(0, 2, size=n)  # 0 -> X, 1 -> Y
-        inputs[rows, pos - 1] = eye[SYMBOL_X + bit]
+        symbols[rows, pos - 1] = SYMBOL_X + bit
         classes = classes * 2 + bit
-    return inputs, classes
+    return symbols, None, classes
 
 
 def generate(spec: TaskSpec, n: int, seed) -> SequenceBatch:
     """Generate n sequences for any task spec; the batch carries the spec."""
     spec.validate()
     build = _marked_value_data if spec.regression else _temporal_order_data
-    inputs, targets = build(spec, n, np.random.default_rng(seed))
-    return SequenceBatch(inputs=inputs, targets=targets, spec=spec)
+    symbols, values, targets = build(spec, n, np.random.default_rng(seed))
+    return SequenceBatch(symbols=symbols, values=values, targets=targets, spec=spec)
 
 
 def make_splits(spec: TaskSpec, seed, sizes: tuple) -> dict:
@@ -231,28 +232,28 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
 
     Layout: magic line, one JSON header line, then the raw little-endian
     C-order array bytes (inputs as float64, then targets).  Identical
-    batches produce byte-identical files.  The inputs go out in chunks of
-    rows, each converted to ``<f8``: a chunk of contiguous float64 inputs is
-    a view and goes out from the array's own buffer, while the uint8 inputs
-    of the temporal-order tasks need one float64 chunk at a time.  Targets
-    go out from their own buffer unless non-contiguous or not ``<f8``/``<i8``.
+    batches produce byte-identical files.  The float64 inputs are built and
+    written one chunk of rows at a time, so no input-sized copy exists.
+    Targets go out from their own buffer unless non-contiguous or not
+    ``<f8``/``<i8``.
     """
+    spec = batch.spec
     header = {
-        "task": batch.spec.kind.value,
-        "T": batch.spec.T,
+        "task": spec.kind.value,
+        "T": spec.T,
         "n": batch.n,
-        "n_in": batch.inputs.shape[2],
+        "n_in": spec.n_in,
         "seed": seed,
-        "loss_kind": batch.spec.loss_kind.value,
-        "success_tolerance": batch.spec.success_tolerance,
+        "loss_kind": spec.loss_kind.value,
+        "success_tolerance": spec.success_tolerance,
         "targets_dtype": str(batch.targets.dtype),
         "targets_shape": list(batch.targets.shape),
     }
     with open(path, "wb") as f:
         f.write(DATA_MAGIC + b"\n")
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        for block in _row_blocks(batch.n, _io_rows(*batch.inputs.shape[1:])):
-            f.write(np.ascontiguousarray(batch.inputs[block], dtype="<f8"))
+        for block in _row_blocks(batch.n, _io_rows(spec.T, spec.n_in)):
+            f.write(np.ascontiguousarray(batch.subset(block).inputs, dtype="<f8"))
         f.write(np.ascontiguousarray(
             batch.targets, dtype="<f8" if batch.targets.dtype.kind == "f" else "<i8"))
 
@@ -261,17 +262,19 @@ def load_batch(path) -> SequenceBatch:
     """Read a file produced by save_batch.
 
     The batch's spec comes from the header's task, T and success tolerance.
-    Regression inputs are read straight into the float64 array returned;
-    temporal-order inputs are read in row chunks into one reused float64
-    buffer and stored as uint8.  Rejects with FormatError a header whose
-    sizes are not JSON integers or whose success tolerance is not a JSON
-    number, a file whose loss_kind contradicts its task, a file holding no
-    sequences, targets that are not float (n, 1) for the regression tasks or
-    integer (n,) for the temporal-order tasks, a spec that fails
-    TaskSpec.validate, an n_in other than the task's, non-finite regression
-    inputs, non-finite targets and, for the temporal-order tasks, inputs
-    that are not one-hot (an entry other than 0.0 or 1.0, or a step without
-    exactly one 1.0) or class ids outside [0, 2**specials).
+    The inputs are read in row chunks into one reused float64 buffer and
+    decoded into the batch's uint8 symbols and, for adding and
+    multiplication, its float64 values.  Rejects with FormatError a header
+    whose sizes are not JSON integers or whose success tolerance is not a
+    JSON number, a file whose loss_kind contradicts its task, a file holding
+    no sequences, targets that are not float (n, 1) for the regression tasks
+    or integer (n,) for the temporal-order tasks, a spec that fails
+    TaskSpec.validate, an n_in other than the task's, non-finite values or
+    markers other than 0.0 and 1.0 for the regression tasks, inputs that are
+    not one-hot (an entry other than 0.0 or 1.0, or a step without exactly
+    one 1.0) for the temporal-order tasks, non-finite targets, class ids
+    outside [0, 2**specials), and a targets_dtype that cannot hold the
+    file's targets exactly.
     """
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
@@ -321,24 +324,19 @@ def load_batch(path) -> SequenceBatch:
         if payload_bytes != expected:
             raise FormatError(f"dataset payload has {payload_bytes} bytes, "
                               f"expected {expected}")
-        if spec.regression:
-            # read straight into the array that is returned: no intermediate copy
-            inputs = np.empty((n, T, n_in), dtype="<f8")
-            _read_into(f, inputs)
-            # min and max need no input-sized temporary: a nan propagates
-            # through both and an infinity is one of them
-            if not (np.isfinite(inputs.min()) and np.isfinite(inputs.max())):
-                raise FormatError("dataset holds non-finite inputs")
-        else:
-            inputs = _read_one_hot(f, spec, n)
+        symbols, values = _read_inputs(f, spec, n)
         raw = np.empty(t_shape, dtype="<f8" if t_dtype.kind == "f" else "<i8")
         _read_into(f, raw)
-    targets = raw.astype(t_dtype, copy=False)
-    if not np.isfinite(targets).all():
+    # the checks see the file's values; the cast must then keep every one
+    if not np.isfinite(raw).all():
         raise FormatError("dataset holds non-finite targets")
-    if not spec.regression and ((targets < 0) | (targets >= spec.n_out)).any():
+    if not spec.regression and ((raw < 0) | (raw >= spec.n_out)).any():
         raise FormatError(f"{spec.kind.value} class ids must lie in [0, {spec.n_out})")
-    return SequenceBatch(inputs=inputs, targets=targets, spec=spec)
+    with np.errstate(over="ignore"):  # a cast that overflows changes a value
+        targets = raw.astype(t_dtype, copy=False)
+    if not np.array_equal(targets, raw):
+        raise FormatError(f"targets_dtype {t_dtype} cannot hold the file's targets exactly")
+    return SequenceBatch(symbols=symbols, values=values, targets=targets, spec=spec)
 
 
 def _read_into(f, array: np.ndarray) -> None:
@@ -346,23 +344,41 @@ def _read_into(f, array: np.ndarray) -> None:
         raise FormatError("dataset payload ended early")
 
 
-def _read_one_hot(f, spec: TaskSpec, n: int) -> np.ndarray:
-    """(n, T, n_in) uint8 inputs from <f8 one-hot rows, read in chunks.
+def _zero_or_one(x: np.ndarray) -> bool:
+    return np.count_nonzero(x == 1.0) + np.count_nonzero(x == 0.0) == x.size
 
-    Each chunk is compared with 1.0 straight into its rows of the result.
-    Every entry must be 1.0 or 0.0; then the step sums, one matrix-vector
-    product, count the 1.0s exactly, and each must be 1.
+
+def _read_inputs(f, spec: TaskSpec, n: int) -> tuple:
+    """(n, T) uint8 symbols and, for adding and multiplication, (n, T)
+    float64 values, decoded from <f8 rows read in chunks.
+
+    Values must be finite and markers exactly 0.0 or 1.0.  One-hot entries
+    must be 0.0 or 1.0; then one matrix product per chunk gives each step's
+    count of 1.0s, which must be 1, and the index of its 1.0, both exact
+    because the entries are 0/1.
     """
     rows = _io_rows(spec.T, spec.n_in)
-    inputs = np.empty((n, spec.T, spec.n_in), dtype=np.uint8)
+    symbols = np.empty((n, spec.T), dtype=np.uint8)
+    values = np.empty((n, spec.T)) if spec.regression else None
     buffer = np.empty((min(rows, n), spec.T, spec.n_in), dtype="<f8")
-    unit = np.ones(spec.n_in)
+    count_and_index = np.stack((np.ones(spec.n_in), np.arange(spec.n_in)), axis=1)
     for block in _row_blocks(n, rows):
         chunk = buffer[:block.stop - block.start]
         _read_into(f, chunk)
-        is_one = np.equal(chunk, 1.0, out=inputs[block].view(bool))
-        if not (np.count_nonzero(is_one) + np.count_nonzero(chunk == 0.0) == chunk.size
-                and (chunk @ unit == 1.0).all()):
-            raise FormatError(f"{spec.kind.value} inputs must be one-hot: every entry "
-                              f"0.0 or 1.0 and one 1.0 per step")
-    return inputs
+        if spec.regression:
+            values[block] = chunk[:, :, 0]
+            # min and max need no temporary: a nan propagates through both
+            # and an infinity is one of them
+            if not (np.isfinite(values[block].min()) and np.isfinite(values[block].max())):
+                raise FormatError("dataset holds non-finite inputs")
+            if not _zero_or_one(chunk[:, :, 1]):
+                raise FormatError(f"{spec.kind.value} markers must be 0.0 or 1.0")
+            symbols[block] = chunk[:, :, 1]
+        else:
+            # the product runs only on 0/1 entries, so no nan or inf reaches it
+            steps = chunk @ count_and_index if _zero_or_one(chunk) else None
+            if steps is None or not (steps[:, :, 0] == 1.0).all():
+                raise FormatError(f"{spec.kind.value} inputs must be one-hot: every entry "
+                                  f"0.0 or 1.0 and one 1.0 per step")
+            symbols[block] = steps[:, :, 1]
+    return symbols, values

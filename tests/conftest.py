@@ -6,7 +6,8 @@ wrong step index in the library cannot also hide in its reference.
 ``forward_reference`` is the plain step-by-step forward pass that the
 library's forward must match bit for bit, and ``backward_reference`` is the
 same for the backward pass.  ``read_table`` and
-``read_profile_csv`` parse back the CSV files that the library writes.
+``read_profile_csv`` parse back the CSV files that the library writes;
+``rewrite_header`` and ``rewrite_inputs`` corrupt a dataset file.
 """
 
 import csv
@@ -19,18 +20,12 @@ from srngate import bptt, model, regularizer as reg
 from srngate.diagnostics import PROFILE_COLUMNS, DepthProfile
 from srngate.errors import DimensionError, FormatError
 from srngate.model import LossKind, OutputActivation, SrnParams
-from srngate.tasks import SequenceBatch, TaskKind, TaskSpec, generate
+from srngate.tasks import TaskKind, TaskSpec, generate
 
 
 def generate_task(task, T, n, seed):
     """n sequences of the named task at length T, default tolerance."""
     return generate(TaskSpec(TaskKind(task), T), n, seed)
-
-
-def mse_batch(inputs, targets):
-    """Arbitrary inputs and targets scored by squared error, as the
-    regression specs score them."""
-    return SequenceBatch(inputs, targets, TaskSpec(TaskKind.ADDING, inputs.shape[1]))
 
 
 def rewrite_header(path, cut=0, **change):
@@ -40,6 +35,20 @@ def rewrite_header(path, cut=0, **change):
     doc = {**json.loads(header), **change}
     path.write_bytes(b"\n".join([magic, json.dumps(doc).encode(),
                                  payload[:len(payload) - cut]]))
+
+
+def rewrite_inputs(path, changes: dict):
+    """Set entries of a dataset file's float64 inputs, each keyed by its
+    (row, step, channel) index, and keep the rest of the file."""
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    doc = json.loads(header)
+    shape = (doc["n"], doc["T"], doc["n_in"])
+    inputs = np.frombuffer(payload, dtype="<f8", count=int(np.prod(shape))).reshape(shape)
+    inputs = inputs.copy()
+    for index, value in changes.items():
+        inputs[index] = value
+    path.write_bytes(b"\n".join([magic, header,
+                                 inputs.tobytes() + payload[inputs.nbytes:]]))
 
 
 def read_table(path, columns: dict) -> list:
@@ -223,17 +232,18 @@ def delta_norm_profile(result):
     return [(n, float(norm)) for n, norm in enumerate(result.delta_norms[0])]
 
 
-def batch_backward(params, batch, h):
-    """Forward and backward over a batch, error injected by its task loss."""
-    trace = model.forward_batch(params, batch.inputs)
-    _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind,
-                                    batch.spec.success_tolerance)
+def batch_backward(params, inputs, targets, loss_kind, h):
+    """Forward and backward over (N, T, n_in) inputs, error injected by the
+    given loss."""
+    trace = model.forward_batch(params, inputs)
+    _, deltas, _ = model.loss_batch(trace, targets, loss_kind)
     return trace, bptt.backward(params, trace, deltas, bptt.BpttConfig(h=h))
 
 
-def evaluate_minibatch(params, batch, cfg, candidate_dw_rec):
-    """Forward, backward and gate report over a batch; mutates nothing."""
-    trace, back = batch_backward(params, batch, cfg.h)
+def evaluate_minibatch(params, inputs, targets, cfg, candidate_dw_rec):
+    """Forward, backward and gate report over inputs scored by squared
+    error; mutates nothing."""
+    trace, back = batch_backward(params, inputs, targets, LossKind.MSE, cfg.h)
     return reg.report_from_backward(params, trace, back, candidate_dw_rec, cfg)
 
 
@@ -289,7 +299,7 @@ def theorem1_trial(seed, dw_scale=1e-5):
     dw *= dw_scale / np.linalg.norm(dw)
 
     cfg = reg.RegConfig(h=h, r0=1e18, r0_absolute=True)
-    report = evaluate_minibatch(params, mse_batch(inputs, targets), cfg, dw)
+    report = evaluate_minibatch(params, inputs, targets, cfg, dw)
 
     trace = model.forward_batch(params, inputs)
     _, deltas, _ = model.loss_batch(trace, targets, LossKind.MSE)

@@ -87,7 +87,8 @@ class TestDepthScan:
         params = model.init_gaussian(2, 10, 1, 0.3, seed=14)
         batch = generate_task("adding", 20, 6, 15)
         profile = diag.depth_scan(params, batch, h=h)
-        trace, back = batch_backward(params, batch, h)
+        trace, back = batch_backward(params, batch.inputs, batch.targets,
+                                     batch.spec.loss_kind, h)
         for n in range(min(h, 19) + 1):
             step = 19 - n  # 0-based index of the forward step at depth n
             d = back.deltas[:, n]

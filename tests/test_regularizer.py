@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import (batch_backward, compute_g, deep_norm_half_sq, diagonal,
-                      evaluate_minibatch, mse_batch, random_net, theorem1_hit_rate)
+                      evaluate_minibatch, random_net, theorem1_hit_rate)
 
 from srngate import bptt, model, regularizer as reg
 from srngate.errors import ConfigError, DimensionError
@@ -239,13 +239,14 @@ class TestGate:
 
 class TestEvaluateMinibatch:
     def _batch(self, rng, params, n=4, T=6):
+        """Random (inputs, targets) scored by squared error."""
         inputs = rng.standard_normal((n, T, params.n_in))
         targets = rng.standard_normal((n, params.n_out))
-        return mse_batch(inputs, targets)
+        return inputs, targets
 
     def _evidence(self, params, batch, cfg, dw):
         """The gate report with the batch-mean g and dg it is built from."""
-        trace, back = batch_backward(params, batch, cfg.h)
+        trace, back = batch_backward(params, *batch, LossKind.MSE, cfg.h)
         report = reg.report_from_backward(params, trace, back, dw, cfg)
         g = back.deltas[:, cfg.h].mean(axis=0)
         dg = reg.compute_dg(params, back, dw).mean(axis=0)
@@ -256,7 +257,7 @@ class TestEvaluateMinibatch:
         params = random_net(rng, 2, 4, 2, OutputActivation.LINEAR, 0.5)
         batch = self._batch(rng, params)
         cfg = RegConfig(h=6)
-        report = evaluate_minibatch(params, batch, cfg, np.zeros((4, 4)))
+        report = evaluate_minibatch(params, *batch, cfg, np.zeros((4, 4)))
         assert report.dS == 0.0
         assert report.decision == reg.gate(0.0, report.q, cfg, report.S)
 
@@ -267,9 +268,8 @@ class TestEvaluateMinibatch:
         target = rng.standard_normal(2)
         dw = rng.standard_normal((4, 4)) * 1e-3
         cfg = RegConfig(h=6)
-        batch = mse_batch(np.repeat(seq[None], 5, axis=0),
-                          np.repeat(target[None], 5, axis=0))
-        single = mse_batch(seq[None], target[None])
+        batch = np.repeat(seq[None], 5, axis=0), np.repeat(target[None], 5, axis=0)
+        single = seq[None], target[None]
         rb, gb, dgb = self._evidence(params, batch, cfg, dw)
         rs, gs, dgs = self._evidence(params, single, cfg, dw)
         npt.assert_allclose(gb, gs, rtol=1e-12)
@@ -294,8 +294,8 @@ class TestEvaluateMinibatch:
         rng = np.random.default_rng(43)
         params = random_net(rng, 2, 4, 2, OutputActivation.LINEAR, 0.5)
         before = params.w_rec.tobytes()
-        evaluate_minibatch(params, self._batch(rng, params), RegConfig(h=6),
-                               rng.standard_normal((4, 4)))
+        evaluate_minibatch(params, *self._batch(rng, params), RegConfig(h=6),
+                           rng.standard_normal((4, 4)))
         assert params.w_rec.tobytes() == before
 
     def test_sign_of_ds_predicts_norm_change(self):

@@ -2,14 +2,13 @@ import hashlib
 import json
 import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import stats
 
-from conftest import generate_task, rewrite_header
+from conftest import generate_task, rewrite_header, rewrite_inputs
 
 from srngate import tasks
 from srngate.config import RunConfig
@@ -44,17 +43,19 @@ def marker_positions(seq):
 class TestAdding:
     def test_targets_recomputable_from_inputs(self):
         batch = generate_task("adding", 100, 500, 0)
+        inputs = batch.inputs
         for i in range(batch.n):
-            pos = marker_positions(batch.inputs[i])
+            pos = marker_positions(inputs[i])
             assert len(pos) == 2
-            v1, v2 = batch.inputs[i, pos, 0]
+            v1, v2 = inputs[i, pos, 0]
             npt.assert_allclose(batch.targets[i, 0], (v1 + v2) / 2.0, rtol=1e-15)
 
     def test_marker_windows_respected(self):
         T = 100
         batch = generate_task("adding", T, 2000, 1)
+        inputs = batch.inputs
         for i in range(batch.n):
-            p1, p2 = marker_positions(batch.inputs[i]) + 1  # 1-based
+            p1, p2 = marker_positions(inputs[i]) + 1  # 1-based
             assert 1 <= p1 <= T // 10
             assert T // 10 < p2 <= T // 2
 
@@ -80,7 +81,10 @@ class TestAdding:
         batch = generate_task("adding", 20, 3, 5)
         assert batch.spec == TaskSpec(TaskKind.ADDING, 20)
         assert batch.spec.loss_kind is LossKind.MSE
-        assert batch.inputs.shape == (3, 20, 2)
+        assert batch.inputs.shape == (3, 20, 2) and batch.inputs.dtype == np.float64
+        # one byte of marker and eight of value per step
+        assert batch.symbols.dtype == np.uint8 and batch.symbols.nbytes == 3 * 20
+        assert batch.values.dtype == np.float64 and batch.values.nbytes == 3 * 20 * 8
         assert batch.targets.shape == (3, 1)
         assert batch.spec.success_tolerance == 0.04
 
@@ -88,9 +92,10 @@ class TestAdding:
 class TestMultiplication:
     def test_targets_recomputable_from_inputs(self):
         batch = generate_task("multiplication", 60, 500, 6)
+        inputs = batch.inputs
         for i in range(batch.n):
-            pos = marker_positions(batch.inputs[i])
-            v1, v2 = batch.inputs[i, pos, 0]
+            pos = marker_positions(inputs[i])
+            v1, v2 = inputs[i, pos, 0]
             npt.assert_allclose(batch.targets[i, 0], v1 * v2, rtol=1e-15)
 
     def test_target_mean(self):
@@ -105,8 +110,9 @@ class TestTemporalOrder:
             spec = TaskSpec(TaskKind.TEMPORAL_ORDER if count == 2
                             else TaskKind.TEMPORAL_ORDER_3BIT, T)
             batch = tasks.generate(spec, 300, seed=8)
+            inputs = batch.inputs
             for i in range(batch.n):
-                symbols = np.argmax(batch.inputs[i], axis=1)
+                symbols = np.argmax(inputs[i], axis=1)
                 special = symbols[symbols >= SYMBOL_X]
                 assert len(special) == count
                 cls = 0
@@ -118,8 +124,9 @@ class TestTemporalOrder:
         spec = TaskSpec(TaskKind.TEMPORAL_ORDER_3BIT, 100)
         batch = tasks.generate(spec, 1000, seed=9)
         windows = spec.windows()
+        inputs = batch.inputs
         for i in range(batch.n):
-            symbols = np.argmax(batch.inputs[i], axis=1)
+            symbols = np.argmax(inputs[i], axis=1)
             positions = np.flatnonzero(symbols >= SYMBOL_X) + 1
             assert len(positions) == 3
             for pos, (lo, hi) in zip(sorted(positions), windows):
@@ -156,8 +163,11 @@ class TestTemporalOrder:
 
     def test_metadata(self):
         batch = generate_task("temporal_order_3bit", 50, 4, 13)
-        assert batch.inputs.shape == (4, 50, 6)
-        assert batch.inputs.dtype == np.uint8 and batch.inputs.nbytes == 4 * 50 * 6
+        assert batch.inputs.shape == (4, 50, 6) and batch.inputs.dtype == np.float64
+        # one byte per step, the symbol id, and no values
+        assert batch.symbols.dtype == np.uint8 and batch.symbols.nbytes == 4 * 50
+        npt.assert_array_equal(batch.symbols, np.argmax(batch.inputs, axis=2))
+        assert batch.values is None
         assert batch.targets.shape == (4,)
         assert batch.targets.dtype == np.int64
         assert batch.spec.loss_kind is LossKind.CROSS_ENTROPY
@@ -424,20 +434,33 @@ class TestDumpLoad:
             path = tmp_path / f"{batch.spec.kind.value}.dat"
             tasks.save_batch(path, batch)
             loaded = tasks.load_batch(path)
-            for arr in (loaded.inputs, loaded.targets):
+            held = (loaded.symbols, loaded.values, loaded.targets)
+            for arr in (arr for arr in held if arr is not None):
                 assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata
                 assert arr.dtype.isnative
 
     @pytest.mark.parametrize("task", ["temporal_order", "temporal_order_3bit"])
     def test_loaded_order_inputs_are_uint8(self, tmp_path, task):
-        # one byte per entry: an eighth of the file's float64 inputs
+        # one byte per step: a 48th of the file's six float64 channels
         path = tmp_path / f"{task}.dat"
         tasks.save_batch(path, generate_task(task, 30, 500, 37))
         loaded = tasks.load_batch(path)
         payload = path.read_bytes().split(b"\n", 2)[2]
         payload_inputs = len(payload) - loaded.targets.nbytes
-        assert loaded.inputs.dtype == np.uint8
-        assert loaded.inputs.nbytes * 8 == payload_inputs == 500 * 30 * 6 * 8
+        assert loaded.symbols.dtype == np.uint8 and loaded.values is None
+        assert loaded.symbols.nbytes * 48 == payload_inputs == 500 * 30 * 6 * 8
+
+    @pytest.mark.parametrize("task", ["adding", "multiplication"])
+    def test_loaded_marked_values_take_nine_bytes_a_step(self, tmp_path, task):
+        # a uint8 marker and a float64 value per step: 9 of the file's 16 bytes
+        path = tmp_path / f"{task}.dat"
+        tasks.save_batch(path, generate_task(task, 30, 500, 37))
+        loaded = tasks.load_batch(path)
+        payload = path.read_bytes().split(b"\n", 2)[2]
+        payload_inputs = len(payload) - loaded.targets.nbytes
+        assert loaded.symbols.dtype == np.uint8 and loaded.values.dtype == np.float64
+        assert loaded.symbols.nbytes == 500 * 30 and loaded.values.nbytes == 500 * 30 * 8
+        assert (loaded.symbols.nbytes + loaded.values.nbytes) * 16 == payload_inputs * 9
 
     def test_save_load_save_byte_identical(self, tmp_path):
         for batch in (generate_task("multiplication", 25, 7, 27),
@@ -449,10 +472,9 @@ class TestDumpLoad:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_inputs_rejected(self, tmp_path, bad):
-        batch = generate_task("adding", 25, 4, 22)
-        batch.inputs[1, 3, 0] = bad
         path = tmp_path / "nan_inputs.dat"
-        tasks.save_batch(path, batch)
+        tasks.save_batch(path, generate_task("adding", 25, 4, 22))
+        rewrite_inputs(path, {(1, 3, 0): bad})
         with pytest.raises(FormatError, match="non-finite"):
             tasks.load_batch(path)
 
@@ -470,16 +492,26 @@ class TestDumpLoad:
         {c: 0.0 for c in range(6)}],
         ids=["half", "two", "nan", "inf", "two_ones", "all_zeros"])
     def test_order_inputs_must_be_one_hot(self, tmp_path, change, row):
-        # a float64 copy of the inputs carries the bad step into the file;
-        # 400 rows of T = 30 span three load chunks
-        batch = generate_task("temporal_order", 30, 400, 38)
+        # the bad step is written into the file; 400 rows of T = 30 span
+        # three load chunks
         assert 400 > 2 * tasks.IO_CHUNK_BYTES // (30 * 6 * 8)
-        dense = batch.inputs.astype(np.float64)
-        for channel, value in change.items():
-            dense[row, 7, channel] = value
         path = tmp_path / "order.dat"
-        tasks.save_batch(path, replace(batch, inputs=dense))
+        tasks.save_batch(path, generate_task("temporal_order", 30, 400, 38))
+        rewrite_inputs(path, {(row, 7, channel): value for channel, value in change.items()})
         with pytest.raises(FormatError, match="temporal_order inputs must be one-hot"):
+            tasks.load_batch(path)
+
+    @pytest.mark.parametrize("row", [0, 1199], ids=["first_chunk", "last_chunk"])
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan], ids=["half", "two", "minus_one",
+                                                                 "nan"])
+    @pytest.mark.parametrize("task", ["adding", "multiplication"])
+    def test_markers_must_be_zero_or_one(self, tmp_path, task, bad, row):
+        # 1200 rows of T = 30 span three load chunks
+        assert 1200 > 2 * tasks.IO_CHUNK_BYTES // (30 * 2 * 8)
+        path = tmp_path / f"{task}.dat"
+        tasks.save_batch(path, generate_task(task, 30, 1200, 39))
+        rewrite_inputs(path, {(row, 20, 1): bad})
+        with pytest.raises(FormatError, match=f"{task} markers must be 0.0 or 1.0"):
             tasks.load_batch(path)
 
     def test_class_ids_out_of_range_rejected(self, tmp_path):
@@ -494,44 +526,95 @@ class TestDumpLoad:
                 with pytest.raises(FormatError, match="class ids"):
                     tasks.load_batch(path)
 
+    def test_class_ids_checked_before_the_targets_dtype_cast(self, tmp_path):
+        # as uint8, class id 257 would read as 1, a valid class
+        batch = generate_task("temporal_order", 30, 5, 24)
+        batch.targets[3] = 257
+        path = tmp_path / "order.dat"
+        tasks.save_batch(path, batch)
+        rewrite_header(path, targets_dtype="uint8")
+        with pytest.raises(FormatError, match=r"class ids must lie in \[0, 4\)"):
+            tasks.load_batch(path)
+
+    @pytest.mark.parametrize("dtype, target", [("float32", None), ("float16", 1e6)],
+                             ids=["float32_rounds", "float16_overflows"])
+    def test_targets_dtype_must_hold_the_targets_exactly(self, tmp_path, dtype, target):
+        # float32 would round the adding targets; float16 turns 1e6 into inf
+        batch = generate_task("adding", 30, 5, 24)
+        if target is not None:
+            batch.targets[2, 0] = target
+        path = tmp_path / "adding.dat"
+        tasks.save_batch(path, batch)
+        rewrite_header(path, targets_dtype=dtype)
+        with pytest.raises(FormatError, match=f"targets_dtype {dtype} cannot hold"):
+            tasks.load_batch(path)
+
+    @pytest.mark.parametrize("task, dtype", [("temporal_order", "uint8"),
+                                             ("temporal_order", "int32"),
+                                             ("adding", "float64")])
+    def test_targets_dtype_that_holds_the_targets_loads(self, tmp_path, task, dtype):
+        batch = generate_task(task, 30, 5, 24)
+        path = tmp_path / f"{task}.dat"
+        tasks.save_batch(path, batch)
+        rewrite_header(path, targets_dtype=dtype)
+        loaded = tasks.load_batch(path)
+        assert loaded.targets.dtype == np.dtype(dtype)
+        npt.assert_array_equal(loaded.targets, batch.targets)
+
 
 def dense_bytes(batch) -> int:
     """Bytes of the batch's inputs as float64, as the file holds them."""
-    return batch.inputs.size * 8
+    return batch.n * batch.spec.T * batch.spec.n_in * 8
+
+
+def held_bytes(batch) -> int:
+    """Bytes of the arrays a batch holds: n*T of symbols, n*T*8 of values
+    for adding and multiplication, and the targets."""
+    values = 0 if batch.values is None else batch.values.nbytes
+    return batch.symbols.nbytes + values + batch.targets.nbytes
 
 
 class TestMemory:
-    """Each split's inputs exist once between generation and the file, and
-    generation needs no more than one block of rows beside them.  Bounds are
-    shares of the inputs as float64 (n * T * n_in * 8 bytes), whatever the
-    dtype they have in memory."""
+    """Each split's arrays exist once between generation and the file, and
+    generation and the file boundary need no more than one block or chunk of
+    rows beside them.  Bounds are in bytes of the inputs as float64
+    (n * T * n_in * 8), of one generation block or of one file chunk."""
 
     def test_save_writes_without_copying_the_inputs(self, tmp_path):
-        # uint8 inputs go out one float64 chunk at a time
+        # the float64 inputs go out one chunk at a time
         batch = generate_task("temporal_order", 100, 2000, 34)
         _, peak = traced_peak(lambda: tasks.save_batch(tmp_path / "order.dat", batch))
         assert peak < 0.05 * dense_bytes(batch)
 
-    def test_save_writes_float64_inputs_from_their_own_buffer(self, tmp_path):
-        # each chunk of contiguous float64 inputs is a view, so none is copied
-        batch = generate_task("adding", 100, 2000, 34)
-        _, peak = traced_peak(lambda: tasks.save_batch(tmp_path / "adding.dat", batch))
-        assert peak < 0.01 * dense_bytes(batch)
+    @pytest.mark.parametrize("n", [2000, 8000])
+    @pytest.mark.parametrize("task", [kind.value for kind in TaskKind])
+    def test_save_builds_one_file_chunk_at_a_time(self, tmp_path, task, n):
+        # whatever n, one float64 chunk of rows, plus the intp copy of its
+        # symbols that np.take indexes with (a sixth of a temporal-order chunk)
+        batch = generate_task(task, 100, n, 34)
+        _, peak = traced_peak(lambda: tasks.save_batch(tmp_path / "split.dat", batch))
+        assert peak < 1.25 * tasks.IO_CHUNK_BYTES
 
     @pytest.mark.parametrize("n", [2000, 8000])
     @pytest.mark.parametrize("task", [kind.value for kind in TaskKind])
     def test_generation_builds_the_inputs_in_place(self, task, n):
-        # beside the returned arrays, one block's draws (half an adding
-        # block, a sixth of a temporal-order one) and a few (n,) vectors;
-        # a temporary that grows with n passes at most one of the two sizes
+        # beside the returned arrays, at most one block of int64 distractor
+        # draws and a few (n,) vectors; a temporary that grows with n passes
+        # at most one of the two sizes
         generate_task(task, 100, 1, 35)  # first-call allocations of numpy
         batch, peak = traced_peak(lambda: generate_task(task, 100, n, 35))
-        block_bytes = tasks.GEN_BLOCK_ROWS * 100 * batch.inputs.shape[2] * 8
-        assert peak - batch.inputs.nbytes - batch.targets.nbytes < 0.75 * block_bytes
+        block_draws = tasks.GEN_BLOCK_ROWS * 100 * 8
+        assert peak - held_bytes(batch) < 1.25 * block_draws
 
     def test_load_needs_no_input_sized_temporary(self, tmp_path):
         path = tmp_path / "order.dat"
         tasks.save_batch(path, generate_task("temporal_order", 100, 2000, 36))
         loaded, peak = traced_peak(lambda: tasks.load_batch(path))
-        returned = loaded.inputs.nbytes + loaded.targets.nbytes
-        assert peak - returned < 0.05 * dense_bytes(loaded)
+        assert peak - held_bytes(loaded) < 0.05 * dense_bytes(loaded)
+
+    @pytest.mark.parametrize("task", ["adding", "multiplication"])
+    def test_marked_value_load_needs_one_file_chunk(self, tmp_path, task):
+        path = tmp_path / f"{task}.dat"
+        tasks.save_batch(path, generate_task(task, 100, 8000, 36))
+        loaded, peak = traced_peak(lambda: tasks.load_batch(path))
+        assert peak - held_bytes(loaded) < 0.05 * dense_bytes(loaded)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -264,22 +262,32 @@ class TestEvaluate:
 
 
 class TestInputDtype:
-    @pytest.mark.parametrize("task", ["temporal_order", "temporal_order_3bit"])
+    @pytest.mark.parametrize("task", ["temporal_order", "temporal_order_3bit",
+                                      "adding", "multiplication"])
     def test_uint8_inputs_give_the_float64_results(self, tmp_path, task):
-        # a loaded temporal-order split holds uint8 inputs; gated draws log
-        # the same rows and leave the same weights, and scoring gives the
-        # same accuracy, as on the same batch with float64 inputs
+        # a loaded split holds one uint8 symbol per step (and float64
+        # values for adding and multiplication); the float64 inputs built
+        # from them are the file's bytes, and gated draws and scoring on the
+        # loaded split give the rows, weights and accuracy of the split the
+        # file was written from
         cfg = small_config(task=task, T=10, h=10, alpha=0.05)
         spec = cfg.task_spec()
         path = tmp_path / "split.dat"
-        tasks.save_batch(path, tasks.generate(spec, 40, seed=13))
+        written = tasks.generate(spec, 40, seed=13)
+        tasks.save_batch(path, written)
         loaded = tasks.load_batch(path)
-        assert loaded.inputs.dtype == np.uint8
-        dense = replace(loaded, inputs=loaded.inputs.astype(np.float64))
+        assert loaded.symbols.dtype == np.uint8 and loaded.symbols.nbytes == 40 * 10
+        if spec.regression:
+            assert loaded.values.dtype == np.float64 and loaded.values.nbytes == 40 * 10 * 8
+        else:
+            assert loaded.values is None
+        payload = path.read_bytes().split(b"\n", 2)[2]
+        assert loaded.inputs.dtype == np.float64
+        assert loaded.inputs.tobytes() == payload[:40 * 10 * spec.n_in * 8]
         params = model.init_gaussian(spec.n_in, cfg.hidden, spec.n_out, cfg.sigma,
                                      seed=14, output_activation=spec.output_activation)
         states = []
-        for batch in (loaded, dense):
+        for batch in (loaded, written):
             state = TrainState.fresh(params.copy())
             for start in range(0, batch.n, cfg.batch):
                 trainer.train_iteration(state, batch.subset(slice(start, start + cfg.batch)),
@@ -291,7 +299,7 @@ class TestInputDtype:
         for name in trainer.PARAM_BLOCKS:
             assert getattr(narrow.params, name).tobytes() == getattr(wide.params, name).tobytes()
         assert (trainer.evaluate(narrow.params, loaded, chunk=7)
-                == trainer.evaluate(narrow.params, dense, chunk=7))
+                == trainer.evaluate(narrow.params, written, chunk=7))
 
 
 class TestTrain:

@@ -9,9 +9,10 @@ from its own working directory, so that the paths written into outputs are the
 same on both sides.  The script covers ``gen`` for four tasks and once more at
 an odd T (the full-size train split then crosses a seam between generation
 blocks), a gated and an ungated ``train --data`` (the ungated one with
-``--record-dynamics``), a gated ``train --data`` on the 3-special temporal
-order splits and an ``eval --out`` of its model, so that both temporal-order
-tasks go through the loader, a ``--batch 1`` run, a gated adding run without
+``--record-dynamics``), an ungated ``train --data`` on the multiplication
+splits, a gated ``train --data`` on the 3-special temporal order splits and
+an ``eval --out`` of its model, so that all four tasks go through the
+loader, a ``--batch 1`` run, a gated adding run without
 momentum under an absolute ``r0``, a three-sigma temporal-order ``scan`` at
 h = T and a two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval``
 of a hand-written model whose finite weights overflow an activation, a run whose
@@ -89,6 +90,9 @@ def script(size: dict) -> list:
                          "--run-name", "gated"]),
         ("train_ungated", [*train, *add, "--reg", "off", "--data", "data",
                            "--record-dynamics", "--run-name", "ungated"]),
+        ("train_multiplication", [*train, *multiplication, "--h", str(size["h_add"]),
+                                  "--reg", "off", "--data", "data",
+                                  "--run-name", "multiplication"]),
         ("train_order3", [*train, *order3, "--reg", "on", "--data", "data",
                           "--run-name", "order3"]),
         ("eval_order3", ["eval", "--model", "runs/order3_seed1/model.json",
