@@ -13,7 +13,7 @@ np.set_printoptions(precision=3, suppress=True)
 
 def show_marked_value_task(name, batch):
     print(f"\n=== {name} (T={batch.spec.T}) ===")
-    seq = batch.inputs[0]
+    seq = batch.subset([0]).inputs[0]
     marked = np.flatnonzero(seq[:, 1] == 1.0)
     print(f"value channel, first 12 steps : {seq[:12, 0]}")
     print(f"marker channel set at steps   : {marked + 1} (1-based)")
@@ -39,7 +39,7 @@ def show_temporal_order_task(name, batch):
     print(f"class         : {batch.targets[0]} of {batch.spec.n_out} "
           f"(binary reading of the tuple, X=0, Y=1)")
     print(f"in memory     : {symbols.dtype} symbol ids, {symbols.nbytes} bytes per "
-          f"sequence ({batch.inputs[0].nbytes} as float64 one-hot inputs)")
+          f"sequence ({batch.subset([0]).inputs.nbytes} as float64 one-hot inputs)")
 
 
 def main():

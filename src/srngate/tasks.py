@@ -59,10 +59,15 @@ SYMBOL_Y = 5
 # blocks read the stream exactly as one whole-batch call does.
 GEN_BLOCK_ROWS = 1024
 
-# Bytes of float64 inputs per chunk at the file boundary: save_batch builds
-# one chunk of rows at a time as <f8, and load_batch reads one chunk at a
-# time into a reused float64 buffer and decodes it.
+# Bytes of float64 inputs per chunk at the file boundary: load_batch reads
+# one chunk at a time into a reused float64 buffer and decodes it, and
+# save_batch fills a reused buffer one chunk at a time with one-hot inputs.
 IO_CHUNK_BYTES = 1 << 18
+
+# Bytes of the reused float64 buffer that save_batch fills with the inputs of
+# adding and multiplication, nearly all that their save allocates.  Smaller
+# chunks take more write calls, so one-hot inputs keep IO_CHUNK_BYTES chunks.
+SAVE_CHUNK_BYTES = 24 << 10
 
 
 class TaskKind(Enum):
@@ -145,10 +150,25 @@ class SequenceBatch:
     @property
     def inputs(self) -> np.ndarray:
         """The (n, T, n_in) float64 inputs, built anew on every access:
-        values and markers as channels 0 and 1, or one-hot symbols."""
+        values and markers as channels 0 and 1, or one-hot symbols.
+
+        The result is a new array, so writes to it do not reach the batch,
+        and on a whole split it costs n * T * n_in * 8 bytes: take it on a
+        subset of rows.
+        """
+        return self.fill_inputs(slice(None), np.empty((self.n, self.spec.T, self.spec.n_in)))
+
+    def fill_inputs(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Write the float64 inputs of a slice of rows into ``out``, shaped
+        (rows, T, n_in), and return it."""
         if self.values is None:
-            return np.take(np.eye(self.spec.n_in), self.symbols, axis=0)
-        return np.stack((self.values, self.symbols), axis=2)
+            # the symbols lie in [0, n_in) by construction, so clipping
+            # changes none; "raise" would buffer a copy of out
+            return np.take(np.eye(self.spec.n_in), self.symbols[rows], axis=0, out=out,
+                           mode="clip")
+        out[:, :, 0] = self.values[rows]
+        out[:, :, 1] = self.symbols[rows]
+        return out
 
     def subset(self, indices) -> "SequenceBatch":
         return replace(self, symbols=self.symbols[indices],
@@ -161,9 +181,9 @@ def _row_blocks(n: int, rows: int = GEN_BLOCK_ROWS):
     return (slice(start, min(start + rows, n)) for start in range(0, n, rows))
 
 
-def _io_rows(T: int, n_in: int) -> int:
-    """Rows per file chunk: as many as fit IO_CHUNK_BYTES as float64, at least one."""
-    return max(1, IO_CHUNK_BYTES // (8 * max(1, T * n_in)))
+def _io_rows(T: int, n_in: int, chunk_bytes: int = IO_CHUNK_BYTES) -> int:
+    """Rows per file chunk: as many as fit chunk_bytes as float64, at least one."""
+    return max(1, chunk_bytes // (8 * max(1, T * n_in)))
 
 
 def _marked_value_data(spec: TaskSpec, n: int, rng) -> tuple:
@@ -232,10 +252,10 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
 
     Layout: magic line, one JSON header line, then the raw little-endian
     C-order array bytes (inputs as float64, then targets).  Identical
-    batches produce byte-identical files.  The float64 inputs are built and
-    written one chunk of rows at a time, so no input-sized copy exists.
-    Targets go out from their own buffer unless non-contiguous or not
-    ``<f8``/``<i8``.
+    batches produce byte-identical files.  The float64 inputs are built in
+    one reused buffer and written one chunk of rows at a time, so no
+    input-sized copy exists.  Targets go out from their own buffer unless
+    non-contiguous or not ``<f8``/``<i8``.
     """
     spec = batch.spec
     header = {
@@ -252,8 +272,11 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
     with open(path, "wb") as f:
         f.write(DATA_MAGIC + b"\n")
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        for block in _row_blocks(batch.n, _io_rows(spec.T, spec.n_in)):
-            f.write(np.ascontiguousarray(batch.subset(block).inputs, dtype="<f8"))
+        rows = _io_rows(spec.T, spec.n_in,
+                        IO_CHUNK_BYTES if batch.values is None else SAVE_CHUNK_BYTES)
+        buffer = np.empty((min(rows, batch.n), spec.T, spec.n_in), dtype="<f8")
+        for block in _row_blocks(batch.n, rows):
+            f.write(batch.fill_inputs(block, buffer[:block.stop - block.start]))
         f.write(np.ascontiguousarray(
             batch.targets, dtype="<f8" if batch.targets.dtype.kind == "f" else "<i8"))
 
