@@ -166,7 +166,7 @@ def cmd_train(args) -> int:
     results, failed = {}, []
     for seed, run_dir in run_dirs.items():
         run_dir.mkdir(parents=True)
-        recorder = diagnostics.DynamicsRecorder(cfg.h) if cfg.record_dynamics else None
+        recorder = diagnostics.DynamicsRecorder() if cfg.record_dynamics else None
         state = error = None  # state stays None if the run fails while starting
         try:
             state, splits = trainer.start_run(cfg, seed, data)

@@ -52,10 +52,10 @@ def depth_scan(params: SrnParams, probes: SequenceBatch, h: int,
         raise DimensionError("depth_scan needs at least one probe sequence")
     sums = None
     for start in range(0, probes.n, chunk):
-        part = probes.subset(slice(start, start + chunk))
-        trace = model_mod.forward_batch(params, part.inputs)
-        _, deltas, _ = model_mod.loss_batch(trace, part.targets, part.spec.loss_kind,
-                                            part.spec.success_tolerance)
+        rows = slice(start, start + chunk)
+        trace = model_mod.forward_batch(params, probes.dense_inputs(rows))
+        _, deltas, _ = model_mod.loss_batch(trace, probes.targets[rows], probes.spec.loss_kind,
+                                            probes.spec.success_tolerance)
         back = backward(params, trace, deltas, BpttConfig(h=h))
         delta_norms = back.delta_norms                      # (N, h+1)
         input_norms = np.sqrt(np.sum(trace.inputs ** 2, axis=2))  # (N, T)
@@ -120,24 +120,24 @@ def _median_in_place(values: np.ndarray) -> float:
 class DynamicsRecorder:
     """Trainer hook capturing the internal-dynamics trace of a run.
 
-    Records, per draw, the batch-mean delta norms at depths 0, h//2 and h
-    and the mean / median of |a(k)| over every unit and step of the batch.
+    Records, per draw, the batch-mean delta norms at depths 0, h//2 and h of
+    the draw's horizon h and the mean / median of |a(k)| over every unit and
+    step of the batch.
     """
 
-    def __init__(self, h: int):
-        self.depths = (0, h // 2, h)
+    def __init__(self):
         self.rows = []
 
     def __call__(self, state, result, trace, back) -> None:
         # a C-ordered |a| keeps the batch-first summation order of the mean;
         # it is this hook's own buffer, so the median may partition it
         abs_act = np.abs(trace.a, out=np.empty(trace.a.shape))
-        d = back.delta_norms
+        d = back.delta_norms  # (N, h+1): depths 0..h
         self.rows.append({
             "iter": state.iteration,
-            "delta_norm_d0": float(d[:, self.depths[0]].mean()),
-            "delta_norm_dmid": float(d[:, self.depths[1]].mean()),
-            "delta_norm_dh": float(d[:, self.depths[2]].mean()),
+            "delta_norm_d0": float(d[:, 0].mean()),
+            "delta_norm_dmid": float(d[:, (d.shape[1] - 1) // 2].mean()),
+            "delta_norm_dh": float(d[:, -1].mean()),
             "act_mean": float(abs_act.mean()),
             "act_median": _median_in_place(abs_act.reshape(-1)),
             "decision": result.report.decision.value if result.report else None,

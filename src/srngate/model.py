@@ -162,8 +162,9 @@ def forward_batch(params: SrnParams, inputs: np.ndarray, *,
     """Run a batch (N, T, n_in) of sequences, each from the zero state.
 
     Inputs are converted to float64 first.  A ``SequenceBatch`` holds one
-    uint8 symbol per step, so its callers pass ``batch.inputs``, the float64
-    array built for just the rows of one draw, chunk or probe block.
+    uint8 symbol per step, so its callers pass ``batch.dense_inputs(rows)``,
+    the float64 array built for just the rows of one draw, chunk or probe
+    block.
 
     With ``keep_trace`` (the default) the trace keeps every a(k) and z(k) for
     backpropagation, as written by the step loop.  With ``keep_trace=False``

@@ -21,10 +21,10 @@ carrying information across most of the sequence:
 
 In memory, a batch holds one uint8 symbol per step: the temporal-order
 symbol id (distractors 0-3, X = 4, Y = 5), or the 0/1 marker of adding and
-multiplication, whose float64 values sit beside it.  The float64
-(n, T, n_in) inputs the network reads are built only for the rows at hand: a
-draw, an evaluation chunk, a probe block or a file chunk.  The dataset file
-holds float64 inputs for every task.
+multiplication, whose float64 values sit beside it.  The network reads
+float64 (n, T, n_in) inputs, which ``SequenceBatch.dense_inputs`` builds
+only for the rows at hand: a draw, an evaluation chunk, a probe block or a
+file chunk.  The dataset file holds float64 inputs for every task.
 
 Generation is a pure function of (spec, n, seed): repeating a call gives a
 bit-identical batch.  Each batch is built in place: its arrays are allocated
@@ -93,17 +93,7 @@ class TaskSpec:
 
     @property
     def n_out(self) -> int:
-        if self.regression:
-            return 1
-        return 2 ** self.special_count
-
-    @property
-    def special_count(self) -> int:
-        if self.kind is TaskKind.TEMPORAL_ORDER:
-            return 2
-        if self.kind is TaskKind.TEMPORAL_ORDER_3BIT:
-            return 3
-        return 0
+        return 1 if self.regression else 2 ** len(self.windows())
 
     @property
     def loss_kind(self) -> LossKind:
@@ -118,8 +108,8 @@ class TaskSpec:
         if self.regression:
             return [(1, self.T // 10), (self.T // 10 + 1, self.T // 2)]
         # windows are tenths of T; integer arithmetic keeps them exact
-        tenths = {2: [(1, 2), (5, 6)],
-                  3: [(1, 2), (3, 4), (6, 7)]}[self.special_count]
+        tenths = {TaskKind.TEMPORAL_ORDER: [(1, 2), (5, 6)],
+                  TaskKind.TEMPORAL_ORDER_3BIT: [(1, 2), (3, 4), (6, 7)]}[self.kind]
         return [(lo * self.T // 10, hi * self.T // 10) for lo, hi in tenths]
 
     def validate(self) -> None:
@@ -138,6 +128,8 @@ class TaskSpec:
 
 @dataclass
 class SequenceBatch:
+    """A task's sequences in memory; ``dense_inputs`` builds their float64 inputs."""
+
     symbols: np.ndarray        # (n, T) uint8: temporal-order symbol ids, or 0/1 markers
     values: np.ndarray | None  # (n, T) float64 marked values; None for temporal order
     targets: np.ndarray        # (n, n_out) float64 or (n,) int64 class ids
@@ -147,32 +139,25 @@ class SequenceBatch:
     def n(self) -> int:
         return self.symbols.shape[0]
 
-    @property
-    def inputs(self) -> np.ndarray:
-        """The (n, T, n_in) float64 inputs, built anew on every access:
-        values and markers as channels 0 and 1, or one-hot symbols.
-
-        The result is a new array, so writes to it do not reach the batch,
-        and on a whole split it costs n * T * n_in * 8 bytes: take it on a
-        subset of rows.
-        """
-        return self.fill_inputs(slice(None), np.empty((self.n, self.spec.T, self.spec.n_in)))
-
-    def fill_inputs(self, rows: slice, out: np.ndarray) -> np.ndarray:
-        """Write the float64 inputs of a slice of rows into ``out``, shaped
-        (rows, T, n_in), and return it."""
-        if self.values is None:
+    def dense_inputs(self, rows: slice = slice(None), out=None) -> np.ndarray:
+        """The (rows, T, n_in) float64 inputs of a slice of rows: values and
+        markers as channels 0 and 1, or one-hot symbols.  They are written
+        into ``out`` if given, else into a new array; writes to the result
+        never reach the batch."""
+        symbols = self.symbols[rows]
+        if out is None:
+            out = np.empty(symbols.shape + (self.spec.n_in,))
+        if not self.spec.regression:
             # the symbols lie in [0, n_in) by construction, so clipping
             # changes none; "raise" would buffer a copy of out
-            return np.take(np.eye(self.spec.n_in), self.symbols[rows], axis=0, out=out,
-                           mode="clip")
+            return np.take(np.eye(self.spec.n_in), symbols, axis=0, out=out, mode="clip")
         out[:, :, 0] = self.values[rows]
-        out[:, :, 1] = self.symbols[rows]
+        out[:, :, 1] = symbols
         return out
 
     def subset(self, indices) -> "SequenceBatch":
         return replace(self, symbols=self.symbols[indices],
-                       values=None if self.values is None else self.values[indices],
+                       values=self.values[indices] if self.spec.regression else None,
                        targets=self.targets[indices])
 
 
@@ -183,7 +168,7 @@ def _row_blocks(n: int, rows: int = GEN_BLOCK_ROWS):
 
 def _io_rows(T: int, n_in: int, chunk_bytes: int = IO_CHUNK_BYTES) -> int:
     """Rows per file chunk: as many as fit chunk_bytes as float64, at least one."""
-    return max(1, chunk_bytes // (8 * max(1, T * n_in)))
+    return max(1, chunk_bytes // (8 * T * n_in))
 
 
 def _marked_value_data(spec: TaskSpec, n: int, rng) -> tuple:
@@ -252,10 +237,11 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
 
     Layout: magic line, one JSON header line, then the raw little-endian
     C-order array bytes (inputs as float64, then targets).  Identical
-    batches produce byte-identical files.  The float64 inputs are built in
-    one reused buffer and written one chunk of rows at a time, so no
-    input-sized copy exists.  Targets go out from their own buffer unless
-    non-contiguous or not ``<f8``/``<i8``.
+    batches produce byte-identical files.  ``dense_inputs`` builds the
+    float64 inputs in one reused buffer, one chunk of rows at a time, and
+    each chunk is written before the next, so no input-sized copy exists.
+    Targets go out from their own buffer unless non-contiguous or not
+    ``<f8``/``<i8``.
     """
     spec = batch.spec
     header = {
@@ -273,10 +259,10 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
         f.write(DATA_MAGIC + b"\n")
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         rows = _io_rows(spec.T, spec.n_in,
-                        IO_CHUNK_BYTES if batch.values is None else SAVE_CHUNK_BYTES)
+                        SAVE_CHUNK_BYTES if spec.regression else IO_CHUNK_BYTES)
         buffer = np.empty((min(rows, batch.n), spec.T, spec.n_in), dtype="<f8")
         for block in _row_blocks(batch.n, rows):
-            f.write(batch.fill_inputs(block, buffer[:block.stop - block.start]))
+            f.write(batch.dense_inputs(block, buffer[:block.stop - block.start]))
         f.write(np.ascontiguousarray(
             batch.targets, dtype="<f8" if batch.targets.dtype.kind == "f" else "<i8"))
 
@@ -287,17 +273,19 @@ def load_batch(path) -> SequenceBatch:
     The batch's spec comes from the header's task, T and success tolerance.
     The inputs are read in row chunks into one reused float64 buffer and
     decoded into the batch's uint8 symbols and, for adding and
-    multiplication, its float64 values.  Rejects with FormatError a header
-    whose sizes are not JSON integers or whose success tolerance is not a
-    JSON number, a file whose loss_kind contradicts its task, a file holding
-    no sequences, targets that are not float (n, 1) for the regression tasks
-    or integer (n,) for the temporal-order tasks, a spec that fails
-    TaskSpec.validate, an n_in other than the task's, non-finite values or
-    markers other than 0.0 and 1.0 for the regression tasks, inputs that are
-    not one-hot (an entry other than 0.0 or 1.0, or a step without exactly
-    one 1.0) for the temporal-order tasks, non-finite targets, class ids
-    outside [0, 2**specials), and a targets_dtype that cannot hold the
-    file's targets exactly.
+    multiplication, its float64 values, from which ``dense_inputs`` gives
+    back the file's float64 inputs exactly.  Rejects with FormatError a
+    header whose sizes are not JSON integers or whose success tolerance is
+    not a JSON number, a file whose loss_kind contradicts its task, a file
+    holding no sequences, targets that are not float (n, 1) for the
+    regression tasks or integer (n,) for the temporal-order tasks, a spec
+    that fails TaskSpec.validate, an n_in other than the task's, non-finite
+    values or markers other than 0.0 and 1.0 for the regression tasks,
+    inputs that are not one-hot (an entry other than 0.0 or 1.0, or a step
+    without exactly one 1.0) for the temporal-order tasks, a row without
+    exactly one special (marker, or X or Y) in each window and none outside
+    them, non-finite targets, class ids outside [0, n_out), and a
+    targets_dtype that cannot hold the file's targets exactly.
     """
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
@@ -378,13 +366,20 @@ def _read_inputs(f, spec: TaskSpec, n: int) -> tuple:
     Values must be finite and markers exactly 0.0 or 1.0.  One-hot entries
     must be 0.0 or 1.0; then one matrix product per chunk gives each step's
     count of 1.0s, which must be 1, and the index of its 1.0, both exact
-    because the entries are 0/1.
+    because the entries are 0/1.  Every row must then hold exactly one
+    special, marker 1 or an X or Y, in each window and none outside them.
     """
     rows = _io_rows(spec.T, spec.n_in)
     symbols = np.empty((n, spec.T), dtype=np.uint8)
     values = np.empty((n, spec.T)) if spec.regression else None
     buffer = np.empty((min(rows, n), spec.T, spec.n_in), dtype="<f8")
     count_and_index = np.stack((np.ones(spec.n_in), np.arange(spec.n_in)), axis=1)
+    # a row of specials times counter counts them in each window, then in all steps
+    windows = spec.windows()
+    first_special = 1 if spec.regression else SYMBOL_X
+    counter = np.array([[lo <= t <= hi for lo, hi in windows] + [True]
+                        for t in range(1, spec.T + 1)], dtype=np.float64)
+    want = np.array([1] * len(windows) + [len(windows)])
     for block in _row_blocks(n, rows):
         chunk = buffer[:block.stop - block.start]
         _read_into(f, chunk)
@@ -404,4 +399,7 @@ def _read_inputs(f, spec: TaskSpec, n: int) -> tuple:
                 raise FormatError(f"{spec.kind.value} inputs must be one-hot: every entry "
                                   f"0.0 or 1.0 and one 1.0 per step")
             symbols[block] = steps[:, :, 1]
+        if not (np.matmul(symbols[block] >= first_special, counter) == want).all():
+            raise FormatError(f"{spec.kind.value} inputs must hold exactly one special in "
+                              f"each window {windows} (1-based steps) and none outside")
     return symbols, values

@@ -99,7 +99,7 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
                     force_accept: bool = False, hook=None) -> IterationResult:
     """One minibatch draw: forward, backward, gate, log a row, maybe apply."""
     state.iteration += 1
-    trace = model_mod.forward_batch(state.params, batch.inputs)
+    trace = model_mod.forward_batch(state.params, batch.dense_inputs())
     losses, deltas, _ = model_mod.loss_batch(trace, batch.targets, batch.spec.loss_kind,
                                              batch.spec.success_tolerance)
     back = backward(state.params, trace, deltas, BpttConfig(h=cfg.h))
@@ -138,10 +138,10 @@ def evaluate(params: SrnParams, batch: SequenceBatch, chunk: int = 512) -> float
     through a scoring forward that keeps no per-step activations."""
     hits = 0
     for start in range(0, batch.n, chunk):
-        part = batch.subset(slice(start, start + chunk))
-        trace = model_mod.forward_batch(params, part.inputs, keep_trace=False)
-        _, _, correct = model_mod.loss_batch(trace, part.targets, part.spec.loss_kind,
-                                             part.spec.success_tolerance)
+        rows = slice(start, start + chunk)
+        trace = model_mod.forward_batch(params, batch.dense_inputs(rows), keep_trace=False)
+        _, _, correct = model_mod.loss_batch(trace, batch.targets[rows], batch.spec.loss_kind,
+                                             batch.spec.success_tolerance)
         hits += int(correct.sum())
     return hits / batch.n
 

@@ -236,12 +236,12 @@ def oracle_case(request):
     if name == "adding_T200_h100_N10":
         batch, h = generate_task("adding", 200, 10, 1), 100
         params = model.init_gaussian(2, 100, 1, 0.01, seed=2)
-        trace = model.forward_batch(params, batch.inputs)
+        trace = model.forward_batch(params, batch.dense_inputs())
     else:
         batch, h = generate_task("temporal_order", 100, 10, 3), 100
         params = model.init_gaussian(6, 100, 4, 0.01, seed=4,
                                      output_activation=OutputActivation.SOFTMAX)
-        trace = model.forward_batch(params, batch.inputs)
+        trace = model.forward_batch(params, batch.dense_inputs())
     _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind,
                                     batch.spec.success_tolerance)
     return params, trace, deltas, h

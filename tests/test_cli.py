@@ -205,6 +205,21 @@ class TestTrain:
                              trainer.METRICS_COLUMNS)
         assert len(rows) == len(metrics)
 
+    @pytest.mark.parametrize("missing", ["train", "valid", "test"])
+    def test_missing_split_file_is_input_error(self, tmp_path, capsys, missing):
+        data_dir = tmp_path / "data"
+        assert run_cli(["gen", "--task", "adding", "--T", "15", "--seed", "1",
+                        "--out", str(data_dir)] + GEN_SMALL, capsys)[0] == 0
+        path = data_dir / f"adding_T15_{missing}.dat"
+        path.unlink()
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(["train", "--task", "adding", "--T", "15", "--seeds", "0",
+                                     "--out", str(out), "--data", str(data_dir)]
+                                    + TRAIN_SMALL, capsys)
+        assert code == cli.EXIT_INPUT
+        assert f"dataset file {path} not found; run 'gen' first" in err
+        assert stdout == "" and not out.exists()
+
     def test_pregenerated_data_roundtrip(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert run_cli(["gen", "--task", "adding", "--T", "15", "--seed", "1",
@@ -539,6 +554,24 @@ class TestUsageAndConfig:
         assert code == cli.EXIT_INPUT
         assert message in err
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("doc, argv, message", [
+        ({"task": "nope"}, [], "task: unknown task 'nope'"),
+        ({"reg": "maybe"}, [], "reg: expected 'on' or 'off', got 'maybe'"),
+        ({"seeds": []}, [], "seeds: need at least one seed"),
+        (["task", "adding"], [], "expected a JSON object"),
+        ({}, ["--seeds", "1,1"], "seeds: need distinct non-negative seeds, got (1, 1)"),
+        ({}, ["--seeds", "-1"], "seeds: need distinct non-negative seeds, got (-1,)")],
+        ids=["unknown_task", "reg", "no_seeds", "list", "repeated_seed", "negative_seed"])
+    def test_rejected_config_writes_nothing(self, tmp_path, capsys, doc, argv, message):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(["train", "--config", str(cfg_path),
+                                     "--out", str(tmp_path / "out")] + argv + TRAIN_SMALL,
+                                    capsys)
+        assert code == cli.EXIT_INPUT
+        assert message in err
+        assert stdout == "" and [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_unknown_config_key_is_input_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

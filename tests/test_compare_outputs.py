@@ -42,7 +42,7 @@ def test_same_tree_writes_identical_outputs(tmp_path):
                             ("temporal_order_3bit", tiny["T_order"]),
                             ("temporal_order_3bit", tiny["T_odd"]))
             for split in ("train", "valid", "test")} <= written
-    assert {"eval.json", "eval_order3.json", "runs/order3_seed1/metrics.csv",
+    assert {"eval.json", "eval_order3.json", "eval_adding.json", "runs/order3_seed1/metrics.csv",
             "runs/multiplication_seed1/metrics.csv", "runs/multiplication_seed1/model.json",
             "runs/ungated_seed1/dynamics.csv", "runs/batch1_seed1/model.json",
             "scan/depth_profile_sigma0.02.csv", "scan_adding/depth_profile_sigma0.01.csv",

@@ -31,7 +31,7 @@ class TestDepthScan:
                                      output_activation=OutputActivation.SOFTMAX)
         batch = probe_batch(T=30, n=25, seed=3)
         profile = diag.depth_scan(params, batch, h=30)
-        trace = model.forward_batch(params, batch.inputs)
+        trace = model.forward_batch(params, batch.dense_inputs())
         _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind)
         back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=30))
         npt.assert_allclose(profile.delta_norm[0],
@@ -87,7 +87,7 @@ class TestDepthScan:
         params = model.init_gaussian(2, 10, 1, 0.3, seed=14)
         batch = generate_task("adding", 20, 6, 15)
         profile = diag.depth_scan(params, batch, h=h)
-        trace, back = batch_backward(params, batch.inputs, batch.targets,
+        trace, back = batch_backward(params, batch.dense_inputs(), batch.targets,
                                      batch.spec.loss_kind, h)
         for n in range(min(h, 19) + 1):
             step = 19 - n  # 0-based index of the forward step at depth n
@@ -146,7 +146,7 @@ class TestDynamicsRecorder:
         cfg = RunConfig(task="adding", T=12, hidden=8, sigma=0.02, alpha=1e-3,
                         batch=5, epochs=epochs, iters=3, h=12, reg=reg,
                         train_size=60, valid_size=20, test_size=30)
-        recorder = diag.DynamicsRecorder(h=cfg.h)
+        recorder = diag.DynamicsRecorder()
         state, data = trainer.start_run(cfg, seed)
         trainer.train(state, data, cfg, hook=recorder, log=lambda *_: None)
         return recorder, state
@@ -179,13 +179,29 @@ class TestDynamicsRecorder:
                                         LossKind.MSE)
         back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=n_steps))
         a_before = trace.a.tobytes()
-        recorder = diag.DynamicsRecorder(h=n_steps)
+        recorder = diag.DynamicsRecorder()
         recorder(SimpleNamespace(iteration=1), SimpleNamespace(report=None), trace, back)
         abs_act = np.abs(np.ascontiguousarray(trace.a))
         row = recorder.rows[0]
         assert row["act_mean"].hex() == float(abs_act.mean()).hex()
         assert row["act_median"].hex() == float(np.median(abs_act)).hex()
         assert trace.a.tobytes() == a_before
+
+    @pytest.mark.parametrize("h", [1, 6, 7, 15])
+    def test_depths_follow_the_backward_horizon(self, h):
+        # depths 0, h//2 and h of the backward that the draw ran
+        rng = np.random.default_rng(21)
+        params = random_net(rng, 2, 6, 1, OutputActivation.LINEAR)
+        batch = generate_task("adding", 15, 4, 22)
+        trace = model.forward_batch(params, batch.dense_inputs())
+        _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind)
+        back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=h))
+        recorder = diag.DynamicsRecorder()
+        recorder(SimpleNamespace(iteration=1), SimpleNamespace(report=None), trace, back)
+        row = recorder.rows[0]
+        for key, depth in (("delta_norm_d0", 0), ("delta_norm_dmid", h // 2),
+                           ("delta_norm_dh", h)):
+            assert row[key] == float(back.delta_norms[:, depth].mean()), key
 
     def test_saturation_coincides_with_collapsed_deltas(self):
         # huge recurrent weights saturate tanh and kill the deep gradient
@@ -195,10 +211,10 @@ class TestDynamicsRecorder:
                                  rng.standard_normal((10, 1)),
                                  np.zeros(10), OutputActivation.LINEAR)
         batch = generate_task("adding", 15, 8, 19)
-        trace = model.forward_batch(params, batch.inputs)
+        trace = model.forward_batch(params, batch.dense_inputs())
         _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind)
         back = bptt.backward(params, trace, deltas, bptt.BpttConfig(h=15))
-        recorder = diag.DynamicsRecorder(h=15)
+        recorder = diag.DynamicsRecorder()
 
         class _S:
             iteration = 1

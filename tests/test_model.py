@@ -160,11 +160,11 @@ class TestForwardOracle:
     def test_temporal_order_chunk(self):
         params = model.init_gaussian(6, 100, 4, 0.01, seed=1,
                                      output_activation=OutputActivation.SOFTMAX)
-        self._assert_bit_equal(params, generate_task("temporal_order", 100, 512, 2).inputs)
+        self._assert_bit_equal(params, generate_task("temporal_order", 100, 512, 2).dense_inputs())
 
     def test_adding_long(self):
         params = model.init_gaussian(2, 100, 1, 0.01, seed=3)
-        self._assert_bit_equal(params, generate_task("adding", 200, 10, 4).inputs)
+        self._assert_bit_equal(params, generate_task("adding", 200, 10, 4).dense_inputs())
 
     def test_scoring_builds_no_states(self):
         # loss_batch reads only y; the trace holds what the forward wrote and

@@ -43,7 +43,7 @@ def marker_positions(seq):
 class TestAdding:
     def test_targets_recomputable_from_inputs(self):
         batch = generate_task("adding", 100, 500, 0)
-        inputs = batch.inputs
+        inputs = batch.dense_inputs()
         for i in range(batch.n):
             pos = marker_positions(inputs[i])
             assert len(pos) == 2
@@ -53,7 +53,7 @@ class TestAdding:
     def test_marker_windows_respected(self):
         T = 100
         batch = generate_task("adding", T, 2000, 1)
-        inputs = batch.inputs
+        inputs = batch.dense_inputs()
         for i in range(batch.n):
             p1, p2 = marker_positions(inputs[i]) + 1  # 1-based
             assert 1 <= p1 <= T // 10
@@ -70,7 +70,7 @@ class TestAdding:
     def test_deterministic(self):
         b1 = generate_task("adding", 30, 50, 4)
         b2 = generate_task("adding", 30, 50, 4)
-        assert b1.inputs.tobytes() == b2.inputs.tobytes()
+        assert b1.dense_inputs().tobytes() == b2.dense_inputs().tobytes()
         assert b1.targets.tobytes() == b2.targets.tobytes()
 
     def test_too_short_fatal(self):
@@ -81,7 +81,7 @@ class TestAdding:
         batch = generate_task("adding", 20, 3, 5)
         assert batch.spec == TaskSpec(TaskKind.ADDING, 20)
         assert batch.spec.loss_kind is LossKind.MSE
-        assert batch.inputs.shape == (3, 20, 2) and batch.inputs.dtype == np.float64
+        assert batch.dense_inputs().shape == (3, 20, 2) and batch.dense_inputs().dtype == np.float64
         # one byte of marker and eight of value per step
         assert batch.symbols.dtype == np.uint8 and batch.symbols.nbytes == 3 * 20
         assert batch.values.dtype == np.float64 and batch.values.nbytes == 3 * 20 * 8
@@ -92,7 +92,7 @@ class TestAdding:
 class TestMultiplication:
     def test_targets_recomputable_from_inputs(self):
         batch = generate_task("multiplication", 60, 500, 6)
-        inputs = batch.inputs
+        inputs = batch.dense_inputs()
         for i in range(batch.n):
             pos = marker_positions(inputs[i])
             v1, v2 = inputs[i, pos, 0]
@@ -110,7 +110,7 @@ class TestTemporalOrder:
             spec = TaskSpec(TaskKind.TEMPORAL_ORDER if count == 2
                             else TaskKind.TEMPORAL_ORDER_3BIT, T)
             batch = tasks.generate(spec, 300, seed=8)
-            inputs = batch.inputs
+            inputs = batch.dense_inputs()
             for i in range(batch.n):
                 symbols = np.argmax(inputs[i], axis=1)
                 special = symbols[symbols >= SYMBOL_X]
@@ -124,7 +124,7 @@ class TestTemporalOrder:
         spec = TaskSpec(TaskKind.TEMPORAL_ORDER_3BIT, 100)
         batch = tasks.generate(spec, 1000, seed=9)
         windows = spec.windows()
-        inputs = batch.inputs
+        inputs = batch.dense_inputs()
         for i in range(batch.n):
             symbols = np.argmax(inputs[i], axis=1)
             positions = np.flatnonzero(symbols >= SYMBOL_X) + 1
@@ -134,8 +134,8 @@ class TestTemporalOrder:
 
     def test_one_hot_rows(self):
         batch = generate_task("temporal_order", 40, 100, 10)
-        npt.assert_array_equal(batch.inputs.sum(axis=2), np.ones((100, 40)))
-        assert set(np.unique(batch.inputs)) == {0.0, 1.0}
+        npt.assert_array_equal(batch.dense_inputs().sum(axis=2), np.ones((100, 40)))
+        assert set(np.unique(batch.dense_inputs())) == {0.0, 1.0}
 
     def test_class_histogram_uniform(self):
         for task, classes in (("temporal_order", 4), ("temporal_order_3bit", 8)):
@@ -146,7 +146,7 @@ class TestTemporalOrder:
 
     def test_distractors_only_elsewhere(self):
         batch = generate_task("temporal_order", 30, 200, 12)
-        symbols = np.argmax(batch.inputs, axis=2)
+        symbols = np.argmax(batch.dense_inputs(), axis=2)
         n_specials = (symbols >= SYMBOL_X).sum(axis=1)
         npt.assert_array_equal(n_specials, np.full(200, 2))
 
@@ -163,10 +163,10 @@ class TestTemporalOrder:
 
     def test_metadata(self):
         batch = generate_task("temporal_order_3bit", 50, 4, 13)
-        assert batch.inputs.shape == (4, 50, 6) and batch.inputs.dtype == np.float64
+        assert batch.dense_inputs().shape == (4, 50, 6) and batch.dense_inputs().dtype == np.float64
         # one byte per step, the symbol id, and no values
         assert batch.symbols.dtype == np.uint8 and batch.symbols.nbytes == 4 * 50
-        npt.assert_array_equal(batch.symbols, np.argmax(batch.inputs, axis=2))
+        npt.assert_array_equal(batch.symbols, np.argmax(batch.dense_inputs(), axis=2))
         assert batch.values is None
         assert batch.targets.shape == (4,)
         assert batch.targets.dtype == np.int64
@@ -194,7 +194,7 @@ class TestPinnedBytes:
     def test_generated_bytes(self, kind):
         assert 2500 > 2 * tasks.GEN_BLOCK_ROWS
         batch = tasks.generate(TaskSpec(kind, 37), 2500, seed=5)
-        data = batch.inputs.astype("<f8").tobytes() + batch.targets.tobytes()
+        data = batch.dense_inputs().astype("<f8").tobytes() + batch.targets.tobytes()
         assert hashlib.sha256(data).hexdigest() == self.DIGESTS[kind]
 
 
@@ -211,14 +211,14 @@ class TestMakeSplits:
         s1 = tasks.make_splits(spec, seed=15, sizes=(50, 20, 30))
         s2 = tasks.make_splits(spec, seed=15, sizes=(50, 20, 30))
         for name in ("train", "valid", "test"):
-            assert s1[name].inputs.tobytes() == s2[name].inputs.tobytes()
+            assert s1[name].dense_inputs().tobytes() == s2[name].dense_inputs().tobytes()
 
     def test_splits_do_not_collide(self):
         spec = TaskSpec(TaskKind.ADDING, 40)
         splits = tasks.make_splits(spec, seed=16, sizes=(500, 500, 500))
         seen = set()
         for name in ("train", "valid", "test"):
-            for row in splits[name].inputs.reshape(splits[name].n, -1):
+            for row in splits[name].dense_inputs().reshape(splits[name].n, -1):
                 seen.add(row.tobytes())
         assert len(seen) == 1500
 
@@ -259,7 +259,7 @@ class TestSubset:
     def test_subset_slices_consistently(self):
         batch = generate_task("temporal_order", 20, 30, 17)
         sub = batch.subset(np.arange(5, 10))
-        npt.assert_array_equal(sub.inputs, batch.inputs[5:10])
+        npt.assert_array_equal(sub.dense_inputs(), batch.dense_inputs()[5:10])
         npt.assert_array_equal(sub.targets, batch.targets[5:10])
         assert sub.spec is batch.spec
 
@@ -270,7 +270,7 @@ class TestDumpLoad:
         path = tmp_path / "adding.dat"
         tasks.save_batch(path, batch, seed=18)
         loaded = tasks.load_batch(path)
-        assert loaded.inputs.tobytes() == batch.inputs.tobytes()
+        assert loaded.dense_inputs().tobytes() == batch.dense_inputs().tobytes()
         assert loaded.targets.tobytes() == batch.targets.tobytes()
         assert loaded.spec == batch.spec
 
@@ -281,7 +281,7 @@ class TestDumpLoad:
         loaded = tasks.load_batch(path)
         assert loaded.targets.dtype == batch.targets.dtype
         npt.assert_array_equal(loaded.targets, batch.targets)
-        npt.assert_array_equal(loaded.inputs, batch.inputs)
+        npt.assert_array_equal(loaded.dense_inputs(), batch.dense_inputs())
 
     def test_identical_files_for_identical_batches(self, tmp_path):
         b = generate_task("adding", 25, 40, 20)
@@ -308,7 +308,7 @@ class TestDumpLoad:
                   "targets_shape": list(batch.targets.shape)}
         target_dtype = "<f8" if spec.regression else "<i8"
         expected = (b"SRNDATA1\n" + json.dumps(header).encode("utf-8") + b"\n"
-                    + batch.inputs.astype("<f8").tobytes()
+                    + batch.dense_inputs().astype("<f8").tobytes()
                     + batch.targets.astype(target_dtype).tobytes())
         assert path.read_bytes() == expected
 
@@ -335,7 +335,7 @@ class TestDumpLoad:
         batch = generate_task("adding", 25, 4, 21)
         path = tmp_path / "case.dat"
         tasks.save_batch(path, batch)
-        expected = batch.inputs.nbytes + batch.targets.nbytes
+        expected = batch.dense_inputs().nbytes + batch.targets.nbytes
         data = path.read_bytes()
         path.write_bytes(data[:len(data) - cut] + extra)
         return path, expected
@@ -508,6 +508,33 @@ class TestDumpLoad:
         tasks.save_batch(path, generate_task(task, 30, 1200, 39))
         rewrite_inputs(path, {(row, 20, 1): bad})
         with pytest.raises(FormatError, match=f"{task} markers must be 0.0 or 1.0"):
+            tasks.load_batch(path)
+
+    @pytest.mark.parametrize("where", ["first_chunk", "last_chunk"])
+    @pytest.mark.parametrize("case", ["missing", "second_in_window", "outside"])
+    @pytest.mark.parametrize("task", [kind.value for kind in TaskKind])
+    def test_one_special_per_window(self, tmp_path, task, case, where):
+        # a valid step is written over the file's: a marker of 0 or 1, or a
+        # one-hot distractor or X; n rows of T = 30 span three load chunks
+        spec = TaskSpec(TaskKind(task), 30)
+        n = 1200 if spec.regression else 400
+        assert n > 2 * tasks.IO_CHUNK_BYTES // (30 * spec.n_in * 8)
+        batch = tasks.generate(spec, n, 40)
+        row = 0 if where == "first_chunk" else n - 1
+        lo, hi = spec.windows()[0]
+        special = 1 if spec.regression else SYMBOL_X
+        first = np.flatnonzero(batch.symbols[row] >= special)[0]
+        step, symbol = {"missing": (first, 0),
+                        "second_in_window": (lo - 1 if first != lo - 1 else hi - 1, special),
+                        "outside": (29, special)}[case]
+        if spec.regression:
+            change = {(row, step, 1): float(symbol)}
+        else:
+            change = {(row, step, c): float(c == symbol) for c in range(spec.n_in)}
+        path = tmp_path / f"{task}.dat"
+        tasks.save_batch(path, batch)
+        rewrite_inputs(path, change)
+        with pytest.raises(FormatError, match=f"{task} inputs must hold exactly one"):
             tasks.load_batch(path)
 
     def test_class_ids_out_of_range_rejected(self, tmp_path):

@@ -154,7 +154,7 @@ class TestTrainIteration:
     def test_accept_applies_exactly_sgd_step(self):
         cfg, batch, state = self._setup(reg="off")
         twin = TrainState.fresh(state.params.copy())
-        trace = model.forward_batch(state.params, batch.inputs)
+        trace = model.forward_batch(state.params, batch.dense_inputs())
         from srngate.bptt import BpttConfig, backward
         _, deltas, _ = model.loss_batch(trace, batch.targets, batch.spec.loss_kind,
                                         batch.spec.success_tolerance)
@@ -230,12 +230,12 @@ class TestEvaluate:
                                      output_activation=spec.output_activation)
         if task == "adding":
             # put every other target inside the tolerance of the output
-            y = model.forward_batch(params, batch.inputs).y
+            y = model.forward_batch(params, batch.dense_inputs()).y
             batch.targets[:] = y + np.where(np.arange(23) % 2, 0.01, 1.0)[:, None]
         hits = 0
         for start in range(0, 23, 5):
             part = batch.subset(slice(start, start + 5))
-            trace = model.forward_batch(params, part.inputs)
+            trace = model.forward_batch(params, part.dense_inputs())
             hits += int(model.loss_batch(trace, part.targets, part.spec.loss_kind,
                                          part.spec.success_tolerance)[2].sum())
         assert 0 < hits < 23
@@ -282,8 +282,8 @@ class TestInputDtype:
         else:
             assert loaded.values is None
         payload = path.read_bytes().split(b"\n", 2)[2]
-        assert loaded.inputs.dtype == np.float64
-        assert loaded.inputs.tobytes() == payload[:40 * 10 * spec.n_in * 8]
+        assert loaded.dense_inputs().dtype == np.float64
+        assert loaded.dense_inputs().tobytes() == payload[:40 * 10 * spec.n_in * 8]
         params = model.init_gaussian(spec.n_in, cfg.hidden, spec.n_out, cfg.sigma,
                                      seed=14, output_activation=spec.output_activation)
         states = []

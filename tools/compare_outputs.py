@@ -9,13 +9,14 @@ from its own working directory, so that the paths written into outputs are the
 same on both sides.  The script covers ``gen`` for four tasks and once more at
 an odd T (the full-size train split then crosses a seam between generation
 blocks), a gated and an ungated ``train --data`` (the ungated one with
-``--record-dynamics``), an ungated ``train --data`` on the multiplication
-splits, a gated ``train --data`` on the 3-special temporal order splits and
-an ``eval --out`` of its model, so that all four tasks go through the
-loader, a ``--batch 1`` run, a gated adding run without
-momentum under an absolute ``r0``, a three-sigma temporal-order ``scan`` at
-h = T and a two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval``
-of a hand-written model whose finite weights overflow an activation, a run whose
+``--record-dynamics``, then an ``eval --out`` of its model on the adding test
+split, which scores a regression file), an ungated ``train --data`` on the
+multiplication splits, a gated ``train --data`` on the 3-special temporal
+order splits and an ``eval --out`` of its model, so that all four tasks go
+through the loader, a ``--batch 1`` run, a gated adding run without momentum
+under an absolute ``r0``, a three-sigma temporal-order ``scan`` at h = T and a
+two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval`` of a
+hand-written model whose finite weights overflow an activation, a run whose
 learning rate makes it fail, started twice, and a ``--record-dynamics`` run
 whose initial network already fails validation.  ``--tiny`` shrinks every size
 so the whole script takes seconds.
@@ -90,6 +91,9 @@ def script(size: dict) -> list:
                          "--run-name", "gated"]),
         ("train_ungated", [*train, *add, "--reg", "off", "--data", "data",
                            "--record-dynamics", "--run-name", "ungated"]),
+        ("eval_adding", ["eval", "--model", "runs/ungated_seed1/model.json",
+                         "--data", f"data/adding_T{size['T_add']}_test.dat",
+                         "--out", "eval_adding.json"]),
         ("train_multiplication", [*train, *multiplication, "--h", str(size["h_add"]),
                                   "--reg", "off", "--data", "data",
                                   "--run-name", "multiplication"]),
