@@ -52,10 +52,10 @@ def depth_scan(params: SrnParams, probes: SequenceBatch, h: int,
         raise DimensionError("depth_scan needs at least one probe sequence")
     sums = None
     for start in range(0, probes.n, chunk):
-        rows = slice(start, start + chunk)
-        trace = model_mod.forward_batch(params, probes.dense_inputs(rows))
-        _, deltas, _ = model_mod.loss_batch(trace, probes.targets[rows], probes.spec.loss_kind,
-                                            probes.spec.success_tolerance)
+        part = probes.subset(slice(start, start + chunk))
+        trace = model_mod.forward_batch(params, part)
+        _, deltas, _ = model_mod.loss_batch(trace, part.targets, part.spec.loss_kind,
+                                            part.spec.success_tolerance)
         back = backward(params, trace, deltas, BpttConfig(h=h))
         delta_norms = back.delta_norms                      # (N, h+1)
         input_norms = np.sqrt(np.sum(trace.inputs ** 2, axis=2))  # (N, T)

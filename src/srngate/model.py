@@ -90,12 +90,14 @@ class ForwardTrace:
     reduces over a whole array and needs the batch-first summation order
     must take a C-ordered copy first.
 
-    A scoring trace (``keep_trace=False``) carries ``y``, ``inputs`` and
-    ``output_activation`` only, which is all ``loss_batch`` reads; its
-    ``steps`` and ``states`` are None, and reading ``a``, ``z`` or
-    ``n_steps`` raises RuntimeError."""
+    A scoring trace (``keep_trace=False``) carries ``y`` and
+    ``output_activation``, which is all ``loss_batch`` reads, and the
+    ``inputs`` array it was given; from a ``SequenceBatch`` it carries no
+    inputs, since they were built one step at a time.  Its ``steps`` and
+    ``states`` are None, and reading ``a``, ``z`` or ``n_steps`` raises
+    RuntimeError."""
 
-    inputs: np.ndarray   # (N, T, n_in)
+    inputs: np.ndarray | None  # (N, T, n_in); None when scoring a SequenceBatch
     y: np.ndarray        # (N, n_out) readout after the final step
     output_activation: OutputActivation
     steps: np.ndarray | None = None   # (T, N, n_hid) a(k) per step; None when scoring
@@ -157,51 +159,62 @@ def _softmax(y_pre: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def forward_batch(params: SrnParams, inputs: np.ndarray, *,
-                  keep_trace: bool = True) -> ForwardTrace:
-    """Run a batch (N, T, n_in) of sequences, each from the zero state.
+def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> ForwardTrace:
+    """Run a batch of N sequences of T steps, each from the zero state.
 
-    Inputs are converted to float64 first.  A ``SequenceBatch`` holds one
-    uint8 symbol per step, so its callers pass ``batch.dense_inputs(rows)``,
-    the float64 array built for just the rows of one draw, chunk or probe
-    block.
+    ``inputs`` is a (N, T, n_in) array, converted to float64 first, or a
+    ``tasks.SequenceBatch``, which holds one uint8 symbol per step and
+    builds float64 inputs with ``dense_inputs``: once for the whole batch
+    when a trace is kept, and one step at a time, into one reused (N, n_in)
+    block, when scoring.  A scoring trace from a batch carries no
+    ``inputs``.
 
     With ``keep_trace`` (the default) the trace keeps every a(k) and z(k) for
     backpropagation, as written by the step loop.  With ``keep_trace=False``
     each a(k) and z(k) is written into one reused (N, n_hid) block, and the
     scoring trace that comes back carries ``y`` but no per-step values; ``y``
-    is bit-equal in both modes.  A non-finite a(k) raises NumericalError
-    naming the first bad step: scoring checks each a(k) as soon as it is
-    computed, before its block is overwritten, and a full trace checks all
-    of them once, after the loop.
+    is bit-equal in both modes and for both kinds of ``inputs``.  A
+    non-finite a(k) raises NumericalError naming the first bad step: scoring
+    checks each a(k) as soon as it is computed, before its block is
+    overwritten, and a full trace checks all of them once, after the loop.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 3 or inputs.shape[2] != params.n_in:
-        raise DimensionError(f"batch shape {inputs.shape} does not match n_in={params.n_in}")
+    if hasattr(inputs, "dense_inputs"):  # a SequenceBatch; tasks imports this module
+        batch = inputs
+        shape = batch.symbols.shape + (batch.spec.n_in,)
+        inputs = batch.dense_inputs() if keep_trace else None
+    else:
+        inputs = np.asarray(inputs, dtype=np.float64)
+        shape = inputs.shape
+    if len(shape) != 3 or shape[2] != params.n_in:
+        raise DimensionError(f"batch shape {shape} does not match n_in={params.n_in}")
 
-    n_seqs, n_steps = inputs.shape[:2]
+    n_seqs, n_steps = shape[:2]
     # step-major storage: every per-step block steps[k] and states[k] is
     # contiguous, so the products and tanh write into it directly.  A full
     # trace projects all inputs in one call, which numpy runs as the same
     # product per step; scoring projects one step at a time into its single
-    # block, so that no (T, N, n_hid) buffer is made.
+    # block, so that no (T, N, n_hid) buffer is made, and builds a batch's
+    # inputs of that step into a contiguous block first.
     steps = np.empty((n_steps if keep_trace else 1, n_seqs, params.n_hid))
     states = np.empty((n_steps + 1 if keep_trace else 1, n_seqs, params.n_hid))
     bias = np.broadcast_to(params.b, (n_seqs, params.n_hid)).copy()
     r = np.empty((n_seqs, params.n_hid))
-    z_prev = np.zeros((n_seqs, params.n_hid))
+    u_k = np.empty((n_seqs, params.n_in)) if inputs is None else None
+    z_prev = states[0]
+    z_prev.fill(0.0)
     # an overflow leaves a non-finite a(k) or y, which the checks here and in
     # loss_batch report
     with np.errstate(over="ignore", invalid="ignore"):
         if keep_trace:
             np.matmul(inputs.transpose(1, 0, 2), params.w_in, out=steps)
-            states[0] = z_prev
         for k in range(n_steps):
             if keep_trace:
                 a_k = steps[k]
             else:
                 a_k = steps[0]
-                np.matmul(inputs[:, k, :], params.w_in, out=a_k)
+                step_inputs = (inputs[:, k, :] if u_k is None
+                               else batch.dense_inputs(out=u_k, step=k))
+                np.matmul(step_inputs, params.w_in, out=a_k)
             a_k += np.matmul(z_prev, params.w_rec, out=r)
             a_k += bias
             if not keep_trace and not np.isfinite(a_k).all():

@@ -22,9 +22,11 @@ carrying information across most of the sequence:
 In memory, a batch holds one uint8 symbol per step: the temporal-order
 symbol id (distractors 0-3, X = 4, Y = 5), or the 0/1 marker of adding and
 multiplication, whose float64 values sit beside it.  The network reads
-float64 (n, T, n_in) inputs, which ``SequenceBatch.dense_inputs`` builds
-only for the rows at hand: a draw, an evaluation chunk, a probe block or a
-file chunk.  The dataset file holds float64 inputs for every task.
+float64 inputs, which ``SequenceBatch.dense_inputs`` builds only for the
+rows at hand: the (n, T, n_in) inputs of a draw, a probe block or a file
+chunk, and, while an evaluation chunk is scored, the (n, n_in) inputs of
+one step of it at a time.  The dataset file holds float64 inputs for every
+task.
 
 Generation is a pure function of (spec, n, seed): repeating a call gives a
 bit-identical batch.  Each batch is built in place: its arrays are allocated
@@ -52,6 +54,10 @@ DATA_MAGIC = b"SRNDATA1"
 N_DISTRACTORS = 4  # temporal-order alphabet: distractors 0..3, X=4, Y=5
 SYMBOL_X = 4
 SYMBOL_Y = 5
+
+# row s is the one-hot float64 input of temporal-order symbol s
+ONE_HOT = np.eye(N_DISTRACTORS + 2)
+ONE_HOT.flags.writeable = False
 
 # Rows per generation block.  Even, because Generator.integers draws a small
 # range two values to each 64-bit word and drops the unused half at the end
@@ -103,6 +109,11 @@ class TaskSpec:
     def output_activation(self) -> OutputActivation:
         return OutputActivation.LINEAR if self.regression else OutputActivation.SOFTMAX
 
+    @property
+    def first_special(self) -> int:
+        """The least symbol that marks a window: marker 1, or X."""
+        return 1 if self.regression else SYMBOL_X
+
     def windows(self) -> list:
         """1-based inclusive [lo, hi] windows holding markers or specials."""
         if self.regression:
@@ -139,23 +150,27 @@ class SequenceBatch:
     def n(self) -> int:
         return self.symbols.shape[0]
 
-    def dense_inputs(self, rows: slice = slice(None), out=None) -> np.ndarray:
-        """The (rows, T, n_in) float64 inputs of a slice of rows: values and
-        markers as channels 0 and 1, or one-hot symbols.  They are written
-        into ``out`` if given, else into a new array; writes to the result
-        never reach the batch."""
-        symbols = self.symbols[rows]
+    def dense_inputs(self, rows: slice = slice(None), out=None,
+                     step: int | slice = slice(None)) -> np.ndarray:
+        """The float64 inputs of a slice of rows: values and markers as
+        channels 0 and 1, or one-hot symbols.  They are (rows, T, n_in), or
+        (rows, n_in) for one 0-based ``step``, and are written into ``out``
+        if given, else into a new array; writes to the result never reach
+        the batch."""
+        symbols = self.symbols[rows, step]
         if out is None:
             out = np.empty(symbols.shape + (self.spec.n_in,))
         if not self.spec.regression:
             # the symbols lie in [0, n_in) by construction, so clipping
             # changes none; "raise" would buffer a copy of out
-            return np.take(np.eye(self.spec.n_in), symbols, axis=0, out=out, mode="clip")
-        out[:, :, 0] = self.values[rows]
-        out[:, :, 1] = symbols
+            return np.take(ONE_HOT, symbols, axis=0, out=out, mode="clip")
+        out[..., 0] = self.values[rows, step]
+        out[..., 1] = symbols
         return out
 
     def subset(self, indices) -> "SequenceBatch":
+        """The batch of some rows: a view of this one for a slice, a copy
+        for an index array."""
         return replace(self, symbols=self.symbols[indices],
                        values=self.values[indices] if self.spec.regression else None,
                        targets=self.targets[indices])
@@ -171,9 +186,23 @@ def _io_rows(T: int, n_in: int, chunk_bytes: int = IO_CHUNK_BYTES) -> int:
     return max(1, chunk_bytes // (8 * T * n_in))
 
 
+def _targets_of(spec: TaskSpec, marks: list) -> np.ndarray:
+    """The targets of rows whose windows hold ``marks``, one (rows,) array
+    per window in order: the mean of the two marked values for adding (so it
+    stays inside [0, 1]) and their product for multiplication, or for
+    temporal order the class, the X = 0 / Y = 1 bits read as a binary
+    number."""
+    if spec.regression:
+        v1, v2 = marks
+        return ((v1 + v2) / 2.0 if spec.kind is TaskKind.ADDING else v1 * v2)[:, None]
+    classes = np.zeros(len(marks[0]), dtype=np.int64)
+    for bit in marks:
+        classes = classes * 2 + bit
+    return classes
+
+
 def _marked_value_data(spec: TaskSpec, n: int, rng) -> tuple:
-    """Markers, values and targets; the target is the mean of the two marked
-    values for adding (so it stays inside [0, 1]) and their product otherwise."""
+    """Markers, values and the targets of their two marked values."""
     # the draws keep the order values (row by row), m1, m2, which fixes the
     # batch; random() is uniform(0, 1) bit for bit
     values = rng.random((n, spec.T))
@@ -184,9 +213,7 @@ def _marked_value_data(spec: TaskSpec, n: int, rng) -> tuple:
     markers = np.zeros((n, spec.T), dtype=np.uint8)
     markers[rows, m1 - 1] = 1
     markers[rows, m2 - 1] = 1
-    v1, v2 = values[rows, m1 - 1], values[rows, m2 - 1]
-    targets = (v1 + v2) / 2.0 if spec.kind is TaskKind.ADDING else v1 * v2
-    return markers, values, targets[:, None]
+    return markers, values, _targets_of(spec, [values[rows, m1 - 1], values[rows, m2 - 1]])
 
 
 def _temporal_order_data(spec: TaskSpec, n: int, rng) -> tuple:
@@ -198,13 +225,12 @@ def _temporal_order_data(spec: TaskSpec, n: int, rng) -> tuple:
     for block in _row_blocks(n):
         symbols[block] = rng.integers(0, N_DISTRACTORS, size=symbols[block].shape)
     rows = np.arange(n)
-    classes = np.zeros(n, dtype=np.int64)
+    bits = []
     for lo, hi in spec.windows():
         pos = rng.integers(lo, hi + 1, size=n)
-        bit = rng.integers(0, 2, size=n)  # 0 -> X, 1 -> Y
-        symbols[rows, pos - 1] = SYMBOL_X + bit
-        classes = classes * 2 + bit
-    return symbols, None, classes
+        bits.append(rng.integers(0, 2, size=n))  # 0 -> X, 1 -> Y
+        symbols[rows, pos - 1] = SYMBOL_X + bits[-1]
+    return symbols, None, _targets_of(spec, bits)
 
 
 def generate(spec: TaskSpec, n: int, seed) -> SequenceBatch:
@@ -284,8 +310,9 @@ def load_batch(path) -> SequenceBatch:
     inputs that are not one-hot (an entry other than 0.0 or 1.0, or a step
     without exactly one 1.0) for the temporal-order tasks, a row without
     exactly one special (marker, or X or Y) in each window and none outside
-    them, non-finite targets, class ids outside [0, n_out), and a
-    targets_dtype that cannot hold the file's targets exactly.
+    them, non-finite targets, class ids outside [0, n_out), a
+    targets_dtype that cannot hold the file's targets exactly, and a target
+    other than the one its row's inputs give (see ``_targets_of``).
     """
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
@@ -347,7 +374,35 @@ def load_batch(path) -> SequenceBatch:
         targets = raw.astype(t_dtype, copy=False)
     if not np.array_equal(targets, raw):
         raise FormatError(f"targets_dtype {t_dtype} cannot hold the file's targets exactly")
+    _check_targets(spec, symbols, values, raw)
     return SequenceBatch(symbols=symbols, values=values, targets=targets, spec=spec)
+
+
+TARGET_RULES = {TaskKind.ADDING: "(v1 + v2) / 2.0 of the two marked values",
+                TaskKind.MULTIPLICATION: "v1 * v2 of the two marked values",
+                TaskKind.TEMPORAL_ORDER: "the ordered X/Y bits of the specials",
+                TaskKind.TEMPORAL_ORDER_3BIT: "the ordered X/Y bits of the specials"}
+
+
+def _check_targets(spec: TaskSpec, symbols: np.ndarray, values, targets: np.ndarray) -> None:
+    """Every target must be the one its row's inputs give, exactly.  Each
+    window holds one special (``_read_inputs`` checked it); its marked value
+    or X/Y bit is read per block of rows and window, so no (n, T) temporary
+    is made."""
+    for block in _row_blocks(len(symbols)):
+        rows = np.arange(block.stop - block.start)
+        marks = []
+        for lo, hi in spec.windows():
+            at = lo - 1 + np.argmax(symbols[block, lo - 1:hi] >= spec.first_special, axis=1)
+            marks.append(values[block][rows, at] if spec.regression
+                         else symbols[block][rows, at] - SYMBOL_X)
+        want = _targets_of(spec, marks)
+        wrong = np.flatnonzero(want != targets[block])  # row indices: one target per row
+        if wrong.size:
+            i = int(wrong[0])
+            raise FormatError(f"{spec.kind.value} targets must be {TARGET_RULES[spec.kind]}; "
+                              f"sequence {block.start + i} has {targets[block][i].tolist()}, "
+                              f"its inputs give {want[i].tolist()}")
 
 
 def _read_into(f, array: np.ndarray) -> None:
@@ -376,7 +431,6 @@ def _read_inputs(f, spec: TaskSpec, n: int) -> tuple:
     count_and_index = np.stack((np.ones(spec.n_in), np.arange(spec.n_in)), axis=1)
     # a row of specials times counter counts them in each window, then in all steps
     windows = spec.windows()
-    first_special = 1 if spec.regression else SYMBOL_X
     counter = np.array([[lo <= t <= hi for lo, hi in windows] + [True]
                         for t in range(1, spec.T + 1)], dtype=np.float64)
     want = np.array([1] * len(windows) + [len(windows)])
@@ -399,7 +453,7 @@ def _read_inputs(f, spec: TaskSpec, n: int) -> tuple:
                 raise FormatError(f"{spec.kind.value} inputs must be one-hot: every entry "
                                   f"0.0 or 1.0 and one 1.0 per step")
             symbols[block] = steps[:, :, 1]
-        if not (np.matmul(symbols[block] >= first_special, counter) == want).all():
+        if not (np.matmul(symbols[block] >= spec.first_special, counter) == want).all():
             raise FormatError(f"{spec.kind.value} inputs must hold exactly one special in "
                               f"each window {windows} (1-based steps) and none outside")
     return symbols, values

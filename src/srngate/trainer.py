@@ -99,7 +99,7 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
                     force_accept: bool = False, hook=None) -> IterationResult:
     """One minibatch draw: forward, backward, gate, log a row, maybe apply."""
     state.iteration += 1
-    trace = model_mod.forward_batch(state.params, batch.dense_inputs())
+    trace = model_mod.forward_batch(state.params, batch)
     losses, deltas, _ = model_mod.loss_batch(trace, batch.targets, batch.spec.loss_kind,
                                              batch.spec.success_tolerance)
     back = backward(state.params, trace, deltas, BpttConfig(h=cfg.h))
@@ -135,13 +135,14 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
 
 def evaluate(params: SrnParams, batch: SequenceBatch, chunk: int = 512) -> float:
     """Fraction of sequences answered correctly, streamed in chunks, each
-    through a scoring forward that keeps no per-step activations."""
+    through a scoring forward that keeps no per-step activations and builds
+    the float64 inputs of one step at a time."""
     hits = 0
     for start in range(0, batch.n, chunk):
-        rows = slice(start, start + chunk)
-        trace = model_mod.forward_batch(params, batch.dense_inputs(rows), keep_trace=False)
-        _, _, correct = model_mod.loss_batch(trace, batch.targets[rows], batch.spec.loss_kind,
-                                             batch.spec.success_tolerance)
+        part = batch.subset(slice(start, start + chunk))
+        trace = model_mod.forward_batch(params, part, keep_trace=False)
+        _, _, correct = model_mod.loss_batch(trace, part.targets, part.spec.loss_kind,
+                                             part.spec.success_tolerance)
         hits += int(correct.sum())
     return hits / batch.n
 

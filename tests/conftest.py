@@ -7,11 +7,13 @@ wrong step index in the library cannot also hide in its reference.
 library's forward must match bit for bit, and ``backward_reference`` is the
 same for the backward pass.  ``read_table`` and
 ``read_profile_csv`` parse back the CSV files that the library writes;
-``rewrite_header`` and ``rewrite_inputs`` corrupt a dataset file.
+``rewrite_header`` and ``rewrite_inputs`` corrupt a dataset file, and
+``traced_peak`` measures the memory a call allocates.
 """
 
 import csv
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,6 +51,24 @@ def rewrite_inputs(path, changes: dict):
         inputs[index] = value
     path.write_bytes(b"\n".join([magic, header,
                                  inputs.tobytes() + payload[inputs.nbytes:]]))
+
+
+def traced_peak(fn):
+    """fn's result and the peak of memory that tracemalloc traced while it
+    ran, above what was traced when it started; numpy reports its array
+    buffers to tracemalloc."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak - base
 
 
 def read_table(path, columns: dict) -> list:

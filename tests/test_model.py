@@ -9,6 +9,7 @@ from conftest import forward_reference, generate_task
 from srngate import bptt, model
 from srngate.errors import ConfigError, DimensionError, FormatError, NumericalError
 from srngate.model import LossKind, OutputActivation
+from srngate.tasks import TaskKind
 
 
 def tiny_params(seed=0, n_in=2, n_hid=3, n_out=2,
@@ -256,6 +257,40 @@ class TestScoringTrace:
             with pytest.raises(NumericalError) as err:
                 model.forward_batch(params, inputs, keep_trace=keep_trace)
             assert str(err.value) == "non-finite activation at step 3"
+
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(20, 30), np.array([22, 3, 3, 17])],
+                             ids=["N1", "partial_last_chunk", "index_array"])
+    @pytest.mark.parametrize("task", [kind.value for kind in TaskKind])
+    def test_batch_gives_the_dense_readout(self, task, rows):
+        # a SequenceBatch is scored one step at a time and gives the y of
+        # its dense inputs, bit for bit, in both modes; 23 rows in chunks
+        # of 10 leave a last chunk of 3
+        batch = generate_task(task, 30, 23, 44)
+        spec = batch.spec
+        params = model.init_gaussian(spec.n_in, 20, spec.n_out, 0.05, seed=45,
+                                     output_activation=spec.output_activation)
+        part = batch.subset(rows)
+        dense = model.forward_batch(params, part.dense_inputs(), keep_trace=False)
+        streamed = model.forward_batch(params, part, keep_trace=False)
+        full = model.forward_batch(params, part)
+        assert streamed.y.tobytes() == dense.y.tobytes() == full.y.tobytes()
+        assert streamed.inputs is None
+        assert full.inputs.tobytes() == part.dense_inputs().tobytes()
+
+    @pytest.mark.parametrize("bad_step", [1, 12, 30])
+    def test_batch_non_finite_value_names_its_step(self, bad_step):
+        batch = generate_task("adding", 30, 5, 46)
+        batch.values[3, bad_step - 1] = np.inf
+        params = model.init_gaussian(2, 20, 1, 0.05, seed=47)
+        for keep_trace in (True, False):
+            with pytest.raises(NumericalError) as err:
+                model.forward_batch(params, batch, keep_trace=keep_trace)
+            assert str(err.value) == f"non-finite activation at step {bad_step}"
+
+    def test_batch_must_match_the_input_width(self):
+        with pytest.raises(DimensionError, match=r"\(4, 30, 6\) does not match n_in=2"):
+            model.forward_batch(tiny_params(), generate_task("temporal_order", 30, 4, 48),
+                                keep_trace=False)
 
     @pytest.mark.parametrize("keep_trace", [True, False])
     def test_recurrence_overflow_is_reported_not_warned(self, keep_trace):

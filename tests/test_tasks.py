@@ -1,38 +1,19 @@
 import hashlib
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import stats
 
-from conftest import generate_task, rewrite_header, rewrite_inputs
+from conftest import generate_task, rewrite_header, rewrite_inputs, traced_peak
 
 from srngate import tasks
 from srngate.config import RunConfig
 from srngate.errors import ConfigError, FormatError
 from srngate.model import LossKind
 from srngate.tasks import SYMBOL_X, SYMBOL_Y, TaskKind, TaskSpec
-
-
-def traced_peak(fn):
-    """fn's result and the peak of memory that tracemalloc traced while it
-    ran, above what was traced when it started; numpy reports its array
-    buffers to tracemalloc."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    return result, peak - base
 
 
 def marker_positions(seq):
@@ -262,6 +243,30 @@ class TestSubset:
         npt.assert_array_equal(sub.dense_inputs(), batch.dense_inputs()[5:10])
         npt.assert_array_equal(sub.targets, batch.targets[5:10])
         assert sub.spec is batch.spec
+
+    @pytest.mark.parametrize("task", ["adding", "temporal_order"])
+    def test_slice_subset_shares_the_parent_arrays(self, task):
+        # a slice, as evaluate takes per chunk, copies nothing; an index
+        # array, as a shuffled draw takes, copies its rows
+        batch = generate_task(task, 20, 30, 17)
+        view, copy = batch.subset(slice(5, 10)), batch.subset(np.arange(5, 10))
+        for name in ("symbols", "values", "targets"):
+            held = getattr(batch, name)
+            if held is not None:
+                assert np.shares_memory(getattr(view, name), held), name
+                assert not np.shares_memory(getattr(copy, name), held), name
+
+    @pytest.mark.parametrize("task", [kind.value for kind in TaskKind])
+    def test_one_step_is_that_step_of_the_inputs(self, task):
+        batch = generate_task(task, 20, 30, 17)
+        dense = batch.dense_inputs()
+        out = np.empty((4, batch.spec.n_in))
+        for rows in (slice(3, 7), np.array([9, 2, 2, 29])):
+            for step in (0, 11, 19):
+                expected = dense[rows, step]
+                assert batch.dense_inputs(rows, step=step).tobytes() == expected.tobytes()
+                assert batch.dense_inputs(rows, out, step) is out
+                assert out.tobytes() == expected.tobytes()
 
 
 class TestDumpLoad:
@@ -535,6 +540,25 @@ class TestDumpLoad:
         tasks.save_batch(path, batch)
         rewrite_inputs(path, change)
         with pytest.raises(FormatError, match=f"{task} inputs must hold exactly one"):
+            tasks.load_batch(path)
+
+    @pytest.mark.parametrize("row", [0, 1099], ids=["first_block", "second_block"])
+    @pytest.mark.parametrize("task", [kind.value for kind in TaskKind])
+    def test_targets_must_follow_the_inputs(self, tmp_path, task, row):
+        # a target the marked values or the specials do not give: the mean
+        # of adding moved to 0.999, the product of multiplication nudged by
+        # one ulp, a class moved to the next one; 1100 rows span two blocks
+        batch = generate_task(task, 30, 1100, 41)
+        assert batch.n > tasks.GEN_BLOCK_ROWS
+        if task == "adding":
+            batch.targets[row] = 0.999
+        elif task == "multiplication":
+            batch.targets[row] = np.nextafter(batch.targets[row], 1.0)
+        else:
+            batch.targets[row] = (batch.targets[row] + 1) % batch.spec.n_out
+        path = tmp_path / f"{task}.dat"
+        tasks.save_batch(path, batch)
+        with pytest.raises(FormatError, match=rf"{task} targets must be .*; sequence {row} has"):
             tasks.load_batch(path)
 
     def test_class_ids_out_of_range_rejected(self, tmp_path):

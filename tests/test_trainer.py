@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import generate_task, read_table
+from conftest import generate_task, read_table, traced_peak
 from srngate import model, tasks, trainer
 from srngate.bptt import Gradients
 from srngate.config import RunConfig
@@ -259,6 +259,18 @@ class TestEvaluate:
         params = model.init_gaussian(2, 6, 1, 0.05, seed=9)
         trainer.evaluate(params, generate_task("adding", 15, 23, 10), chunk=10)
         assert calls == [("forward", {"keep_trace": False}), ("loss", {})] * 3
+
+    def test_scoring_holds_no_dense_chunk(self):
+        # the float64 inputs of a 512-row chunk alone take 2.46 MB at T = 100;
+        # scoring builds one step of them at a time, beside the forward's
+        # few (512, n_hid) blocks
+        batch = generate_task("temporal_order", 100, 1024, 42)
+        spec = batch.spec
+        params = model.init_gaussian(spec.n_in, 100, spec.n_out, 0.01, seed=43,
+                                     output_activation=spec.output_activation)
+        trainer.evaluate(params, batch.subset(slice(0, 8)))  # first-call allocations
+        _, peak = traced_peak(lambda: trainer.evaluate(params, batch, chunk=512))
+        assert peak < 512 * 100 * spec.n_in * 8
 
 
 class TestInputDtype:
