@@ -65,15 +65,11 @@ ONE_HOT.flags.writeable = False
 # blocks read the stream exactly as one whole-batch call does.
 GEN_BLOCK_ROWS = 1024
 
-# Bytes of float64 inputs per chunk at the file boundary: load_batch reads
-# one chunk at a time into a reused float64 buffer and decodes it, and
-# save_batch fills a reused buffer one chunk at a time with one-hot inputs.
+# Bytes of float64 inputs per file chunk, for every task: save_batch builds
+# and writes, and load_batch reads and decodes, one chunk of rows at a time
+# in a reused buffer.  That buffer is nearly all either allocates beside the
+# batch; a smaller one takes more write and read calls per file.
 IO_CHUNK_BYTES = 1 << 18
-
-# Bytes of the reused float64 buffer that save_batch fills with the inputs of
-# adding and multiplication, nearly all that their save allocates.  Smaller
-# chunks take more write calls, so one-hot inputs keep IO_CHUNK_BYTES chunks.
-SAVE_CHUNK_BYTES = 24 << 10
 
 
 class TaskKind(Enum):
@@ -181,9 +177,9 @@ def _row_blocks(n: int, rows: int = GEN_BLOCK_ROWS):
     return (slice(start, min(start + rows, n)) for start in range(0, n, rows))
 
 
-def _io_rows(T: int, n_in: int, chunk_bytes: int = IO_CHUNK_BYTES) -> int:
-    """Rows per file chunk: as many as fit chunk_bytes as float64, at least one."""
-    return max(1, chunk_bytes // (8 * T * n_in))
+def _io_rows(T: int, n_in: int) -> int:
+    """Rows per file chunk: as many as fit IO_CHUNK_BYTES as float64, at least one."""
+    return max(1, IO_CHUNK_BYTES // (8 * T * n_in))
 
 
 def _targets_of(spec: TaskSpec, marks: list) -> np.ndarray:
@@ -264,8 +260,8 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
     Layout: magic line, one JSON header line, then the raw little-endian
     C-order array bytes (inputs as float64, then targets).  Identical
     batches produce byte-identical files.  ``dense_inputs`` builds the
-    float64 inputs in one reused buffer, one chunk of rows at a time, and
-    each chunk is written before the next, so no input-sized copy exists.
+    float64 inputs in one reused IO_CHUNK_BYTES buffer, a chunk of rows at
+    a time, and each is written before the next: no input-sized copy exists.
     Targets go out from their own buffer unless non-contiguous or not
     ``<f8``/``<i8``.
     """
@@ -284,8 +280,7 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
     with open(path, "wb") as f:
         f.write(DATA_MAGIC + b"\n")
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        rows = _io_rows(spec.T, spec.n_in,
-                        SAVE_CHUNK_BYTES if spec.regression else IO_CHUNK_BYTES)
+        rows = _io_rows(spec.T, spec.n_in)
         buffer = np.empty((min(rows, batch.n), spec.T, spec.n_in), dtype="<f8")
         for block in _row_blocks(batch.n, rows):
             f.write(batch.dense_inputs(block, buffer[:block.stop - block.start]))
@@ -308,11 +303,12 @@ def load_batch(path) -> SequenceBatch:
     that fails TaskSpec.validate, an n_in other than the task's, non-finite
     values or markers other than 0.0 and 1.0 for the regression tasks,
     inputs that are not one-hot (an entry other than 0.0 or 1.0, or a step
-    without exactly one 1.0) for the temporal-order tasks, a row without
-    exactly one special (marker, or X or Y) in each window and none outside
-    them, non-finite targets, class ids outside [0, n_out), a
-    targets_dtype that cannot hold the file's targets exactly, and a target
-    other than the one its row's inputs give (see ``_targets_of``).
+    without exactly one 1.0) for the temporal-order tasks, non-finite
+    targets, class ids outside [0, n_out), a targets_dtype that cannot hold
+    the file's targets exactly, and then, block by block of rows, a row
+    without exactly one special (marker, or X or Y) in each window and none
+    outside them, and a target other than the one its row's inputs give
+    (see ``_targets_of``).
     """
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
@@ -374,7 +370,7 @@ def load_batch(path) -> SequenceBatch:
         targets = raw.astype(t_dtype, copy=False)
     if not np.array_equal(targets, raw):
         raise FormatError(f"targets_dtype {t_dtype} cannot hold the file's targets exactly")
-    _check_targets(spec, symbols, values, raw)
+    _check_rows(spec, symbols, values, raw)
     return SequenceBatch(symbols=symbols, values=values, targets=targets, spec=spec)
 
 
@@ -384,16 +380,25 @@ TARGET_RULES = {TaskKind.ADDING: "(v1 + v2) / 2.0 of the two marked values",
                 TaskKind.TEMPORAL_ORDER_3BIT: "the ordered X/Y bits of the specials"}
 
 
-def _check_targets(spec: TaskSpec, symbols: np.ndarray, values, targets: np.ndarray) -> None:
-    """Every target must be the one its row's inputs give, exactly.  Each
-    window holds one special (``_read_inputs`` checked it); its marked value
-    or X/Y bit is read per block of rows and window, so no (n, T) temporary
-    is made."""
+def _check_rows(spec: TaskSpec, symbols: np.ndarray, values, targets: np.ndarray) -> None:
+    """Every row must hold exactly one special, marker 1 or an X or Y, in each
+    window and none outside them, and its target must be the one its
+    specials give, exactly.  Per block of rows, each window's slice must
+    hold one special per row and each row as many specials as there are
+    windows; the special's marked value or X/Y bit is then read from that
+    slice, so no (n, T) temporary is made."""
+    windows = spec.windows()
     for block in _row_blocks(len(symbols)):
+        specials = symbols[block] >= spec.first_special
+        in_window = [specials[:, lo - 1:hi] for lo, hi in windows]
+        if not ((specials.sum(axis=1) == len(windows)).all()
+                and all((window.sum(axis=1) == 1).all() for window in in_window)):
+            raise FormatError(f"{spec.kind.value} inputs must hold exactly one special in "
+                              f"each window {windows} (1-based steps) and none outside")
         rows = np.arange(block.stop - block.start)
         marks = []
-        for lo, hi in spec.windows():
-            at = lo - 1 + np.argmax(symbols[block, lo - 1:hi] >= spec.first_special, axis=1)
+        for (lo, _), window in zip(windows, in_window):
+            at = lo - 1 + np.argmax(window, axis=1)
             marks.append(values[block][rows, at] if spec.regression
                          else symbols[block][rows, at] - SYMBOL_X)
         want = _targets_of(spec, marks)
@@ -421,19 +426,13 @@ def _read_inputs(f, spec: TaskSpec, n: int) -> tuple:
     Values must be finite and markers exactly 0.0 or 1.0.  One-hot entries
     must be 0.0 or 1.0; then one matrix product per chunk gives each step's
     count of 1.0s, which must be 1, and the index of its 1.0, both exact
-    because the entries are 0/1.  Every row must then hold exactly one
-    special, marker 1 or an X or Y, in each window and none outside them.
+    because the entries are 0/1.
     """
     rows = _io_rows(spec.T, spec.n_in)
     symbols = np.empty((n, spec.T), dtype=np.uint8)
     values = np.empty((n, spec.T)) if spec.regression else None
     buffer = np.empty((min(rows, n), spec.T, spec.n_in), dtype="<f8")
     count_and_index = np.stack((np.ones(spec.n_in), np.arange(spec.n_in)), axis=1)
-    # a row of specials times counter counts them in each window, then in all steps
-    windows = spec.windows()
-    counter = np.array([[lo <= t <= hi for lo, hi in windows] + [True]
-                        for t in range(1, spec.T + 1)], dtype=np.float64)
-    want = np.array([1] * len(windows) + [len(windows)])
     for block in _row_blocks(n, rows):
         chunk = buffer[:block.stop - block.start]
         _read_into(f, chunk)
@@ -453,7 +452,4 @@ def _read_inputs(f, spec: TaskSpec, n: int) -> tuple:
                 raise FormatError(f"{spec.kind.value} inputs must be one-hot: every entry "
                                   f"0.0 or 1.0 and one 1.0 per step")
             symbols[block] = steps[:, :, 1]
-        if not (np.matmul(symbols[block] >= spec.first_special, counter) == want).all():
-            raise FormatError(f"{spec.kind.value} inputs must hold exactly one special in "
-                              f"each window {windows} (1-based steps) and none outside")
     return symbols, values
