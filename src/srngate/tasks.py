@@ -51,6 +51,10 @@ from .model import LossKind, OutputActivation
 
 DATA_MAGIC = b"SRNDATA1"
 
+# Bytes a dataset header line may take, its newline included; save_batch's
+# headers take about 250.  load_batch reads no further to find the newline.
+HEADER_MAX_BYTES = 1 << 16
+
 N_DISTRACTORS = 4  # temporal-order alphabet: distractors 0..3, X=4, Y=5
 SYMBOL_X = 4
 SYMBOL_Y = 5
@@ -254,6 +258,10 @@ def make_splits(spec: TaskSpec, seed, sizes: tuple) -> dict:
             for name, size, child in zip(names, sizes, children)}
 
 
+def _open_without_truncating(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
     """Write a batch as a self-describing flat binary file.
 
@@ -264,6 +272,13 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
     a time, and each is written before the next: no input-sized copy exists.
     Targets go out from their own buffer unless non-contiguous or not
     ``<f8``/``<i8``.
+
+    An existing file is written over in place and then cut to the new
+    length, not truncated first: on ext4 freeing and reallocating a large
+    file's blocks, and the flush that closing a file truncated to zero
+    forces, cost more than the writes.  The magic goes in last, over eight
+    zero bytes written first, so a file whose write stopped part-way fails
+    load_batch's magic check whatever the old file held.
     """
     spec = batch.spec
     header = {
@@ -277,8 +292,8 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
         "targets_dtype": str(batch.targets.dtype),
         "targets_shape": list(batch.targets.shape),
     }
-    with open(path, "wb") as f:
-        f.write(DATA_MAGIC + b"\n")
+    with open(path, "wb", opener=_open_without_truncating) as f:
+        f.write(bytes(len(DATA_MAGIC)) + b"\n")
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         rows = _io_rows(spec.T, spec.n_in)
         buffer = np.empty((min(rows, batch.n), spec.T, spec.n_in), dtype="<f8")
@@ -286,6 +301,9 @@ def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
             f.write(batch.dense_inputs(block, buffer[:block.stop - block.start]))
         f.write(np.ascontiguousarray(
             batch.targets, dtype="<f8" if batch.targets.dtype.kind == "f" else "<i8"))
+        f.truncate()
+        f.seek(0)
+        f.write(DATA_MAGIC)
 
 
 def load_batch(path) -> SequenceBatch:
@@ -295,27 +313,33 @@ def load_batch(path) -> SequenceBatch:
     The inputs are read in row chunks into one reused float64 buffer and
     decoded into the batch's uint8 symbols and, for adding and
     multiplication, its float64 values, from which ``dense_inputs`` gives
-    back the file's float64 inputs exactly.  Rejects with FormatError a
-    header whose sizes are not JSON integers or whose success tolerance is
-    not a JSON number, a file whose loss_kind contradicts its task, a file
-    holding no sequences, targets that are not float (n, 1) for the
-    regression tasks or integer (n,) for the temporal-order tasks, a spec
-    that fails TaskSpec.validate, an n_in other than the task's, non-finite
-    values or markers other than 0.0 and 1.0 for the regression tasks,
-    inputs that are not one-hot (an entry other than 0.0 or 1.0, or a step
-    without exactly one 1.0) for the temporal-order tasks, non-finite
-    targets, class ids outside [0, n_out), a targets_dtype that cannot hold
-    the file's targets exactly, and then, block by block of rows, a row
-    without exactly one special (marker, or X or Y) in each window and none
-    outside them, and a target other than the one its row's inputs give
-    (see ``_targets_of``).
+    back the file's float64 inputs exactly.  Rejects with FormatError a file
+    whose first line is not the magic (as one whose save stopped part-way,
+    see ``save_batch``), a header line longer than HEADER_MAX_BYTES, found
+    without reading past it, a header whose sizes are not JSON integers or
+    whose success tolerance is not a JSON number, a file whose loss_kind
+    contradicts its task, a file holding no sequences, targets that are not
+    float (n, 1) for the regression tasks or integer (n,) for the
+    temporal-order tasks, a spec that fails TaskSpec.validate, an n_in other
+    than the task's, non-finite values or markers other than 0.0 and 1.0 for
+    the regression tasks, inputs that are not one-hot (an entry other than
+    0.0 or 1.0, or a step without exactly one 1.0) for the temporal-order
+    tasks, non-finite targets, class ids outside [0, n_out), a targets_dtype
+    that cannot hold the file's targets exactly, and then, block by block of
+    rows, a row without exactly one special (marker, or X or Y) in each
+    window and none outside them, and a target other than the one its row's
+    inputs give (see ``_targets_of``).
     """
     with open(path, "rb") as f:
-        magic = f.readline().rstrip(b"\n")
+        magic = f.readline(len(DATA_MAGIC) + 1).rstrip(b"\n")
         if magic != DATA_MAGIC:
             raise FormatError(f"not a dataset file (bad magic {magic!r})")
+        line = f.readline(HEADER_MAX_BYTES)
+        if len(line) == HEADER_MAX_BYTES and not line.endswith(b"\n"):
+            raise FormatError(f"dataset header line is longer than {HEADER_MAX_BYTES} "
+                              f"bytes; it starts {_prefix(repr(line))}")
         try:
-            header = json.loads(f.readline().decode("utf-8"))
+            header = json.loads(line.decode("utf-8"))
             n, T, n_in = header["n"], header["T"], header["n_in"]
             t_shape = tuple(header["targets_shape"])
             # JSON integers only: int() would truncate 30.5 and parse "20"
@@ -331,21 +355,21 @@ def load_batch(path) -> SequenceBatch:
             loss = LossKind(header["loss_kind"])
             t_dtype = np.dtype(header["targets_dtype"])
         except (KeyError, ValueError, TypeError, OverflowError) as e:
-            raise FormatError(f"malformed dataset header: {e}") from e
+            raise FormatError(f"malformed dataset header: {_prefix(str(e))}") from e
         if loss is not spec.loss_kind:
             raise FormatError(f"{spec.kind.value} is scored by "
                               f"{spec.loss_kind.value}, header says {loss.value}")
         if n < 1:
             raise FormatError(f"dataset holds {n} sequences; need at least one")
         if min((T, n_in) + t_shape) < 0:
-            raise FormatError(f"malformed dataset header: negative size in "
-                              f"T={T}, n_in={n_in}, targets_shape={list(t_shape)}")
+            raise FormatError(_prefix(f"malformed dataset header: negative size in "
+                                      f"T={T}, n_in={n_in}, targets_shape={list(t_shape)}"))
         want_shape, want_kinds = ((n, 1), "f") if spec.regression else ((n,), "iu")
         if t_shape != want_shape or t_dtype.kind not in want_kinds:
-            raise FormatError(
+            raise FormatError(_prefix(
                 f"{spec.kind.value} targets must be "
                 f"{'float' if spec.regression else 'integer'} {list(want_shape)}, "
-                f"header says {t_dtype} {list(t_shape)}")
+                f"header says {t_dtype} {list(t_shape)}"))
         try:
             spec.validate()
         except ConfigError as e:
@@ -408,6 +432,12 @@ def _check_rows(spec: TaskSpec, symbols: np.ndarray, values, targets: np.ndarray
             raise FormatError(f"{spec.kind.value} targets must be {TARGET_RULES[spec.kind]}; "
                               f"sequence {block.start + i} has {targets[block][i].tolist()}, "
                               f"its inputs give {want[i].tolist()}")
+
+
+def _prefix(text: str, limit: int = 200) -> str:
+    """The text cut to ``limit`` characters, for an error message that
+    quotes a header: it may hold up to HEADER_MAX_BYTES of a file."""
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def _read_into(f, array: np.ndarray) -> None:

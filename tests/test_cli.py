@@ -41,6 +41,22 @@ class TestGen:
             fb = tmp_path / "b" / f"temporal_order_T30_{name}.dat"
             assert fa.read_bytes() == fb.read_bytes()
 
+    @pytest.mark.parametrize("old_sizes", [("900", "30", "400"), ("8", "2", "3"),
+                                           ("40", "10", "20")],
+                             ids=["longer", "shorter", "same_size"])
+    def test_gen_over_existing_files_writes_fresh_files(self, tmp_path, capsys, old_sizes):
+        # gen writes each split over the old file in place and cuts its tail
+        args = ["gen", "--task", "temporal_order", "--T", "30", "--seed", "7"]
+        old = [arg for flag, n in zip(("--train-size", "--valid-size", "--test-size"),
+                                      old_sizes) for arg in (flag, n)]
+        assert run_cli(args[:-1] + ["8", "--out", str(tmp_path / "a")] + old, capsys)[0] == 0
+        run_cli(args + ["--out", str(tmp_path / "a")] + GEN_SMALL, capsys)
+        run_cli(args + ["--out", str(tmp_path / "b")] + GEN_SMALL, capsys)
+        for name in ("train", "valid", "test"):
+            fa = tmp_path / "a" / f"temporal_order_T30_{name}.dat"
+            fb = tmp_path / "b" / f"temporal_order_T30_{name}.dat"
+            assert fa.read_bytes() == fb.read_bytes()
+
     @pytest.mark.parametrize("task", ["adding", "temporal_order"])
     def test_header_records_configured_tolerance(self, tmp_path, capsys, task):
         assert run_cli(["gen", "--task", task, "--T", "20", "--seed", "1",

@@ -337,6 +337,94 @@ class TestDumpLoad:
         with pytest.raises(FormatError):
             tasks.load_batch(bad)
 
+    @pytest.mark.parametrize("task", ["adding", "temporal_order"])
+    @pytest.mark.parametrize("old_n", [None, 1500, 9, 600],
+                             ids=["no_file", "longer", "shorter", "same_size"])
+    def test_save_over_an_existing_file_writes_a_fresh_file(self, tmp_path, task, old_n):
+        # save_batch writes over an old file in place and cuts its tail; 600
+        # rows at T = 30 span 2 (adding) or 4 (temporal order) save chunks
+        batch = generate_task(task, 30, 600, 40)
+        fresh = tmp_path / "fresh.dat"
+        tasks.save_batch(fresh, batch, seed=40)
+        path = tmp_path / "split.dat"
+        if old_n is not None:
+            tasks.save_batch(path, generate_task(task, 30, old_n, 41), seed=41)
+        tasks.save_batch(path, batch, seed=40)
+        assert path.read_bytes() == fresh.read_bytes()
+        plain = tmp_path / "plain.dat"
+        plain.write_bytes(b"")
+        assert path.stat().st_mode == plain.stat().st_mode
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_file", "rewrite"])
+    def test_save_that_stops_part_way_fails_the_magic_check(self, tmp_path, monkeypatch,
+                                                           existing):
+        # the old file has the same size, so only the magic tells the mix of
+        # new and old bytes from a finished file
+        batch = generate_task("temporal_order", 30, 600, 42)
+        path = tmp_path / "split.dat"
+        if existing:
+            tasks.save_batch(path, generate_task("temporal_order", 30, 600, 43), seed=43)
+
+        class Stopped(Exception):
+            pass
+
+        dense_inputs, calls = tasks.SequenceBatch.dense_inputs, []
+
+        def first_chunk_only(self, *args, **kwargs):
+            if calls:
+                raise Stopped
+            calls.append(args)
+            return dense_inputs(self, *args, **kwargs)
+
+        monkeypatch.setattr(tasks.SequenceBatch, "dense_inputs", first_chunk_only)
+        with pytest.raises(Stopped):
+            tasks.save_batch(path, batch, seed=42)
+        monkeypatch.undo()
+        assert path.read_bytes().startswith(bytes(8) + b"\n")
+        with pytest.raises(FormatError, match=r"bad magic b'\\x00"):
+            tasks.load_batch(path)
+
+    @pytest.mark.parametrize("head", [b"", tasks.DATA_MAGIC + b"\n"],
+                             ids=["no_magic", "no_header_end"])
+    def test_file_without_a_newline_is_rejected_unread(self, tmp_path, head):
+        path = tmp_path / "flat.dat"
+        path.write_bytes(head + b"x" * (8 << 20))
+
+        def load_error():
+            with pytest.raises(FormatError) as info:
+                tasks.load_batch(path)
+            return info.value
+
+        error, peak = traced_peak(load_error)
+        assert len(str(error)) < 300
+        assert peak < 4 * tasks.HEADER_MAX_BYTES
+
+    def test_header_line_may_take_header_max_bytes(self, tmp_path):
+        batch = generate_task("adding", 25, 4, 21)
+        path = tmp_path / "case.dat"
+        tasks.save_batch(path, batch)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        fill = tasks.HEADER_MAX_BYTES - len(header) - 1  # JSON may end in spaces
+        path.write_bytes(magic + b"\n" + header + b" " * fill + b"\n" + payload)
+        assert tasks.load_batch(path).targets.tobytes() == batch.targets.tobytes()
+        path.write_bytes(magic + b"\n" + header + b" " * (fill + 1) + b"\n" + payload)
+        with pytest.raises(FormatError, match="header line is longer than 65536 bytes") as info:
+            tasks.load_batch(path)
+        assert len(str(info.value)) < 300
+
+    @pytest.mark.parametrize("change, message", [
+        ({"task": "x" * 60000}, "malformed dataset header"),
+        ({"targets_shape": [1] * 20000}, "targets must be float"),
+        ({"targets_shape": [-1] * 15000}, "negative size")],
+        ids=["task", "targets_shape", "negative_shape"])
+    def test_messages_quote_a_short_prefix_of_a_long_header(self, tmp_path, change, message):
+        path = tmp_path / "case.dat"
+        tasks.save_batch(path, generate_task("adding", 25, 4, 21))
+        rewrite_header(path, **change)
+        with pytest.raises(FormatError, match=message) as info:
+            tasks.load_batch(path)
+        assert len(str(info.value)) < 300
+
     def _payload_case(self, tmp_path, extra: bytes, cut: int = 0):
         """A saved file with ``cut`` payload bytes removed and ``extra`` appended;
         returns its path and the payload size a valid file would have."""

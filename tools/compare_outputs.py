@@ -8,7 +8,10 @@ command runs as ``python -m srngate.cli`` with that directory on PYTHONPATH,
 from its own working directory, so that the paths written into outputs are the
 same on both sides.  The script covers ``gen`` for four tasks and once more at
 an odd T (the full-size train split then crosses a seam between generation
-blocks), a gated and an ungated ``train --data`` (the ungated one with
+blocks).  The adding and temporal-order splits are written over the files of
+an earlier ``gen`` of the same task, with longer splits for adding and
+shorter ones for temporal order, so those compared files are rewrites.  Then
+come a gated and an ungated ``train --data`` (the ungated one with
 ``--record-dynamics``, then an ``eval --out`` of its model on the adding test
 split, which scores a regression file), an ungated ``train --data`` on the
 multiplication splits, a gated ``train --data`` on the 3-special temporal
@@ -64,9 +67,11 @@ OVERFLOW_MODEL = {"format": "srngate-model-v1", "n_in": 6, "n_hid": 2, "n_out": 
 
 def script(size: dict) -> list:
     """(name, argv) pairs, run in order; paths are relative to the work dir."""
-    split_flags = [arg for flag, n in zip(("--train-size", "--valid-size", "--test-size"),
-                                          size["sizes"])
-                   for arg in (flag, str(n))]
+    def split_flags(scale=1.0):
+        return [arg for flag, n in zip(("--train-size", "--valid-size", "--test-size"),
+                                       size["sizes"])
+                for arg in (flag, str(int(n * scale)))]
+
     add = ["--task", "adding", "--T", str(size["T_add"]), "--h", str(size["h_add"])]
     order = ["--task", "temporal_order", "--T", str(size["T_order"]),
              "--h", str(size["h_order"])]
@@ -80,13 +85,18 @@ def script(size: dict) -> list:
                "--epochs", "2", "--iters", "4", "--batch", "5", "--alpha", "1e300",
                "--seed", "7", "--run-name", "fail", "--out", "runs", *fail_sizes]
     return [
-        ("gen_adding", ["gen", *add[:4], "--seed", "1", "--out", "data", *split_flags]),
-        ("gen_order", ["gen", *order[:4], "--seed", "2", "--out", "data", *split_flags]),
+        # the next gen of each task writes over these files, longer and shorter
+        ("gen_adding_longer", ["gen", *add[:4], "--seed", "9", "--out", "data",
+                               *split_flags(1.5)]),
+        ("gen_order_shorter", ["gen", *order[:4], "--seed", "10", "--out", "data",
+                               *split_flags(0.5)]),
+        ("gen_adding", ["gen", *add[:4], "--seed", "1", "--out", "data", *split_flags()]),
+        ("gen_order", ["gen", *order[:4], "--seed", "2", "--out", "data", *split_flags()]),
         ("gen_multiplication", ["gen", *multiplication, "--seed", "5", "--out", "data",
-                                *split_flags]),
-        ("gen_order3", ["gen", *order3, "--seed", "6", "--out", "data", *split_flags]),
+                                *split_flags()]),
+        ("gen_order3", ["gen", *order3, "--seed", "6", "--out", "data", *split_flags()]),
         ("gen_order3_odd", ["gen", *order3_odd, "--seed", "8", "--out", "data",
-                            *split_flags]),
+                            *split_flags()]),
         ("train_gated", [*train, *order, "--reg", "on", "--data", "data",
                          "--run-name", "gated"]),
         ("train_ungated", [*train, *add, "--reg", "off", "--data", "data",
