@@ -16,7 +16,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import diagnostics, model, tasks, trainer
-from .config import RunConfig, build_config, load_config_file
+from .config import RunConfig, load_config_file
 from .errors import ConfigError, NumericalError, SrnError
 
 EXIT_USAGE = 1
@@ -105,7 +105,8 @@ def _parse_list(text: str, kind, name: str) -> list:
 
 
 def _config_from_args(args) -> RunConfig:
-    file_values = load_config_file(args.config) if args.config else None
+    """Defaults < config file < flags; a flag left at None was not given."""
+    values = load_config_file(args.config) if args.config is not None else {}
     flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     if flags["seeds"] is not None:
         if args.seed is not None:
@@ -113,7 +114,8 @@ def _config_from_args(args) -> RunConfig:
         flags["seeds"] = _parse_list(flags["seeds"], int, "seeds")
     elif args.seed is not None:
         flags["seeds"] = (args.seed,)
-    cfg = build_config(file_values, **flags)
+    values.update({key: value for key, value in flags.items() if value is not None})
+    cfg = RunConfig(**values)
     # only train has --seeds; gen and scan run once, from one seed
     if len(cfg.seeds) > 1 and not hasattr(args, "seeds"):
         raise ConfigError(f"seeds: {args.command} takes one seed, got {list(cfg.seeds)}")
@@ -152,9 +154,11 @@ def _load_splits(data_dir: Path, cfg) -> dict:
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    data = _load_splits(Path(args.data), cfg) if args.data else None
+    if args.run_name == "":
+        raise ConfigError("--run-name: must not be empty")
+    data = _load_splits(Path(args.data), cfg) if args.data is not None else None
     out_root = Path(cfg.out)
-    prefix = args.run_name or time.strftime("%Y%m%d-%H%M%S")
+    prefix = time.strftime("%Y%m%d-%H%M%S") if args.run_name is None else args.run_name
     run_dirs = {seed: out_root / f"{prefix}_seed{seed}" for seed in cfg.seeds}
     summary_path = out_root / f"{prefix}_summary.json"
     # every output path is checked before the first seed trains
@@ -213,7 +217,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_json(path: Path, doc: dict) -> None:
+def _write_json(path, doc: dict) -> None:
     with open(path, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
@@ -222,7 +226,7 @@ def _write_json(path: Path, doc: dict) -> None:
 def cmd_scan(args) -> int:
     cfg = _config_from_args(args)
     sigmas = (_parse_list(args.sigmas, float, "sigmas")
-              if args.sigmas else [cfg.sigma])
+              if args.sigmas is not None else [cfg.sigma])
     files = {}  # profile file name -> sigma
     for sigma in sigmas:  # RunConfig checks each one as it checks --sigma
         replace(cfg, sigma=sigma)
@@ -259,11 +263,11 @@ def cmd_eval(args) -> int:
                           f"needs {batch.spec.n_out}")
     accuracy = trainer.evaluate(params, batch)
     print(f"accuracy {accuracy:.6f} on {batch.n} sequences")
-    if args.out:
+    if args.out is not None:
         summary = {"model": str(args.model), "data": str(args.data),
                    "task": batch.spec.kind.value, "n": batch.n,
                    "accuracy": accuracy}
-        _write_json(Path(args.out), summary)
+        _write_json(args.out, summary)
         print(f"wrote {args.out}")
     return 0
 

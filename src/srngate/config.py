@@ -1,7 +1,8 @@
 """Run configuration: documented defaults, file loading, flag precedence.
 
 A run is described by one flat key-value document (JSON).  Command-line
-flags override file values, which override the defaults below.  Every field
+flags override file values, which override the defaults below; the CLI
+merges the three into one RunConfig.  Every field
 is checked when a RunConfig is constructed, before any compute or output,
 and an error names the offending field.
 """
@@ -130,17 +131,3 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config file {path}: unknown keys {sorted(unknown)}")
     return doc
 
-
-def build_config(file_values: dict | None = None, **flag_values) -> RunConfig:
-    """Merge defaults < file values < explicit flags into a validated config.
-
-    Flags set to None count as "not given" and fall through to the file
-    value or the default.
-    """
-    merged = {}
-    if file_values:
-        merged.update(file_values)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-    return RunConfig(**merged)

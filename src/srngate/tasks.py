@@ -41,6 +41,7 @@ SeedSequence spawning, so train / validation / test never share a stream.
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -143,7 +144,7 @@ class SequenceBatch:
 
     symbols: np.ndarray        # (n, T) uint8: temporal-order symbol ids, or 0/1 markers
     values: np.ndarray | None  # (n, T) float64 marked values; None for temporal order
-    targets: np.ndarray        # (n, n_out) float64 or (n,) int64 class ids
+    targets: np.ndarray        # (n, 1) float64, or (n,) int64 class ids
     spec: TaskSpec
 
     @property
@@ -262,73 +263,78 @@ def _open_without_truncating(path, flags):
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
+def _header(spec: TaskSpec, n: int, seed) -> dict:
+    """The header of a file of n sequences of ``spec``: save_batch writes
+    it, and load_batch requires its n_in, loss_kind, targets_dtype and
+    targets_shape, which the task, T and n fix."""
+    return {"task": spec.kind.value, "T": spec.T, "n": n, "n_in": spec.n_in,
+            "seed": seed, "loss_kind": spec.loss_kind.value,
+            "success_tolerance": spec.success_tolerance,
+            "targets_dtype": "float64" if spec.regression else "int64",
+            "targets_shape": [n, 1] if spec.regression else [n]}
+
+
+def _file_dtype(header: dict) -> np.dtype:
+    """The little-endian dtype of the targets in a file with this header."""
+    return np.dtype(header["targets_dtype"]).newbyteorder("<")
+
+
 def save_batch(path, batch: SequenceBatch, seed: int | None = None) -> None:
     """Write a batch as a self-describing flat binary file.
 
-    Layout: magic line, one JSON header line, then the raw little-endian
-    C-order array bytes (inputs as float64, then targets).  Identical
+    Layout: magic line, the JSON header line of ``_header``, then the raw
+    little-endian C-order array bytes: float64 inputs, then the targets in
+    the header's dtype, cast from any dtype of the same kind.  Identical
     batches produce byte-identical files.  ``dense_inputs`` builds the
-    float64 inputs in one reused IO_CHUNK_BYTES buffer, a chunk of rows at
-    a time, and each is written before the next: no input-sized copy exists.
-    Targets go out from their own buffer unless non-contiguous or not
-    ``<f8``/``<i8``.
+    inputs in one reused IO_CHUNK_BYTES buffer, a chunk of rows at a time,
+    and each is written before the next: no input-sized copy exists.
 
-    An existing file is written over in place and then cut to the new
-    length, not truncated first: on ext4 freeing and reallocating a large
-    file's blocks, and the flush that closing a file truncated to zero
-    forces, cost more than the writes.  The magic goes in last, over eight
-    zero bytes written first, so a file whose write stopped part-way fails
-    load_batch's magic check whatever the old file held.
+    An existing regular file is written over in place and then cut to the
+    new length, not truncated first: on ext4 freeing and reallocating a
+    large file's blocks, and the flush that closing a file truncated to
+    zero forces, cost more than the writes.  The magic goes in last, over
+    eight zero bytes written first, so a file whose write stopped part-way
+    fails load_batch's magic check whatever the old file held.  Any other
+    path, such as a device, can be neither cut nor sought: the magic goes
+    in first.
     """
     spec = batch.spec
-    header = {
-        "task": spec.kind.value,
-        "T": spec.T,
-        "n": batch.n,
-        "n_in": spec.n_in,
-        "seed": seed,
-        "loss_kind": spec.loss_kind.value,
-        "success_tolerance": spec.success_tolerance,
-        "targets_dtype": str(batch.targets.dtype),
-        "targets_shape": list(batch.targets.shape),
-    }
+    header = _header(spec, batch.n, seed)
     with open(path, "wb", opener=_open_without_truncating) as f:
-        f.write(bytes(len(DATA_MAGIC)) + b"\n")
+        regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+        f.write((bytes(len(DATA_MAGIC)) if regular else DATA_MAGIC) + b"\n")
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         rows = _io_rows(spec.T, spec.n_in)
         buffer = np.empty((min(rows, batch.n), spec.T, spec.n_in), dtype="<f8")
         for block in _row_blocks(batch.n, rows):
             f.write(batch.dense_inputs(block, buffer[:block.stop - block.start]))
-        f.write(np.ascontiguousarray(
-            batch.targets, dtype="<f8" if batch.targets.dtype.kind == "f" else "<i8"))
-        f.truncate()
-        f.seek(0)
-        f.write(DATA_MAGIC)
+        f.write(batch.targets.astype(_file_dtype(header), order="C",
+                                     casting="same_kind", copy=False))
+        if regular:
+            f.truncate()
+            f.seek(0)
+            f.write(DATA_MAGIC)
 
 
 def load_batch(path) -> SequenceBatch:
     """Read a file produced by save_batch.
 
-    The batch's spec comes from the header's task, T and success tolerance.
-    The inputs are read in row chunks into one reused float64 buffer and
-    decoded into the batch's uint8 symbols and, for adding and
-    multiplication, its float64 values, from which ``dense_inputs`` gives
-    back the file's float64 inputs exactly.  Rejects with FormatError a file
-    whose first line is not the magic (as one whose save stopped part-way,
-    see ``save_batch``), a header line longer than HEADER_MAX_BYTES, found
-    without reading past it, a header whose sizes are not JSON integers or
-    whose success tolerance is not a JSON number, a file whose loss_kind
-    contradicts its task, a file holding no sequences, targets that are not
-    float (n, 1) for the regression tasks or integer (n,) for the
-    temporal-order tasks, a spec that fails TaskSpec.validate, an n_in other
-    than the task's, non-finite values or markers other than 0.0 and 1.0 for
-    the regression tasks, inputs that are not one-hot (an entry other than
-    0.0 or 1.0, or a step without exactly one 1.0) for the temporal-order
-    tasks, non-finite targets, class ids outside [0, n_out), a targets_dtype
-    that cannot hold the file's targets exactly, and then, block by block of
-    rows, a row without exactly one special (marker, or X or Y) in each
-    window and none outside them, and a target other than the one its row's
-    inputs give (see ``_targets_of``).
+    The batch's spec comes from the header's task, T and success tolerance;
+    its targets are float64 (n, 1) for adding and multiplication and int64
+    (n,) for temporal order.  The inputs are read in row chunks into one
+    reused float64 buffer and decoded into the batch's uint8 symbols and,
+    for adding and multiplication, its float64 values, from which
+    ``dense_inputs`` gives back the file's inputs exactly.  Rejects with
+    FormatError a file whose first line is not the magic (as one whose save
+    stopped part-way), a header line longer than HEADER_MAX_BYTES, found
+    without reading past it, an n or T that is not a JSON integer, a
+    success tolerance that is not a JSON number, no sequences, a spec that
+    fails TaskSpec.validate, an n_in, loss_kind, targets_dtype or
+    targets_shape other than ``_header``'s for the task, T and n (as JSON
+    text: 2.0 is not 2), a payload of another size, inputs that
+    ``_read_inputs`` rejects, non-finite targets, class ids outside
+    [0, n_out), and then a row that breaks the window or target rule of
+    ``_check_rows``.
     """
     with open(path, "rb") as f:
         magic = f.readline(len(DATA_MAGIC) + 1).rstrip(b"\n")
@@ -340,61 +346,45 @@ def load_batch(path) -> SequenceBatch:
                               f"bytes; it starts {_prefix(repr(line))}")
         try:
             header = json.loads(line.decode("utf-8"))
-            n, T, n_in = header["n"], header["T"], header["n_in"]
-            t_shape = tuple(header["targets_shape"])
+            n, T, tolerance = header["n"], header["T"], header["success_tolerance"]
+            # the keys that task, T and n fix
+            derived = {key: header[key] for key in
+                       ("n_in", "loss_kind", "targets_dtype", "targets_shape")}
             # JSON integers only: int() would truncate 30.5 and parse "20"
-            if any(type(size) is not int for size in (n, T, n_in) + t_shape):
-                raise ValueError(f"sizes must be JSON integers, got n={n!r}, T={T!r}, "
-                                 f"n_in={n_in!r}, targets_shape={list(t_shape)!r}")
-            tolerance = header["success_tolerance"]
+            if type(n) is not int or type(T) is not int:
+                raise ValueError(f"sizes must be JSON integers, got n={n!r}, T={T!r}")
             # a JSON number only: float() would also parse the string "0.04"
             if type(tolerance) not in (int, float):
                 raise ValueError(f"success_tolerance must be a JSON number, "
                                  f"got {tolerance!r}")
             spec = TaskSpec(TaskKind(header["task"]), T, float(tolerance))
-            loss = LossKind(header["loss_kind"])
-            t_dtype = np.dtype(header["targets_dtype"])
         except (KeyError, ValueError, TypeError, OverflowError) as e:
             raise FormatError(f"malformed dataset header: {_prefix(str(e))}") from e
-        if loss is not spec.loss_kind:
-            raise FormatError(f"{spec.kind.value} is scored by "
-                              f"{spec.loss_kind.value}, header says {loss.value}")
         if n < 1:
             raise FormatError(f"dataset holds {n} sequences; need at least one")
-        if min((T, n_in) + t_shape) < 0:
-            raise FormatError(_prefix(f"malformed dataset header: negative size in "
-                                      f"T={T}, n_in={n_in}, targets_shape={list(t_shape)}"))
-        want_shape, want_kinds = ((n, 1), "f") if spec.regression else ((n,), "iu")
-        if t_shape != want_shape or t_dtype.kind not in want_kinds:
-            raise FormatError(_prefix(
-                f"{spec.kind.value} targets must be "
-                f"{'float' if spec.regression else 'integer'} {list(want_shape)}, "
-                f"header says {t_dtype} {list(t_shape)}"))
         try:
             spec.validate()
         except ConfigError as e:
             raise FormatError(f"dataset header: {e}") from e
-        if n_in != spec.n_in:
-            raise FormatError(f"{spec.kind.value} has {spec.n_in} input channels, "
-                              f"header says n_in={n_in}")
+        want = _header(spec, n, None)
+        for key, value in derived.items():
+            got, need = json.dumps(value), json.dumps(want[key])
+            if got != need:  # as JSON text, 2.0 is not 2 and true is not 1
+                raise FormatError(_prefix(f"{spec.kind.value} {key} must be {need}, "
+                                          f"header says {got}"))
         payload_bytes = os.fstat(f.fileno()).st_size - f.tell()
-        expected = n * T * n_in * 8 + int(np.prod(t_shape)) * 8
+        expected = n * (T * spec.n_in + 1) * 8  # inputs, then one target per row
         if payload_bytes != expected:
             raise FormatError(f"dataset payload has {payload_bytes} bytes, "
                               f"expected {expected}")
         symbols, values = _read_inputs(f, spec, n)
-        raw = np.empty(t_shape, dtype="<f8" if t_dtype.kind == "f" else "<i8")
-        _read_into(f, raw)
-    # the checks see the file's values; the cast must then keep every one
-    if not np.isfinite(raw).all():
+        targets = np.empty(want["targets_shape"], dtype=_file_dtype(want))
+        _read_into(f, targets)
+    if not np.isfinite(targets).all():
         raise FormatError("dataset holds non-finite targets")
-    if not spec.regression and ((raw < 0) | (raw >= spec.n_out)).any():
+    if not spec.regression and ((targets < 0) | (targets >= spec.n_out)).any():
         raise FormatError(f"{spec.kind.value} class ids must lie in [0, {spec.n_out})")
-    with np.errstate(over="ignore"):  # a cast that overflows changes a value
-        targets = raw.astype(t_dtype, copy=False)
-    if not np.array_equal(targets, raw):
-        raise FormatError(f"targets_dtype {t_dtype} cannot hold the file's targets exactly")
-    _check_rows(spec, symbols, values, raw)
+    _check_rows(spec, symbols, values, targets)
     return SequenceBatch(symbols=symbols, values=values, targets=targets, spec=spec)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -56,6 +57,14 @@ class TestGen:
             fa = tmp_path / "a" / f"temporal_order_T30_{name}.dat"
             fb = tmp_path / "b" / f"temporal_order_T30_{name}.dat"
             assert fa.read_bytes() == fb.read_bytes()
+
+    def test_gen_writes_through_a_split_linked_to_a_device(self, tmp_path, capsys):
+        # a device can be neither cut nor sought
+        (tmp_path / "adding_T20_valid.dat").symlink_to(os.devnull)
+        code, out, _ = run_cli(["gen", "--task", "adding", "--T", "20", "--seed", "1",
+                                "--out", str(tmp_path)] + GEN_SMALL, capsys)
+        assert code == 0 and out.count("wrote") == 3
+        assert tasks.load_batch(tmp_path / "adding_T20_test.dat").n == 20
 
     @pytest.mark.parametrize("task", ["adding", "temporal_order"])
     def test_header_records_configured_tolerance(self, tmp_path, capsys, task):
@@ -195,7 +204,7 @@ class TestTrain:
                                 "--out", str(out), "--run-name", "short",
                                 "--data", str(data_dir)] + TRAIN_SMALL, capsys)
         assert code == cli.EXIT_INPUT
-        assert "adding targets must be float [20, 1]" in err
+        assert "adding targets_shape must be [20, 1], header says [10, 1]" in err
         assert not out.exists()
 
     def test_tolerance_flag_trains_on_matching_data(self, tmp_path, capsys):
@@ -471,7 +480,7 @@ class TestEval:
         code, out, err = run_cli(["eval", "--model", str(model_path), "--data",
                                   str(data_path), "--out", str(out_json)], capsys)
         assert code == cli.EXIT_INPUT
-        assert "temporal_order targets must be integer [20]" in err
+        assert 'temporal_order targets_dtype must be "int64", header says "float64"' in err
         assert "accuracy" not in out and not out_json.exists()
 
     def test_non_finite_model_is_input_error(self, tmp_path, capsys):
@@ -588,6 +597,29 @@ class TestUsageAndConfig:
         assert code == cli.EXIT_INPUT
         assert message in err
         assert stdout == "" and [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", ""] + TRAIN_SMALL, "adding_T20_train.dat not found"),
+        (["train", "--config", ""] + TRAIN_SMALL, "config file : "),
+        (["train", "--run-name", ""] + TRAIN_SMALL, "--run-name: must not be empty"),
+        (["scan", "--sigmas", "", "--hidden", "6", "--probes", "4"],
+         "sigmas: expected comma-separated numbers, got ''"),
+        (["eval", "--out", "", "--model", "model.json", "--data", "adding.dat"],
+         "No such file or directory: ''")],
+        ids=["data", "config", "run_name", "sigmas", "eval_out"])
+    def test_empty_value_counts_as_given(self, tmp_path, capsys, monkeypatch, argv, message):
+        # an empty path is a missing file, here in an empty working directory,
+        # and an empty list or run name is rejected, not taken as no flag
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "eval":
+            model.save_model("model.json", model.init_gaussian(2, 6, 1, 0.1, seed=0))
+            tasks.save_batch("adding.dat", generate_task("adding", 20, 5, 1))
+        else:
+            argv = argv + ["--task", "adding", "--T", "20", "--out", "out"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_INPUT
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_is_input_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

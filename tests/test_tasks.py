@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 
 import numpy as np
@@ -414,8 +415,8 @@ class TestDumpLoad:
 
     @pytest.mark.parametrize("change, message", [
         ({"task": "x" * 60000}, "malformed dataset header"),
-        ({"targets_shape": [1] * 20000}, "targets must be float"),
-        ({"targets_shape": [-1] * 15000}, "negative size")],
+        ({"targets_shape": [1] * 20000}, r"targets_shape must be \[4, 1\], header says \[1, "),
+        ({"targets_shape": [-1] * 15000}, r"targets_shape must be \[4, 1\], header says \[-1, ")],
         ids=["task", "targets_shape", "negative_shape"])
     def test_messages_quote_a_short_prefix_of_a_long_header(self, tmp_path, change, message):
         path = tmp_path / "case.dat"
@@ -451,12 +452,16 @@ class TestDumpLoad:
         # a size that int() would turn into the true one is no JSON integer
         path, _ = self._payload_case(tmp_path, b"")
         magic, header, payload = path.read_bytes().split(b"\n", 2)
-        for change in ({"targets_shape": ["x"]}, {"targets_shape": [-4, -1]},
-                       {"T": -25, "n_in": -2}, {"n": 4.5}, {"T": "25"}, {"n_in": 2.0},
-                       {"targets_shape": [4, True]}):
+        for change, message in (
+                ({"targets_shape": ["x"]}, r'targets_shape must be \[4, 1\], header says \["x"\]'),
+                ({"targets_shape": [-4, -1]}, r"header says \[-4, -1\]"),
+                ({"T": -25, "n_in": -2}, "needs T >= 10 .*got -25"),
+                ({"n": 4.5}, "malformed dataset header"), ({"T": "25"}, "malformed dataset header"),
+                ({"n_in": 2.0}, "n_in must be 2, header says 2.0"),
+                ({"targets_shape": [4, True]}, r"header says \[4, true\]")):
             doc = {**json.loads(header), **change}
             path.write_bytes(b"\n".join([magic, json.dumps(doc).encode(), payload]))
-            with pytest.raises(FormatError, match="malformed dataset header"):
+            with pytest.raises(FormatError, match=message):
                 tasks.load_batch(path)
 
     def test_loss_contradicting_task_rejected(self, tmp_path):
@@ -502,8 +507,10 @@ class TestDumpLoad:
         ("adding", {"targets_dtype": "int64"}, 0),
         ("adding", {"targets_shape": [10]}, 0),
         ("adding", {"targets_shape": [5, 1]}, 40),
+        ("temporal_order", {"targets_dtype": "uint8"}, 0),
+        ("temporal_order", {"targets_dtype": "int32"}, 0),
     ], ids=["order_float", "order_column", "order_short", "adding_int", "adding_flat",
-            "adding_short"])
+            "adding_short", "order_uint8", "order_int32"])
     def test_targets_must_fit_the_task(self, tmp_path, task, change, cut):
         # each changed header still matches the payload size (``cut`` trims
         # the bytes of the missing targets), so only the targets rule can
@@ -511,8 +518,10 @@ class TestDumpLoad:
         path = tmp_path / f"{task}.dat"
         tasks.save_batch(path, generate_task(task, 30, 10, 31))
         rewrite_header(path, cut, **change)
-        kind = "float [10, 1]" if task == "adding" else "integer [10]"
-        with pytest.raises(FormatError, match=rf"{task} targets must be {re.escape(kind)}"):
+        (key, _), = change.items()
+        want = ({"targets_dtype": '"float64"', "targets_shape": "[10, 1]"} if task == "adding"
+                else {"targets_dtype": '"int64"', "targets_shape": "[10]"})[key]
+        with pytest.raises(FormatError, match=rf"{task} {key} must be {re.escape(want)}, "):
             tasks.load_batch(path)
 
     def test_input_channels_must_fit_the_task(self, tmp_path):
@@ -521,7 +530,7 @@ class TestDumpLoad:
         path = tmp_path / "adding.dat"
         tasks.save_batch(path, generate_task("adding", 15, 16, 32))
         rewrite_header(path, n=31, n_in=1, targets_shape=[31, 1])
-        with pytest.raises(FormatError, match="adding has 2 input channels, header says n_in=1"):
+        with pytest.raises(FormatError, match="adding n_in must be 2, header says 1"):
             tasks.load_batch(path)
 
     def test_loaded_arrays_are_owned_and_writeable(self, tmp_path):
@@ -665,13 +674,14 @@ class TestDumpLoad:
                     tasks.load_batch(path)
 
     def test_class_ids_checked_before_the_targets_dtype_cast(self, tmp_path):
-        # as uint8, class id 257 would read as 1, a valid class
+        # as uint8, class id 257 would read as 1, a valid class; no file may
+        # name another targets_dtype than its task's
         batch = generate_task("temporal_order", 30, 5, 24)
         batch.targets[3] = 257
         path = tmp_path / "order.dat"
         tasks.save_batch(path, batch)
         rewrite_header(path, targets_dtype="uint8")
-        with pytest.raises(FormatError, match=r"class ids must lie in \[0, 4\)"):
+        with pytest.raises(FormatError, match='targets_dtype must be "int64", header says "uint8"'):
             tasks.load_batch(path)
 
     @pytest.mark.parametrize("dtype, target", [("float32", None), ("float16", 1e6)],
@@ -684,12 +694,11 @@ class TestDumpLoad:
         path = tmp_path / "adding.dat"
         tasks.save_batch(path, batch)
         rewrite_header(path, targets_dtype=dtype)
-        with pytest.raises(FormatError, match=f"targets_dtype {dtype} cannot hold"):
+        with pytest.raises(FormatError,
+                           match=f'targets_dtype must be "float64", header says "{dtype}"'):
             tasks.load_batch(path)
 
-    @pytest.mark.parametrize("task, dtype", [("temporal_order", "uint8"),
-                                             ("temporal_order", "int32"),
-                                             ("adding", "float64")])
+    @pytest.mark.parametrize("task, dtype", [("adding", "float64")])
     def test_targets_dtype_that_holds_the_targets_loads(self, tmp_path, task, dtype):
         batch = generate_task(task, 30, 5, 24)
         path = tmp_path / f"{task}.dat"
@@ -698,6 +707,27 @@ class TestDumpLoad:
         loaded = tasks.load_batch(path)
         assert loaded.targets.dtype == np.dtype(dtype)
         npt.assert_array_equal(loaded.targets, batch.targets)
+
+    def test_class_targets_are_saved_as_int64(self, tmp_path):
+        batch = generate_task("temporal_order", 30, 5, 24)
+        batch.targets = batch.targets.astype(np.int32)
+        path = tmp_path / "order.dat"
+        tasks.save_batch(path, batch)
+        assert json.loads(path.read_bytes().split(b"\n")[1])["targets_dtype"] == "int64"
+        loaded = tasks.load_batch(path)
+        assert loaded.targets.dtype == np.int64
+        npt.assert_array_equal(loaded.targets, batch.targets)
+
+    def test_save_does_not_cast_float_class_targets(self, tmp_path):
+        # int64 could not hold 1.5; the save fails instead of writing 1
+        batch = generate_task("temporal_order", 30, 5, 24)
+        batch.targets = batch.targets + 0.5
+        with pytest.raises(TypeError, match="same_kind"):
+            tasks.save_batch(tmp_path / "order.dat", batch)
+
+    def test_save_to_a_device_writes_through_it(self):
+        # /dev/null can be neither cut nor sought; the magic goes first
+        tasks.save_batch(os.devnull, generate_task("adding", 30, 600, 24))
 
 
 def dense_bytes(batch) -> int:
