@@ -9,7 +9,9 @@ each other.
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -253,6 +255,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # a summary that open() could not write fails here, before the scoring
+    if args.out is not None and not (args.out and Path(args.out).parent.is_dir()):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     params = model.load_model(args.model)
     batch = tasks.load_batch(args.data)
     if batch.spec.n_in != params.n_in:

@@ -13,7 +13,11 @@ benchmark tasks have a single target per sequence, so no per-step outputs are
 produced.  A single sequence is a batch of one: ``seq[None]``.
 """
 
+import ctypes
+import functools
 import json
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -159,6 +163,168 @@ def _softmax(y_pre: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+@functools.cache
+def _blas_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` from the libraries
+    mapped into this process, or None where there is none.  Despite its
+    name, in OpenBLAS it sets the thread count of the whole process, not of
+    the calling thread; it returns the count it replaces."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "blas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+def _concurrency(blas_threads: int) -> int:
+    """How many row blocks a scoring forward may run at once: one per BLAS
+    thread the caller had, and per core this process may run on."""
+    return min(blas_threads, len(os.sched_getaffinity(0))) if blas_threads > 1 else 1
+
+
+def _row_slices(n_rows: int, n_blocks: int) -> list:
+    edges = [n_rows * i // n_blocks for i in range(n_blocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+# (n_rows, n_in, n_hid, n_blocks, blas_threads) -> what _exact_split measured
+_exact_splits = {}
+
+
+def _exact_split(blocks: list, blas_threads: int, n_in: int, x, whole, split) -> bool:
+    """Whether a step's two products, computed per row block at one BLAS
+    thread, give bit for bit what they give for the whole batch at
+    ``blas_threads``.
+
+    BLAS picks its kernel and its split of the work by the operand sizes,
+    and that can change the summation order within a row.  With OpenBLAS
+    0.3.31 on AVX-512, a block is not exact where the whole product is past
+    the small-matrix kernel's 10^6 multiply-adds and the block is not (two
+    blocks of a 101- to 200-row batch at 100 hidden units), and at 50 hidden
+    units that kernel rounds the last two columns of some rows by their
+    place in the batch.  So each shape is measured once, on fixed-seed data
+    drawn into the forward's (n_rows, n_hid) buffers ``x``, ``whole`` and
+    ``split`` before its loop uses them.  A differing element differs on
+    about half of the draws, and eight draws must all agree."""
+    n_rows, n_hid = x.shape
+    key = (n_rows, n_in, n_hid, len(blocks), blas_threads)
+    if key in _exact_splits:
+        return _exact_splits[key]
+    setter = _blas_thread_setter()
+    rng = np.random.default_rng(0)
+    _exact_splits[key] = False
+    for _ in range(8):
+        for left in (rng.standard_normal((n_rows, n_in)), rng.standard_normal(out=x)):
+            right = rng.standard_normal((left.shape[1], n_hid))
+            np.matmul(left, right, out=whole)
+            if setter is not None:
+                setter(1)
+            try:
+                for rows in blocks:
+                    np.matmul(left[rows], right, out=split[rows])
+            finally:
+                if setter is not None:
+                    setter(blas_threads)
+            if not np.array_equal(whole.view(np.uint64), split.view(np.uint64)):
+                return False
+    _exact_splits[key] = True
+    return True
+
+
+def _in_row_blocks(run, n_in: int, z, a, r) -> int:
+    """``run(rows)`` over contiguous row blocks that together cover the
+    rows of the forward's (n_rows, n_hid) buffers ``z``, ``a`` and ``r``,
+    each block in a thread of its own, and the earliest non-zero result of
+    any block (0 if none).
+
+    There is one block per thread that may run at once (``_concurrency``),
+    each of at least 2 rows: numpy hands a one-row operand to gemv, which
+    rounds differently from gemm.  Blocks are used only for shapes where
+    ``_exact_split`` finds them bit-equal to the whole batch.  While they
+    run, OpenBLAS is held at one thread, so that each block's products run
+    on its own core; the count is process-wide, so only this caller sets it,
+    and it is restored however the blocks end.  With one block, ``run``
+    runs in the calling thread at the caller's BLAS thread count.  An
+    exception raised in any block is raised here once every block has
+    ended."""
+    n_rows = z.shape[0]
+    setter = _blas_thread_setter()
+    blas_threads = 1
+    if setter is not None:
+        blas_threads = setter(1)  # a read: restored at once
+        setter(blas_threads)
+    blocks = _row_slices(n_rows, max(1, min(_concurrency(blas_threads), n_rows // 2)))
+    if len(blocks) == 1 or not _exact_split(blocks, blas_threads, n_in, z, a, r):
+        return run(slice(0, n_rows))
+    results = [0] * len(blocks)
+    errors = []
+
+    def work(i):
+        try:
+            results[i] = run(blocks[i])
+        except BaseException as e:  # a thread's own exception would only be printed
+            errors.append(e)
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(1, len(blocks))]
+    if setter is not None:
+        setter(1)
+    try:
+        for worker in workers:
+            worker.start()
+        work(0)
+    finally:
+        for worker in workers:
+            worker.join()
+        if setter is not None:
+            setter(blas_threads)
+    if errors:
+        raise errors[0]
+    return min((bad for bad in results if bad), default=0)
+
+
+def _recur(params: SrnParams, n_steps: int, step_inputs, steps, states, r, bias) -> int:
+    """Run the recurrence of a batch, or of a block of its rows, through
+    every step, in the caller's step-major buffers of those rows; returns
+    the 1-based first step whose a(k) is not finite, or 0.
+
+    ``step_inputs(k)`` gives the (rows, n_in) inputs of 0-based step k,
+    which are projected into the single block ``steps[0]``, and each a(k) is
+    checked as soon as it is computed, before its block is overwritten.
+    Without it (a full trace) ``steps`` already holds every step's
+    projection, and all steps are checked once, after the loop.  Only numpy
+    and the given ``step_inputs`` are called, so a block can run in a thread
+    of its own; numpy's error state is per thread, hence set here."""
+    z_prev = states[0]
+    z_prev.fill(0.0)
+    # an overflow leaves a non-finite a(k) or y, which the checks here and in
+    # loss_batch report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            if step_inputs is None:
+                a_k = steps[k]
+            else:
+                a_k = np.matmul(step_inputs(k), params.w_in, out=steps[0])
+            a_k += np.matmul(z_prev, params.w_rec, out=r)
+            a_k += bias
+            if step_inputs is not None and not np.isfinite(a_k).all():
+                return k + 1
+            z_prev = np.tanh(a_k, out=states[k + 1 if step_inputs is None else 0])
+        if step_inputs is None:
+            finite = np.isfinite(steps).all(axis=(1, 2))
+            if not finite.all():
+                return int(np.argmin(finite)) + 1
+    return 0
+
+
 def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> ForwardTrace:
     """Run a batch of N sequences of T steps, each from the zero state.
 
@@ -172,11 +338,25 @@ def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> Forw
     With ``keep_trace`` (the default) the trace keeps every a(k) and z(k) for
     backpropagation, as written by the step loop.  With ``keep_trace=False``
     each a(k) and z(k) is written into one reused (N, n_hid) block, and the
-    scoring trace that comes back carries ``y`` but no per-step values; ``y``
-    is bit-equal in both modes and for both kinds of ``inputs``.  A
-    non-finite a(k) raises NumericalError naming the first bad step: scoring
-    checks each a(k) as soon as it is computed, before its block is
-    overwritten, and a full trace checks all of them once, after the loop.
+    scoring trace that comes back carries ``y`` but no per-step values.
+
+    Scoring splits the rows into contiguous blocks of at least 2 rows, as
+    many as there are cores and BLAS threads (whichever is fewer), and runs
+    each block's step loop in a thread of its own on its rows of the same
+    buffers (see ``_in_row_blocks``).  Rows never mix within a step, so a
+    block gives its rows' values by the same elementwise operations as the
+    whole batch; only the two products could round differently, and blocks
+    are used only for shapes where a measured probe (``_exact_split``) finds
+    them bit-equal.  So ``y`` is bit-equal in both modes, for both kinds of
+    ``inputs`` and for any number of blocks.  While the blocks run, OpenBLAS
+    is held at one thread through ``openblas_set_num_threads_local``, which
+    sets the count of the whole process, not of one thread: the calling
+    thread sets it and restores it before returning, or raising.
+
+    A non-finite a(k) raises NumericalError naming the first bad step over
+    all rows: scoring checks each a(k) as soon as it is computed, before its
+    block is overwritten, and a full trace checks all of them once, after
+    the loop.
     """
     if hasattr(inputs, "dense_inputs"):  # a SequenceBatch; tasks imports this module
         batch = inputs
@@ -190,42 +370,37 @@ def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> Forw
 
     n_seqs, n_steps = shape[:2]
     # step-major storage: every per-step block steps[k] and states[k] is
-    # contiguous, so the products and tanh write into it directly.  A full
-    # trace projects all inputs in one call, which numpy runs as the same
-    # product per step; scoring projects one step at a time into its single
-    # block, so that no (T, N, n_hid) buffer is made, and builds a batch's
-    # inputs of that step into a contiguous block first.
+    # contiguous, and so is any block of its rows, so the products and tanh
+    # write into it directly.  A full trace projects all inputs in one call,
+    # which numpy runs as the same product per step; scoring projects one
+    # step at a time into its single block, so that no (T, N, n_hid) buffer
+    # is made, and builds a batch's inputs of that step into a contiguous
+    # block first.
     steps = np.empty((n_steps if keep_trace else 1, n_seqs, params.n_hid))
     states = np.empty((n_steps + 1 if keep_trace else 1, n_seqs, params.n_hid))
     bias = np.broadcast_to(params.b, (n_seqs, params.n_hid)).copy()
     r = np.empty((n_seqs, params.n_hid))
-    u_k = np.empty((n_seqs, params.n_in)) if inputs is None else None
-    z_prev = states[0]
-    z_prev.fill(0.0)
-    # an overflow leaves a non-finite a(k) or y, which the checks here and in
-    # loss_batch report
-    with np.errstate(over="ignore", invalid="ignore"):
-        if keep_trace:
+    if keep_trace:
+        with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(inputs.transpose(1, 0, 2), params.w_in, out=steps)
-        for k in range(n_steps):
-            if keep_trace:
-                a_k = steps[k]
-            else:
-                a_k = steps[0]
-                step_inputs = (inputs[:, k, :] if u_k is None
-                               else batch.dense_inputs(out=u_k, step=k))
-                np.matmul(step_inputs, params.w_in, out=a_k)
-            a_k += np.matmul(z_prev, params.w_rec, out=r)
-            a_k += bias
-            if not keep_trace and not np.isfinite(a_k).all():
-                raise NumericalError(f"non-finite activation at step {k + 1}")
-            z_prev = np.tanh(a_k, out=states[k + 1 if keep_trace else 0])
-        if keep_trace:
-            finite = np.isfinite(steps).all(axis=(1, 2))
-            if not finite.all():
-                raise NumericalError(
-                    f"non-finite activation at step {int(np.argmin(finite)) + 1}")
-        y_pre = z_prev @ params.w_out
+        bad = _recur(params, n_steps, None, steps, states, r, bias)
+    else:
+        u_k = np.empty((n_seqs, params.n_in)) if inputs is None else None
+
+        def run(rows):
+            def step_inputs(k):
+                if u_k is None:
+                    return inputs[rows, k, :]
+                return batch.dense_inputs(rows, out=u_k[rows], step=k)
+
+            return _recur(params, n_steps, step_inputs, steps[:, rows], states[:, rows],
+                          r[rows], bias[rows])
+
+        bad = _in_row_blocks(run, params.n_in, states[0], steps[0], r)
+    if bad:
+        raise NumericalError(f"non-finite activation at step {bad}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_pre = states[-1] @ params.w_out
         if params.output_activation is OutputActivation.SOFTMAX:
             y = _softmax(y_pre)
         else:

@@ -136,7 +136,13 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
 def evaluate(params: SrnParams, batch: SequenceBatch, chunk: int = 512) -> float:
     """Fraction of sequences answered correctly, streamed in chunks, each
     through a scoring forward that keeps no per-step activations and builds
-    the float64 inputs of one step at a time."""
+    the float64 inputs of one step at a time.
+
+    The forward splits each chunk into row blocks, one thread and core
+    each, with OpenBLAS held at one thread for the whole process while they
+    run and restored after; the readout is bit-equal to the unsplit one
+    (see ``model.forward_batch``), so the accuracy does not depend on the
+    number of cores."""
     hits = 0
     for start in range(0, batch.n, chunk):
         part = batch.subset(slice(start, start + chunk))

@@ -493,6 +493,23 @@ class TestEval:
         assert code == cli.EXIT_INPUT
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("out", ["", "missing/eval.json"], ids=["empty", "missing_dir"])
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, out):
+        # the 10000-row benchmark split takes about a second to score
+        def not_called(*args, **kwargs):
+            raise AssertionError("called before --out was checked")
+
+        monkeypatch.chdir(tmp_path)
+        model.save_model("model.json", model.init_gaussian(2, 6, 1, 0.1, seed=0))
+        tasks.save_batch("adding.dat", generate_task("adding", 20, 5, 1))
+        monkeypatch.setattr(tasks, "load_batch", not_called)
+        monkeypatch.setattr(trainer, "evaluate", not_called)
+        code, stdout, err = run_cli(["eval", "--model", "model.json", "--data", "adding.dat",
+                                     "--out", out], capsys)
+        assert code == cli.EXIT_INPUT
+        assert f"No such file or directory: '{out}'" in err
+        assert stdout == "" and not (tmp_path / "missing").exists()
+
     def test_outputs_checked_against_task(self, tmp_path, capsys):
         # an 8-class model cannot score the 4-class task, whatever ids the
         # data happens to hold

@@ -4,6 +4,7 @@ listed, and a differing CSV or JSON file is quantified."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -103,3 +104,22 @@ def test_compare_puts_the_explanation_under_its_file(tmp_path, monkeypatch):
     assert lines == ["differs: metrics.csv", "    loss: max relative difference 0.5",
                      "    equal: iter", "differs: notes.txt"]
     assert (n_files, codes) == (2, {"train": 0})
+
+
+def test_every_command_runs_at_one_blas_thread_per_core(tmp_path, monkeypatch):
+    # whatever the caller's environment says, as perfbench/run.py sets it
+    tool = load_tool()
+    envs = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(argv, 0)
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    tool.run_script(Path("src"), tmp_path, tool.TINY)
+    nproc = str(len(os.sched_getaffinity(0)))
+    assert len(envs) == len(tool.script(tool.TINY))
+    assert all(env[var] == nproc for env in envs
+               for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -311,6 +313,124 @@ class TestScoringTrace:
         trace = model.forward_batch(p, np.ones((2, 3, 1)), keep_trace=False)
         with pytest.raises(NumericalError, match="non-finite loss"):
             model.loss_batch(trace, targets, kind)
+
+    # scoring splits the rows into blocks, one thread each; these force the
+    # block count, so that they mean the same on a one-core box
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("n_seqs", [1, 2, 3, 5, 150, 511, 512, 1000])
+    @pytest.mark.parametrize("n_hid", [50, 100])
+    @pytest.mark.parametrize("task", [kind.value for kind in TaskKind])
+    def test_row_blocks_give_the_full_trace_readout(self, monkeypatch, task, n_hid, n_seqs,
+                                                    blocks):
+        # every block has at least 2 rows (5 rows in 3 blocks run as 2 and
+        # 3): numpy hands a one-row operand to gemv, which rounds
+        # differently from the gemm of the whole batch.  Where BLAS changes
+        # kernel between a block and the whole (with OpenBLAS 0.3.31 on
+        # AVX-512: 150 rows at 100 hidden units, 5 rows at 50), the probe
+        # keeps one block, so y is still bit-equal
+        monkeypatch.setattr(model, "_concurrency", lambda blas_threads: blocks)
+        batch = generate_task(task, 10, n_seqs, 60)
+        spec = batch.spec
+        params = model.init_gaussian(spec.n_in, n_hid, spec.n_out, 0.05, seed=61,
+                                     output_activation=spec.output_activation)
+        full = model.forward_batch(params, batch)
+        assert model.forward_batch(params, batch, keep_trace=False).y.tobytes() == \
+            full.y.tobytes()
+        assert model.forward_batch(params, full.inputs, keep_trace=False).y.tobytes() == \
+            full.y.tobytes()
+
+    @pytest.mark.parametrize("n_seqs, blocks, sizes", [
+        (3, 3, [3]), (5, 3, [2, 3]), (7, 3, [2, 2, 3]), (512, 2, [256, 256])])
+    def test_each_block_runs_in_its_own_thread(self, monkeypatch, n_seqs, blocks, sizes):
+        monkeypatch.setattr(model, "_concurrency", lambda blas_threads: blocks)
+        monkeypatch.setattr(model, "_exact_split", lambda *args: True)
+        recur, seen = model._recur, []
+
+        def spy(params, n_steps, step_inputs, steps, *args):
+            seen.append((steps.shape[1], threading.current_thread()))
+            return recur(params, n_steps, step_inputs, steps, *args)
+
+        monkeypatch.setattr(model, "_recur", spy)
+        model.forward_batch(tiny_params(62), np.ones((n_seqs, 4, 2)), keep_trace=False)
+        assert sorted(rows for rows, _ in seen) == sorted(sizes)
+        assert len({thread for _, thread in seen}) == len(sizes)
+        assert threading.current_thread() in {thread for _, thread in seen}
+
+    @pytest.mark.parametrize("late, early", [(8, 0), (0, 8)], ids=["last_block", "first_block"])
+    def test_earliest_bad_step_over_all_blocks(self, monkeypatch, late, early):
+        # 9 rows in blocks of 3: the step named is the earliest of any row,
+        # whichever block it lies in and whichever block ends first
+        monkeypatch.setattr(model, "_concurrency", lambda blas_threads: 3)
+        monkeypatch.setattr(model, "_exact_split", lambda *args: True)
+        inputs = np.random.default_rng(63).standard_normal((9, 12, 2))
+        inputs[late, 9, 0] = np.inf
+        inputs[early, 2, 1] = np.inf
+        with pytest.raises(NumericalError) as err:
+            model.forward_batch(tiny_params(64), inputs, keep_trace=False)
+        assert str(err.value) == "non-finite activation at step 3"
+
+    def test_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(model, "_concurrency", lambda blas_threads: 2)
+        monkeypatch.setattr(model, "_exact_split", lambda *args: True)
+        recur = model._recur
+
+        def failing_off_the_calling_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker block")
+            return recur(*args)
+
+        monkeypatch.setattr(model, "_recur", failing_off_the_calling_thread)
+        with pytest.raises(MemoryError, match="worker block"):
+            model.forward_batch(tiny_params(65), np.ones((6, 4, 2)), keep_trace=False)
+
+    def test_many_blocks_under_frequent_thread_switches(self, monkeypatch):
+        # more blocks than cores, switching threads every microsecond: each
+        # block writes only its own rows of the shared buffers
+        monkeypatch.setattr(model, "_concurrency", lambda blas_threads: 8)
+        params = model.init_gaussian(6, 20, 4, 0.05, seed=69,
+                                     output_activation=OutputActivation.SOFTMAX)
+        batch = generate_task("temporal_order", 50, 64, 70)
+        full = model.forward_batch(params, batch)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                scoring = model.forward_batch(params, batch, keep_trace=False)
+                assert scoring.y.tobytes() == full.y.tobytes()
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.skipif(model._blas_thread_setter() is None,
+                        reason="no openblas_set_num_threads_local in this process")
+    @pytest.mark.parametrize("probe", ["measured", "forced"])
+    def test_blas_thread_count_is_restored(self, monkeypatch, probe):
+        # the setter is process-wide: a count left at 1 would change the
+        # rounding of later products, such as bptt.backward's w_rec
+        # contraction at h * N = 1000, which OpenBLAS splits by thread
+        monkeypatch.setattr(model, "_concurrency", lambda blas_threads: 2)
+        monkeypatch.setattr(model, "_exact_splits", {})
+        if probe == "forced":
+            monkeypatch.setattr(model, "_exact_split", lambda *args: True)
+        setter = model._blas_thread_setter()
+        previous = setter(2)  # where one thread would round the product otherwise
+        try:
+            rng = np.random.default_rng(66)
+            left, right = rng.standard_normal((100, 1000)), rng.standard_normal((1000, 100))
+            before = (left @ right).tobytes()
+            params = model.init_gaussian(6, 100, 4, 0.01, seed=67,
+                                         output_activation=OutputActivation.SOFTMAX)
+            model.forward_batch(params, generate_task("temporal_order", 10, 512, 68),
+                                keep_trace=False)
+            assert (left @ right).tobytes() == before
+            inputs = generate_task("temporal_order", 10, 512, 68).dense_inputs()
+            inputs[-1, 4, 0] = np.nan
+            with pytest.raises(NumericalError, match="step 5"):
+                model.forward_batch(params, inputs, keep_trace=False)
+            assert (left @ right).tobytes() == before
+            assert setter(2) == 2
+        finally:
+            setter(previous)
 
 
 class TestOutputLoss:

@@ -6,7 +6,9 @@ compare every file they write, byte for byte.
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts; each
 command runs as ``python -m srngate.cli`` with that directory on PYTHONPATH,
 from its own working directory, so that the paths written into outputs are the
-same on both sides.  The script covers ``gen`` for four tasks and once more at
+same on both sides, with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS set to the number of usable cores, as ``perfbench/run.py``
+sets them.  The script covers ``gen`` for four tasks and once more at
 an odd T (the full-size train split then crosses a seam between generation
 blocks).  The adding and temporal-order splits are written over the files of
 an earlier ``gen`` of the same task, with longer splits for adding and
@@ -139,7 +141,12 @@ def script(size: dict) -> list:
 def run_script(src: Path, work: Path, size: dict) -> dict:
     """Run the script from ``work`` against the package in ``src``; returns
     the exit code of each command by name."""
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    # the BLAS thread setting of perfbench/run.py, whatever the caller's
+    # environment: a thread count that a command leaves changed shows only
+    # at two threads or more
+    nproc = str(len(os.sched_getaffinity(0)))
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS=nproc,
+               OMP_NUM_THREADS=nproc, MKL_NUM_THREADS=nproc)
     (work / "overflow_model.json").write_text(json.dumps(OVERFLOW_MODEL))
     codes = {}
     for name, argv in script(size):
