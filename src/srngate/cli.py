@@ -255,9 +255,11 @@ def cmd_scan(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # a summary that open() could not write fails here, before the scoring
+    # a summary that open() could not write fails here, as open() would, before the scoring
     if args.out is not None and not (args.out and Path(args.out).parent.is_dir()):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+    if args.out is not None and Path(args.out).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     params = model.load_model(args.model)
     batch = tasks.load_batch(args.data)
     if batch.spec.n_in != params.n_in:

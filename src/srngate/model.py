@@ -13,10 +13,12 @@ benchmark tasks have a single target per sequence, so no per-step outputs are
 produced.  A single sequence is a batch of one: ``seq[None]``.
 """
 
+import contextlib
 import ctypes
 import functools
 import json
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -165,30 +167,39 @@ def _softmax(y_pre: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _blas_thread_setter():
-    """OpenBLAS's ``openblas_set_num_threads_local`` from the libraries
-    mapped into this process, or None where there is none.  Despite its
-    name, in OpenBLAS it sets the thread count of the whole process, not of
-    the calling thread; it returns the count it replaces."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps
-                            if "blas" in line.rsplit("/", 1)[-1].lower()})
-    except OSError:
-        return None
-    for path in paths:
+    """OpenBLAS's ``openblas_set_num_threads_local`` as found through numpy's
+    extension module (numpy 2's, or 1.x's), whose handle also searches the
+    libraries it links; None where there is none.  In OpenBLAS it sets the
+    count of the whole process, not of the calling thread, and returns the
+    count it replaces.  Only ``_blas_threads`` calls it."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
         try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
+            setter = ctypes.CDLL(sys.modules[name].__file__).openblas_set_num_threads_local
+        except (KeyError, OSError, AttributeError):
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
         return setter
     return None
 
 
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Hold OpenBLAS at ``count`` threads for the whole process and yield the
+    count it replaced, restored however the body ends; the one place that
+    sets the count.  Without the setter it holds nothing and yields 1."""
+    setter = _blas_thread_setter() or (lambda count: 1)
+    previous = setter(count)
+    try:
+        yield previous
+    finally:
+        setter(previous)
+
+
 def _concurrency(blas_threads: int) -> int:
     """How many row blocks a scoring forward may run at once: one per BLAS
-    thread the caller had, and per core this process may run on."""
-    return min(blas_threads, len(os.sched_getaffinity(0))) if blas_threads > 1 else 1
+    thread the caller had, and per core this process may run on, if known."""
+    return (min(blas_threads, len(os.sched_getaffinity(0)))
+            if blas_threads > 1 and hasattr(os, "sched_getaffinity") else 1)
 
 
 def _row_slices(n_rows: int, n_blocks: int) -> list:
@@ -203,7 +214,7 @@ _exact_splits = {}
 def _exact_split(blocks: list, blas_threads: int, n_in: int, x, whole, split) -> bool:
     """Whether a step's two products, computed per row block at one BLAS
     thread, give bit for bit what they give for the whole batch at
-    ``blas_threads``.
+    ``blas_threads``, to which a nested hold raises the count around it.
 
     BLAS picks its kernel and its split of the work by the operand sizes,
     and that can change the summation order within a row.  With OpenBLAS
@@ -219,21 +230,15 @@ def _exact_split(blocks: list, blas_threads: int, n_in: int, x, whole, split) ->
     key = (n_rows, n_in, n_hid, len(blocks), blas_threads)
     if key in _exact_splits:
         return _exact_splits[key]
-    setter = _blas_thread_setter()
     rng = np.random.default_rng(0)
     _exact_splits[key] = False
     for _ in range(8):
         for left in (rng.standard_normal((n_rows, n_in)), rng.standard_normal(out=x)):
             right = rng.standard_normal((left.shape[1], n_hid))
-            np.matmul(left, right, out=whole)
-            if setter is not None:
-                setter(1)
-            try:
-                for rows in blocks:
-                    np.matmul(left[rows], right, out=split[rows])
-            finally:
-                if setter is not None:
-                    setter(blas_threads)
+            with _blas_threads(blas_threads):
+                np.matmul(left, right, out=whole)
+            for rows in blocks:
+                np.matmul(left[rows], right, out=split[rows])
             if not np.array_equal(whole.view(np.uint64), split.view(np.uint64)):
                 return False
     _exact_splits[key] = True
@@ -249,46 +254,38 @@ def _in_row_blocks(run, n_in: int, z, a, r) -> int:
     There is one block per thread that may run at once (``_concurrency``),
     each of at least 2 rows: numpy hands a one-row operand to gemv, which
     rounds differently from gemm.  Blocks are used only for shapes where
-    ``_exact_split`` finds them bit-equal to the whole batch.  While they
-    run, OpenBLAS is held at one thread, so that each block's products run
-    on its own core; the count is process-wide, so only this caller sets it,
-    and it is restored however the blocks end.  With one block, ``run``
-    runs in the calling thread at the caller's BLAS thread count.  An
-    exception raised in any block is raised here once every block has
-    ended."""
+    ``_exact_split`` finds them bit-equal to the whole batch.  The probe and
+    the blocks run inside one ``_blas_threads(1)`` hold, so that each
+    block's products run on its own core.  With one block, ``run`` runs in
+    the calling thread after the hold, at the caller's BLAS thread count.
+    Each block keeps its result or its exception in a slot of its own; once
+    every block has ended, the exception of the lowest-numbered block that
+    raised is raised here."""
     n_rows = z.shape[0]
-    setter = _blas_thread_setter()
-    blas_threads = 1
-    if setter is not None:
-        blas_threads = setter(1)  # a read: restored at once
-        setter(blas_threads)
-    blocks = _row_slices(n_rows, max(1, min(_concurrency(blas_threads), n_rows // 2)))
-    if len(blocks) == 1 or not _exact_split(blocks, blas_threads, n_in, z, a, r):
-        return run(slice(0, n_rows))
-    results = [0] * len(blocks)
-    errors = []
+    with _blas_threads(1) as blas_threads:
+        blocks = _row_slices(n_rows, max(1, min(_concurrency(blas_threads), n_rows // 2)))
+        if len(blocks) > 1 and _exact_split(blocks, blas_threads, n_in, z, a, r):
+            results = [0] * len(blocks)
 
-    def work(i):
-        try:
-            results[i] = run(blocks[i])
-        except BaseException as e:  # a thread's own exception would only be printed
-            errors.append(e)
+            def work(i):
+                try:
+                    results[i] = run(blocks[i])
+                except BaseException as e:  # a thread's own exception would only be printed
+                    results[i] = e
 
-    workers = [threading.Thread(target=work, args=(i,)) for i in range(1, len(blocks))]
-    if setter is not None:
-        setter(1)
-    try:
-        for worker in workers:
-            worker.start()
-        work(0)
-    finally:
-        for worker in workers:
-            worker.join()
-        if setter is not None:
-            setter(blas_threads)
-    if errors:
-        raise errors[0]
-    return min((bad for bad in results if bad), default=0)
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(1, len(blocks))]
+            try:
+                for worker in workers:
+                    worker.start()
+                work(0)
+            finally:
+                for worker in workers:
+                    worker.join()
+            for result in results:
+                if isinstance(result, BaseException):
+                    raise result
+            return min((bad for bad in results if bad), default=0)
+    return run(slice(0, n_rows))
 
 
 def _recur(params: SrnParams, n_steps: int, step_inputs, steps, states, r, bias) -> int:
@@ -349,9 +346,10 @@ def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> Forw
     are used only for shapes where a measured probe (``_exact_split``) finds
     them bit-equal.  So ``y`` is bit-equal in both modes, for both kinds of
     ``inputs`` and for any number of blocks.  While the blocks run, OpenBLAS
-    is held at one thread through ``openblas_set_num_threads_local``, which
-    sets the count of the whole process, not of one thread: the calling
-    thread sets it and restores it before returning, or raising.
+    is held at one thread by ``_blas_threads``, the one place that sets the
+    count; the count is the whole process's, not one thread's, so only the
+    calling thread holds it, and it is restored before returning, or
+    raising.
 
     A non-finite a(k) raises NumericalError naming the first bad step over
     all rows: scoring checks each a(k) as soon as it is computed, before its

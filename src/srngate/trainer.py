@@ -139,10 +139,10 @@ def evaluate(params: SrnParams, batch: SequenceBatch, chunk: int = 512) -> float
     the float64 inputs of one step at a time.
 
     The forward splits each chunk into row blocks, one thread and core
-    each, with OpenBLAS held at one thread for the whole process while they
-    run and restored after; the readout is bit-equal to the unsplit one
-    (see ``model.forward_batch``), so the accuracy does not depend on the
-    number of cores."""
+    each, while ``model._blas_threads``, the one place that sets the count,
+    holds OpenBLAS at one thread for the whole process; the readout is
+    bit-equal to the unsplit one (see ``model.forward_batch``), so the
+    accuracy does not depend on the number of cores."""
     hits = 0
     for start in range(0, batch.n, chunk):
         part = batch.subset(slice(start, start + chunk))

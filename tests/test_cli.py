@@ -493,13 +493,20 @@ class TestEval:
         assert code == cli.EXIT_INPUT
         assert "non-finite" in err
 
-    @pytest.mark.parametrize("out", ["", "missing/eval.json"], ids=["empty", "missing_dir"])
-    def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, out):
-        # the 10000-row benchmark split takes about a second to score
+    @pytest.mark.parametrize("out, message", [
+        ("", "[Errno 2] No such file or directory: ''"),
+        ("missing/eval.json", "[Errno 2] No such file or directory: 'missing/eval.json'"),
+        ("existing", "[Errno 21] Is a directory: 'existing'")],
+        ids=["empty", "missing_dir", "existing_dir"])
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, out,
+                                                   message):
+        # the 10000-row benchmark split takes about a second to score; each
+        # message is the one open() gives for that path
         def not_called(*args, **kwargs):
             raise AssertionError("called before --out was checked")
 
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing").mkdir()
         model.save_model("model.json", model.init_gaussian(2, 6, 1, 0.1, seed=0))
         tasks.save_batch("adding.dat", generate_task("adding", 20, 5, 1))
         monkeypatch.setattr(tasks, "load_batch", not_called)
@@ -507,8 +514,12 @@ class TestEval:
         code, stdout, err = run_cli(["eval", "--model", "model.json", "--data", "adding.dat",
                                      "--out", out], capsys)
         assert code == cli.EXIT_INPUT
-        assert f"No such file or directory: '{out}'" in err
+        assert err == f"error: {message}\n"
         assert stdout == "" and not (tmp_path / "missing").exists()
+        assert not any((tmp_path / "existing").iterdir())
+        with pytest.raises(OSError) as opened:
+            open(out, "w")
+        assert str(opened.value) == message
 
     def test_outputs_checked_against_task(self, tmp_path, capsys):
         # an 8-class model cannot score the 4-class task, whatever ids the

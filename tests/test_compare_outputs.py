@@ -29,11 +29,12 @@ def test_same_tree_writes_identical_outputs(tmp_path):
     summary, codes_line = proc.stdout.splitlines()
     assert summary.startswith("0 difference(s)")
     # the overflowing model and the failing runs fail numerically (3), and
-    # the rerun of the failing run is refused as an input error (2)
+    # an --out that is a directory and the rerun of the failing run are
+    # refused as input errors (2)
     tool = load_tool()
     expected = {name: "0" for name, _ in tool.script(tool.TINY)}
-    expected.update(eval_overflow="3", train_failing="3", train_failing_again="2",
-                    train_failing_start="3")
+    expected.update(eval_out_dir="2", eval_overflow="3", train_failing="3",
+                    train_failing_again="2", train_failing_start="3")
     assert codes_line == "exit codes: " + " ".join(f"{k}={v}" for k, v in expected.items())
     written = {p.relative_to(work / "change").as_posix()
                for p in (work / "change").rglob("*") if p.is_file()}

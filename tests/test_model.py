@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 import threading
 
@@ -200,6 +201,9 @@ class TestForwardOracle:
         assert trace.z.tobytes() == tanh(trace.a).tobytes()
 
 
+OPENBLAS_BUILD = "openblas" in np.show_config(mode="dicts")[
+    "Build Dependencies"]["blas"]["name"].lower()
+
 SCORING_CASES = {
     "N1_softmax": (1, OutputActivation.SOFTMAX),
     "N9_linear": (9, OutputActivation.LINEAR),
@@ -384,6 +388,47 @@ class TestScoringTrace:
         with pytest.raises(MemoryError, match="worker block"):
             model.forward_batch(tiny_params(65), np.ones((6, 4, 2)), keep_trace=False)
 
+    def test_exceptions_are_raised_in_block_order(self, monkeypatch):
+        # block 1 raises and its thread ends before block 0 raises, so the
+        # first exception caught is not the one raised
+        monkeypatch.setattr(model, "_concurrency", lambda blas_threads: 2)
+        monkeypatch.setattr(model, "_exact_split", lambda *args: True)
+        caller, worker, raised = threading.current_thread(), [], threading.Event()
+
+        def both_blocks_fail(*args):
+            if threading.current_thread() is caller:
+                assert raised.wait(10)
+                worker[0].join(10)
+                raise ValueError("block 0")
+            worker.append(threading.current_thread())
+            raised.set()
+            raise ValueError("block 1")
+
+        monkeypatch.setattr(model, "_recur", both_blocks_fail)
+        with pytest.raises(ValueError, match="block 0"):
+            model.forward_batch(tiny_params(65), np.ones((6, 4, 2)), keep_trace=False)
+        assert not worker[0].is_alive()
+
+    def test_unknown_cores_run_one_block(self, monkeypatch):
+        # where os.sched_getaffinity is missing (macOS) scoring keeps one
+        # block, whatever BLAS thread count the caller holds
+        monkeypatch.delattr(os, "sched_getaffinity")
+        recur, rows = model._recur, []
+
+        def spy(params, n_steps, step_inputs, steps, *args):
+            rows.append(steps.shape[1])
+            return recur(params, n_steps, step_inputs, steps, *args)
+
+        monkeypatch.setattr(model, "_recur", spy)
+        params = model.init_gaussian(6, 100, 4, 0.01, seed=67,
+                                     output_activation=OutputActivation.SOFTMAX)
+        batch = generate_task("temporal_order", 10, 512, 68)
+        full = model.forward_batch(params, batch)
+        with model._blas_threads(2):
+            scoring = model.forward_batch(params, batch, keep_trace=False)
+        assert rows == [512, 512]
+        assert scoring.y.tobytes() == full.y.tobytes()
+
     def test_many_blocks_under_frequent_thread_switches(self, monkeypatch):
         # more blocks than cores, switching threads every microsecond: each
         # block writes only its own rows of the shared buffers
@@ -400,6 +445,33 @@ class TestScoringTrace:
                 assert scoring.y.tobytes() == full.y.tobytes()
         finally:
             sys.setswitchinterval(switch)
+
+    @pytest.mark.skipif(not OPENBLAS_BUILD, reason="numpy is not built against OpenBLAS")
+    def test_openblas_build_has_the_setter(self):
+        # without it, scoring silently runs one block and the restore test
+        # below is skipped
+        assert model._blas_thread_setter() is not None
+
+    @pytest.mark.skipif(model._blas_thread_setter() is None,
+                        reason="no openblas_set_num_threads_local in this process")
+    def test_hold_yields_and_restores_the_replaced_count(self):
+        setter = model._blas_thread_setter()
+        previous = setter(2)
+        try:
+            with pytest.raises(ValueError):
+                with model._blas_threads(1) as outer:
+                    with model._blas_threads(3) as inner:
+                        assert (outer, inner) == (2, 1)
+                    assert setter(1) == 1
+                    raise ValueError
+            assert setter(2) == 2
+        finally:
+            setter(previous)
+
+    def test_hold_without_the_setter_yields_one(self, monkeypatch):
+        monkeypatch.setattr(model, "_blas_thread_setter", lambda: None)
+        with model._blas_threads(4) as count:
+            assert count == 1
 
     @pytest.mark.skipif(model._blas_thread_setter() is None,
                         reason="no openblas_set_num_threads_local in this process")

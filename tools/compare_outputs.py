@@ -20,11 +20,12 @@ multiplication splits, a gated ``train --data`` on the 3-special temporal
 order splits and an ``eval --out`` of its model, so that all four tasks go
 through the loader, a ``--batch 1`` run, a gated adding run without momentum
 under an absolute ``r0``, a three-sigma temporal-order ``scan`` at h = T and a
-two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval`` of a
-hand-written model whose finite weights overflow an activation, a run whose
-learning rate makes it fail, started twice, and a ``--record-dynamics`` run
-whose initial network already fails validation.  ``--tiny`` shrinks every size
-so the whole script takes seconds.
+two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval --out`` that
+names an existing directory, an ``eval`` of a hand-written model whose finite
+weights overflow an activation, a run whose learning rate makes it fail,
+started twice, and a ``--record-dynamics`` run whose initial network already
+fails validation.  ``--tiny`` shrinks every size so the whole script takes
+seconds.
 
 Every file whose sha256 differs, or that exists on one side only, is listed,
 as is every command whose exit code differs; the last line gives each
@@ -128,6 +129,9 @@ def script(size: dict) -> list:
         ("eval", ["eval", "--model", "runs/gated_seed1/model.json",
                   "--data", f"data/temporal_order_T{size['T_order']}_test.dat",
                   "--out", "eval.json"]),
+        ("eval_out_dir", ["eval", "--model", "runs/gated_seed1/model.json",
+                          "--data", f"data/temporal_order_T{size['T_order']}_test.dat",
+                          "--out", "data"]),
         ("eval_overflow", ["eval", "--model", "overflow_model.json",
                            "--data", f"data/temporal_order_T{size['T_order']}_test.dat"]),
         ("train_failing", failing),
