@@ -159,6 +159,8 @@ def cmd_train(args) -> int:
     if args.run_name == "":
         raise ConfigError("--run-name: must not be empty")
     data = _load_splits(Path(args.data), cfg) if args.data is not None else None
+    if cfg.epochs:  # a run of no epochs draws no minibatch
+        trainer.check_epoch_pool(cfg, data["train"].n if data else cfg.train_size)
     out_root = Path(cfg.out)
     prefix = time.strftime("%Y%m%d-%H%M%S") if args.run_name is None else args.run_name
     run_dirs = {seed: out_root / f"{prefix}_seed{seed}" for seed in cfg.seeds}
@@ -258,7 +260,7 @@ def cmd_eval(args) -> int:
     # a summary that open() could not write fails here, as open() would, before the scoring
     if args.out is not None and not (args.out and Path(args.out).parent.is_dir()):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
-    if args.out is not None and Path(args.out).is_dir():
+    if args.out is not None and (Path(args.out).is_dir() or args.out.endswith(os.sep)):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     params = model.load_model(args.model)
     batch = tasks.load_batch(args.data)

@@ -97,13 +97,11 @@ class ForwardTrace:
     must take a C-ordered copy first.
 
     A scoring trace (``keep_trace=False``) carries ``y`` and
-    ``output_activation``, which is all ``loss_batch`` reads, and the
-    ``inputs`` array it was given; from a ``SequenceBatch`` it carries no
-    inputs, since they were built one step at a time.  Its ``steps`` and
-    ``states`` are None, and reading ``a``, ``z`` or ``n_steps`` raises
-    RuntimeError."""
+    ``output_activation``, which is all ``loss_batch`` reads.  Its
+    ``inputs``, ``steps`` and ``states`` are None, and reading ``a``, ``z``
+    or ``n_steps`` raises RuntimeError."""
 
-    inputs: np.ndarray | None  # (N, T, n_in); None when scoring a SequenceBatch
+    inputs: np.ndarray | None  # (N, T, n_in); None when scoring
     y: np.ndarray        # (N, n_out) readout after the final step
     output_activation: OutputActivation
     steps: np.ndarray | None = None   # (T, N, n_hid) a(k) per step; None when scoring
@@ -280,7 +278,8 @@ def _in_row_blocks(run, n_in: int, z, a, r) -> int:
                 work(0)
             finally:
                 for worker in workers:
-                    worker.join()
+                    if worker.ident is not None:  # start() may have raised
+                        worker.join()
             for result in results:
                 if isinstance(result, BaseException):
                     raise result
@@ -325,12 +324,12 @@ def _recur(params: SrnParams, n_steps: int, step_inputs, steps, states, r, bias)
 def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> ForwardTrace:
     """Run a batch of N sequences of T steps, each from the zero state.
 
-    ``inputs`` is a (N, T, n_in) array, converted to float64 first, or a
-    ``tasks.SequenceBatch``, which holds one uint8 symbol per step and
-    builds float64 inputs with ``dense_inputs``: once for the whole batch
-    when a trace is kept, and one step at a time, into one reused (N, n_in)
-    block, when scoring.  A scoring trace from a batch carries no
-    ``inputs``.
+    A full trace takes ``inputs`` as a (N, T, n_in) array, converted to
+    float64 first, or as a ``tasks.SequenceBatch``, which holds one uint8
+    symbol per step and builds its float64 inputs once with
+    ``dense_inputs``.  Scoring takes only a ``SequenceBatch``, and builds
+    the inputs of one step at a time into one reused (N, n_in) block, so a
+    scoring trace carries no ``inputs``.
 
     With ``keep_trace`` (the default) the trace keeps every a(k) and z(k) for
     backpropagation, as written by the step loop.  With ``keep_trace=False``
@@ -344,25 +343,25 @@ def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> Forw
     block gives its rows' values by the same elementwise operations as the
     whole batch; only the two products could round differently, and blocks
     are used only for shapes where a measured probe (``_exact_split``) finds
-    them bit-equal.  So ``y`` is bit-equal in both modes, for both kinds of
-    ``inputs`` and for any number of blocks.  While the blocks run, OpenBLAS
-    is held at one thread by ``_blas_threads``, the one place that sets the
-    count; the count is the whole process's, not one thread's, so only the
-    calling thread holds it, and it is restored before returning, or
-    raising.
+    them bit-equal.  So ``y`` is bit-equal in both modes and for any number
+    of blocks.  While the blocks run, OpenBLAS is held at one thread by
+    ``_blas_threads``, the one place that sets the count; the count is the
+    whole process's, not one thread's, so only the calling thread holds it,
+    and it is restored before returning, or raising.
 
     A non-finite a(k) raises NumericalError naming the first bad step over
     all rows: scoring checks each a(k) as soon as it is computed, before its
     block is overwritten, and a full trace checks all of them once, after
     the loop.
     """
-    if hasattr(inputs, "dense_inputs"):  # a SequenceBatch; tasks imports this module
-        batch = inputs
-        shape = batch.symbols.shape + (batch.spec.n_in,)
-        inputs = batch.dense_inputs() if keep_trace else None
-    else:
+    if keep_trace:
+        if hasattr(inputs, "dense_inputs"):  # a SequenceBatch; tasks imports this module
+            inputs = inputs.dense_inputs()
         inputs = np.asarray(inputs, dtype=np.float64)
         shape = inputs.shape
+    else:
+        batch, inputs = inputs, None
+        shape = batch.symbols.shape + (batch.spec.n_in,)
     if len(shape) != 3 or shape[2] != params.n_in:
         raise DimensionError(f"batch shape {shape} does not match n_in={params.n_in}")
 
@@ -372,8 +371,8 @@ def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> Forw
     # write into it directly.  A full trace projects all inputs in one call,
     # which numpy runs as the same product per step; scoring projects one
     # step at a time into its single block, so that no (T, N, n_hid) buffer
-    # is made, and builds a batch's inputs of that step into a contiguous
-    # block first.
+    # is made, and builds the inputs of that step into a contiguous block
+    # first.
     steps = np.empty((n_steps if keep_trace else 1, n_seqs, params.n_hid))
     states = np.empty((n_steps + 1 if keep_trace else 1, n_seqs, params.n_hid))
     bias = np.broadcast_to(params.b, (n_seqs, params.n_hid)).copy()
@@ -383,26 +382,20 @@ def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> Forw
             np.matmul(inputs.transpose(1, 0, 2), params.w_in, out=steps)
         bad = _recur(params, n_steps, None, steps, states, r, bias)
     else:
-        u_k = np.empty((n_seqs, params.n_in)) if inputs is None else None
+        u_k = np.empty((n_seqs, params.n_in))
 
         def run(rows):
-            def step_inputs(k):
-                if u_k is None:
-                    return inputs[rows, k, :]
-                return batch.dense_inputs(rows, out=u_k[rows], step=k)
-
-            return _recur(params, n_steps, step_inputs, steps[:, rows], states[:, rows],
-                          r[rows], bias[rows])
+            return _recur(params, n_steps,
+                          lambda k: batch.dense_inputs(rows, out=u_k[rows], step=k),
+                          steps[:, rows], states[:, rows], r[rows], bias[rows])
 
         bad = _in_row_blocks(run, params.n_in, states[0], steps[0], r)
     if bad:
         raise NumericalError(f"non-finite activation at step {bad}")
     with np.errstate(over="ignore", invalid="ignore"):
-        y_pre = states[-1] @ params.w_out
+        y = states[-1] @ params.w_out
         if params.output_activation is OutputActivation.SOFTMAX:
-            y = _softmax(y_pre)
-        else:
-            y = y_pre
+            y = _softmax(y)
     return ForwardTrace(inputs=inputs, y=y, output_activation=params.output_activation,
                         steps=steps if keep_trace else None,
                         states=states if keep_trace else None)

@@ -34,7 +34,7 @@ from . import model as model_mod
 from . import tasks as tasks_mod
 from .bptt import PARAM_BLOCKS, BpttConfig, Gradients, backward
 from .config import RunConfig
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .model import SrnParams
 from .regularizer import Decision, RegReport, report_from_backward
 from .tasks import SequenceBatch
@@ -134,9 +134,10 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
 
 
 def evaluate(params: SrnParams, batch: SequenceBatch, chunk: int = 512) -> float:
-    """Fraction of sequences answered correctly, streamed in chunks, each
-    through a scoring forward that keeps no per-step activations and builds
-    the float64 inputs of one step at a time.
+    """Fraction of sequences answered correctly, streamed in chunks, each a
+    ``SequenceBatch`` view of the split, the only input a scoring forward
+    takes.  That forward keeps no per-step activations and builds the
+    float64 inputs of one step at a time.
 
     The forward splits each chunk into row blocks, one thread and core
     each, while ``model._blas_threads``, the one place that sets the count,
@@ -174,6 +175,17 @@ def start_run(cfg: RunConfig, seed: int, data: dict | None = None) -> tuple:
     return state, data
 
 
+def check_epoch_pool(cfg: RunConfig, n: int) -> None:
+    """Raise ConfigError unless an epoch over a train split of ``n``
+    sequences can apply cfg.iters corrections: its pool holds ⌈n / batch⌉
+    minibatches, and each applied one leaves the pool."""
+    batches = -(-n // cfg.batch)
+    if cfg.iters > batches:
+        raise ConfigError(f"iters: {cfg.iters} corrections per epoch need as many batches, "
+                          f"but a train split of {n} sequences in batches of {cfg.batch} "
+                          f"has {batches}")
+
+
 def run_epoch(state: TrainState, data: dict, cfg: RunConfig, hook=None,
               log=print) -> float:
     """One epoch: shuffle, draw until cfg.iters updates are applied, then
@@ -182,8 +194,9 @@ def run_epoch(state: TrainState, data: dict, cfg: RunConfig, hook=None,
     ``hook`` (if given) is called for every draw, after its row is logged
     and before its update, with (state, result, trace, backward result).
     """
-    state.epoch += 1
     train_set = data["train"]
+    check_epoch_pool(cfg, train_set.n)
+    state.epoch += 1
     order = state.shuffle_rng.permutation(train_set.n)
     pool = deque(order[start:start + cfg.batch]
                  for start in range(0, train_set.n, cfg.batch))

@@ -256,6 +256,28 @@ class TestTrain:
                              + TRAIN_SMALL[:8], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("reg", ["on", "off"])
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_fewer_batches_than_iters_is_input_error(self, tmp_path, capsys, source, reg):
+        # each applied batch leaves the epoch's pool of ceil(30 / 10) = 3, so
+        # 5 corrections cannot be drawn; a loaded train split counts by its
+        # own size, not by --train-size
+        sizes = ["--train-size", "30", "--valid-size", "10", "--test-size", "10"]
+        if source == "loaded":
+            data_dir = tmp_path / "data"
+            assert run_cli(["gen", "--task", "adding", "--T", "20", "--seed", "1",
+                            "--out", str(data_dir), *sizes], capsys)[0] == 0
+            sizes = ["--data", str(data_dir)]
+        out = tmp_path / "runs"
+        code, stdout, err = run_cli(["train", "--task", "adding", "--T", "20", "--hidden", "8",
+                                     "--epochs", "1", "--iters", "5", "--batch", "10",
+                                     "--seed", "1", "--reg", reg, "--run-name", "small",
+                                     "--out", str(out), *sizes], capsys)
+        assert code == cli.EXIT_INPUT
+        assert err == ("error: iters: 5 corrections per epoch need as many batches, but a "
+                       "train split of 30 sequences in batches of 10 has 3\n")
+        assert stdout == "" and not out.exists()
+
 
 FAIL_SMALL = ["--train-size", "40", "--valid-size", "10", "--test-size", "10"]
 
@@ -333,6 +355,7 @@ class TestTrainFailure:
     def test_failure_while_starting(self, tmp_path, capsys):
         # the initial network already overflows the validation loss
         code, _, _ = run_cli(["train", "--task", "adding", "--T", "15", "--hidden", "6",
+                              "--epochs", "1", "--iters", "4",
                               "--sigma", "1e200", "--seeds", "3", "--record-dynamics",
                               "--run-name", "start", "--out", str(tmp_path)] + FAIL_SMALL,
                              capsys)
@@ -496,8 +519,9 @@ class TestEval:
     @pytest.mark.parametrize("out, message", [
         ("", "[Errno 2] No such file or directory: ''"),
         ("missing/eval.json", "[Errno 2] No such file or directory: 'missing/eval.json'"),
-        ("existing", "[Errno 21] Is a directory: 'existing'")],
-        ids=["empty", "missing_dir", "existing_dir"])
+        ("existing", "[Errno 21] Is a directory: 'existing'"),
+        ("missing/", "[Errno 21] Is a directory: 'missing/'")],
+        ids=["empty", "missing_dir", "existing_dir", "trailing_separator"])
     def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, out,
                                                    message):
         # the 10000-row benchmark split takes about a second to score; each

@@ -29,12 +29,13 @@ def test_same_tree_writes_identical_outputs(tmp_path):
     summary, codes_line = proc.stdout.splitlines()
     assert summary.startswith("0 difference(s)")
     # the overflowing model and the failing runs fail numerically (3), and
-    # an --out that is a directory and the rerun of the failing run are
-    # refused as input errors (2)
+    # an --out that is a directory, the rerun of the failing run and a train
+    # split of fewer batches than --iters are refused as input errors (2)
     tool = load_tool()
     expected = {name: "0" for name, _ in tool.script(tool.TINY)}
     expected.update(eval_out_dir="2", eval_overflow="3", train_failing="3",
-                    train_failing_again="2", train_failing_start="3")
+                    train_failing_again="2", train_failing_start="3",
+                    train_small_split="2")
     assert codes_line == "exit codes: " + " ".join(f"{k}={v}" for k, v in expected.items())
     written = {p.relative_to(work / "change").as_posix()
                for p in (work / "change").rglob("*") if p.is_file()}
@@ -51,6 +52,7 @@ def test_same_tree_writes_identical_outputs(tmp_path):
             "runs/fail_seed7/failure.json", "runs/start_seed3/failure.json",
             "runs/start_seed3/metrics.csv", "runs/start_seed3/dynamics.csv"} <= written
     assert "runs/start_seed3/model.json" not in written
+    assert not (work / "change" / "runs" / "small_seed1").exists()
     # the absolute threshold of the zero-momentum run both rejects and passes draws
     absolute = (work / "change" / "runs" / "absolute_seed1" / "metrics.csv").read_text()
     assert ",reject_large_ds," in absolute and ",accept," in absolute

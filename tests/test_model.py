@@ -224,20 +224,16 @@ class TestScoringTrace:
     """forward_batch(..., keep_trace=False) keeps one state block, not the
     per-step activations, and gives the same readout and the same errors."""
 
-    def test_y_bit_equal_to_full_trace(self, scoring_case):
-        params, inputs = scoring_case
-        full = model.forward_batch(params, inputs)
-        scoring = model.forward_batch(params, inputs, keep_trace=False)
-        assert scoring.y.tobytes() == full.y.tobytes()
-        assert scoring.inputs.tobytes() == full.inputs.tobytes()
-        assert scoring.output_activation is full.output_activation
-
     @pytest.mark.parametrize("name", ["a", "z", "n_steps"])
     def test_per_step_values_are_not_kept(self, name):
-        trace = model.forward_batch(tiny_params(14), np.zeros((2, 4, 2)), keep_trace=False)
-        assert trace.steps is None
+        trace = model.forward_batch(tiny_params(14), generate_task("adding", 10, 2, 71),
+                                    keep_trace=False)
+        assert trace.inputs is None and trace.steps is None and trace.states is None
         with pytest.raises(RuntimeError, match="scoring forward"):
             getattr(trace, name)
+
+    # a full trace of an array checks every step once, after its loop;
+    # test_batch_non_finite_value_names_its_step checks both modes
 
     @pytest.mark.parametrize("bad_step", [1, 4, 11])
     def test_non_finite_activation_names_the_same_step(self, scoring_case, bad_step):
@@ -245,48 +241,48 @@ class TestScoringTrace:
         params, inputs = scoring_case
         inputs = inputs.copy()
         inputs[-1, bad_step - 1, 0] = np.inf
-        for keep_trace in (True, False):
-            with pytest.raises(NumericalError) as err:
-                model.forward_batch(params, inputs, keep_trace=keep_trace)
-            assert str(err.value) == f"non-finite activation at step {bad_step}"
+        with pytest.raises(NumericalError) as err:
+            model.forward_batch(params, inputs)
+        assert str(err.value) == f"non-finite activation at step {bad_step}"
 
     def test_spreading_nan_names_its_first_step(self, scoring_case):
-        # the NaN at step 3 reaches every later a(k) through the recurrence;
-        # the full trace checks all steps after the loop, scoring each step
+        # the NaN at step 3 reaches every later a(k) through the recurrence
         params, inputs = scoring_case
         inputs = inputs.copy()
         inputs[0, 2, 1] = np.nan
         with np.errstate(invalid="ignore"):
             ref = forward_reference(params, inputs)
         assert np.isnan(ref.a[:, 2:]).any(axis=(0, 2)).all()
-        for keep_trace in (True, False):
-            with pytest.raises(NumericalError) as err:
-                model.forward_batch(params, inputs, keep_trace=keep_trace)
-            assert str(err.value) == "non-finite activation at step 3"
+        with pytest.raises(NumericalError) as err:
+            model.forward_batch(params, inputs)
+        assert str(err.value) == "non-finite activation at step 3"
 
     @pytest.mark.parametrize("rows", [slice(0, 1), slice(20, 30), np.array([22, 3, 3, 17])],
                              ids=["N1", "partial_last_chunk", "index_array"])
     @pytest.mark.parametrize("task", [kind.value for kind in TaskKind])
     def test_batch_gives_the_dense_readout(self, task, rows):
         # a SequenceBatch is scored one step at a time and gives the y of
-        # its dense inputs, bit for bit, in both modes; 23 rows in chunks
-        # of 10 leave a last chunk of 3
+        # the full trace of its dense inputs, bit for bit; 23 rows in
+        # chunks of 10 leave a last chunk of 3
         batch = generate_task(task, 30, 23, 44)
         spec = batch.spec
         params = model.init_gaussian(spec.n_in, 20, spec.n_out, 0.05, seed=45,
                                      output_activation=spec.output_activation)
         part = batch.subset(rows)
-        dense = model.forward_batch(params, part.dense_inputs(), keep_trace=False)
+        dense = model.forward_batch(params, part.dense_inputs())
         streamed = model.forward_batch(params, part, keep_trace=False)
         full = model.forward_batch(params, part)
         assert streamed.y.tobytes() == dense.y.tobytes() == full.y.tobytes()
         assert streamed.inputs is None
         assert full.inputs.tobytes() == part.dense_inputs().tobytes()
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
     @pytest.mark.parametrize("bad_step", [1, 12, 30])
-    def test_batch_non_finite_value_names_its_step(self, bad_step):
+    def test_batch_non_finite_value_names_its_step(self, bad_step, value):
+        # a NaN reaches every later a(k) through the recurrence; the full
+        # trace checks all steps after its loop, scoring each step at once
         batch = generate_task("adding", 30, 5, 46)
-        batch.values[3, bad_step - 1] = np.inf
+        batch.values[3, bad_step - 1] = value
         params = model.init_gaussian(2, 20, 1, 0.05, seed=47)
         for keep_trace in (True, False):
             with pytest.raises(NumericalError) as err:
@@ -300,21 +296,24 @@ class TestScoringTrace:
 
     @pytest.mark.parametrize("keep_trace", [True, False])
     def test_recurrence_overflow_is_reported_not_warned(self, keep_trace):
-        # finite weights: step 1 gives a = 1e308, step 2 overflows in z @ w_rec;
-        # pytest turns warnings into errors, so a warning would fail the test
-        p = model.SrnParams(np.full((1, 2), 1e308), np.full((2, 2), 1e308),
+        # finite weights: step 1 gives a = value * 1e308 (the adding values
+        # lie in [0, 1), the markers meet a zero row), so z = 1, and step 2
+        # overflows in z @ w_rec; pytest turns warnings into errors, so a
+        # warning would fail the test
+        p = model.SrnParams(np.array([[1e308, 1e308], [0.0, 0.0]]), np.full((2, 2), 1e308),
                             np.ones((2, 1)), np.zeros(2), OutputActivation.LINEAR)
         with pytest.raises(NumericalError, match="non-finite activation at step 2"):
-            model.forward_batch(p, np.ones((3, 4, 1)), keep_trace=keep_trace)
+            model.forward_batch(p, generate_task("adding", 10, 3, 72), keep_trace=keep_trace)
 
     @pytest.mark.parametrize("activation,kind,targets", [
         (OutputActivation.LINEAR, LossKind.MSE, np.zeros((2, 2))),
         (OutputActivation.SOFTMAX, LossKind.CROSS_ENTROPY, np.zeros(2, dtype=int))])
     def test_readout_overflow_is_reported_by_the_loss(self, activation, kind, targets):
-        # the states stay finite; the sum of three z * 1e308 terms overflows
-        p = model.SrnParams(np.ones((1, 3)), np.zeros((3, 3)), np.full((3, 2), 1e308),
-                            np.zeros(3), activation)
-        trace = model.forward_batch(p, np.ones((2, 3, 1)), keep_trace=False)
+        # the states stay finite at z = tanh(10) from the bias alone; the
+        # sum of three z * 1e308 terms overflows
+        p = model.SrnParams(np.zeros((2, 3)), np.zeros((3, 3)), np.full((3, 2), 1e308),
+                            np.full(3, 10.0), activation)
+        trace = model.forward_batch(p, generate_task("adding", 10, 2, 73), keep_trace=False)
         with pytest.raises(NumericalError, match="non-finite loss"):
             model.loss_batch(trace, targets, kind)
 
@@ -341,8 +340,6 @@ class TestScoringTrace:
         full = model.forward_batch(params, batch)
         assert model.forward_batch(params, batch, keep_trace=False).y.tobytes() == \
             full.y.tobytes()
-        assert model.forward_batch(params, full.inputs, keep_trace=False).y.tobytes() == \
-            full.y.tobytes()
 
     @pytest.mark.parametrize("n_seqs, blocks, sizes", [
         (3, 3, [3]), (5, 3, [2, 3]), (7, 3, [2, 2, 3]), (512, 2, [256, 256])])
@@ -356,7 +353,8 @@ class TestScoringTrace:
             return recur(params, n_steps, step_inputs, steps, *args)
 
         monkeypatch.setattr(model, "_recur", spy)
-        model.forward_batch(tiny_params(62), np.ones((n_seqs, 4, 2)), keep_trace=False)
+        model.forward_batch(tiny_params(62), generate_task("adding", 10, n_seqs, 74),
+                            keep_trace=False)
         assert sorted(rows for rows, _ in seen) == sorted(sizes)
         assert len({thread for _, thread in seen}) == len(sizes)
         assert threading.current_thread() in {thread for _, thread in seen}
@@ -367,11 +365,11 @@ class TestScoringTrace:
         # whichever block it lies in and whichever block ends first
         monkeypatch.setattr(model, "_concurrency", lambda blas_threads: 3)
         monkeypatch.setattr(model, "_exact_split", lambda *args: True)
-        inputs = np.random.default_rng(63).standard_normal((9, 12, 2))
-        inputs[late, 9, 0] = np.inf
-        inputs[early, 2, 1] = np.inf
+        batch = generate_task("adding", 12, 9, 63)
+        batch.values[late, 9] = np.inf
+        batch.values[early, 2] = np.inf
         with pytest.raises(NumericalError) as err:
-            model.forward_batch(tiny_params(64), inputs, keep_trace=False)
+            model.forward_batch(tiny_params(64), batch, keep_trace=False)
         assert str(err.value) == "non-finite activation at step 3"
 
     def test_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
@@ -386,7 +384,29 @@ class TestScoringTrace:
 
         monkeypatch.setattr(model, "_recur", failing_off_the_calling_thread)
         with pytest.raises(MemoryError, match="worker block"):
-            model.forward_batch(tiny_params(65), np.ones((6, 4, 2)), keep_trace=False)
+            model.forward_batch(tiny_params(65), generate_task("adding", 10, 6, 65),
+                                keep_trace=False)
+
+    def test_failed_worker_start_raises_its_own_error(self, monkeypatch):
+        # a worker that never started is not joined, so the caller sees why
+        # it did not start, and the BLAS count is still restored
+        monkeypatch.setattr(model, "_concurrency", lambda blas_threads: 2)
+        monkeypatch.setattr(model, "_exact_split", lambda *args: True)
+
+        def cannot_start(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", cannot_start)
+        setter = model._blas_thread_setter() or (lambda count: count)
+        previous = setter(2)
+        try:
+            with pytest.raises(RuntimeError) as err:
+                model.forward_batch(tiny_params(65), generate_task("adding", 10, 6, 75),
+                                    keep_trace=False)
+            assert str(err.value) == "can't start new thread"
+            assert setter(2) == 2
+        finally:
+            setter(previous)
 
     def test_exceptions_are_raised_in_block_order(self, monkeypatch):
         # block 1 raises and its thread ends before block 0 raises, so the
@@ -406,7 +426,8 @@ class TestScoringTrace:
 
         monkeypatch.setattr(model, "_recur", both_blocks_fail)
         with pytest.raises(ValueError, match="block 0"):
-            model.forward_batch(tiny_params(65), np.ones((6, 4, 2)), keep_trace=False)
+            model.forward_batch(tiny_params(65), generate_task("adding", 10, 6, 65),
+                                keep_trace=False)
         assert not worker[0].is_alive()
 
     def test_unknown_cores_run_one_block(self, monkeypatch):
@@ -490,15 +511,13 @@ class TestScoringTrace:
             rng = np.random.default_rng(66)
             left, right = rng.standard_normal((100, 1000)), rng.standard_normal((1000, 100))
             before = (left @ right).tobytes()
-            params = model.init_gaussian(6, 100, 4, 0.01, seed=67,
-                                         output_activation=OutputActivation.SOFTMAX)
-            model.forward_batch(params, generate_task("temporal_order", 10, 512, 68),
-                                keep_trace=False)
+            params = model.init_gaussian(2, 100, 1, 0.01, seed=67)
+            batch = generate_task("adding", 10, 512, 68)
+            model.forward_batch(params, batch, keep_trace=False)
             assert (left @ right).tobytes() == before
-            inputs = generate_task("temporal_order", 10, 512, 68).dense_inputs()
-            inputs[-1, 4, 0] = np.nan
+            batch.values[-1, 4] = np.nan
             with pytest.raises(NumericalError, match="step 5"):
-                model.forward_batch(params, inputs, keep_trace=False)
+                model.forward_batch(params, batch, keep_trace=False)
             assert (left @ right).tobytes() == before
             assert setter(2) == 2
         finally:

@@ -332,6 +332,19 @@ class TestTrain:
             assert (getattr(s1.params, n).tobytes()
                     == getattr(s2.params, n).tobytes())
 
+    @pytest.mark.parametrize("reg", ["on", "off"])
+    def test_epoch_needs_as_many_batches_as_iters(self, reg):
+        # 60 train sequences in batches of 5 give 12 batches, and each
+        # applied one leaves the epoch's pool: 12 corrections fit, 13 do not
+        state, data = trainer.start_run(small_config(reg=reg), seed=1)
+        with pytest.raises(ConfigError, match="iters: 13 corrections per epoch need as many "
+                                              "batches, but a train split of 60 sequences "
+                                              "in batches of 5 has 12"):
+            trainer.run_epoch(state, data, small_config(reg=reg, iters=13), log=quiet)
+        assert (state.epoch, state.rows) == (0, [])
+        trainer.run_epoch(state, data, small_config(reg=reg, iters=12), log=quiet)
+        assert state.corrections == 12
+
     def test_accepted_iterations_per_epoch_exact(self):
         state, _ = train_quietly(small_config(epochs=3, iters=5))
         assert state.corrections == 15

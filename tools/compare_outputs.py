@@ -23,8 +23,9 @@ under an absolute ``r0``, a three-sigma temporal-order ``scan`` at h = T and a
 two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval --out`` that
 names an existing directory, an ``eval`` of a hand-written model whose finite
 weights overflow an activation, a run whose learning rate makes it fail,
-started twice, and a ``--record-dynamics`` run whose initial network already
-fails validation.  ``--tiny`` shrinks every size so the whole script takes
+started twice, a ``--record-dynamics`` run whose initial network already
+fails validation, and a run whose train split has fewer minibatches than
+``--iters``.  ``--tiny`` shrinks every size so the whole script takes
 seconds.
 
 Every file whose sha256 differs, or that exists on one side only, is listed,
@@ -137,8 +138,16 @@ def script(size: dict) -> list:
         ("train_failing", failing),
         ("train_failing_again", failing),
         ("train_failing_start", ["train", "--task", "adding", "--T", "15", "--hidden", "6",
+                                 "--epochs", "1", "--iters", "4",
                                  "--sigma", "1e200", "--seed", "3", "--record-dynamics",
                                  "--run-name", "start", "--out", "runs", *fail_sizes]),
+        # fixed sizes, in FULL and TINY alike: 3 batches of 10 cannot give an
+        # epoch 5 corrections
+        ("train_small_split", ["train", "--task", "adding", "--T", "20", "--hidden", "8",
+                               "--epochs", "1", "--iters", "5", "--batch", "10",
+                               "--train-size", "30", "--valid-size", "10", "--test-size", "10",
+                               "--seed", "1", "--reg", "off", "--run-name", "small",
+                               "--out", "runs"]),
     ]
 
 
