@@ -9,7 +9,6 @@ each other.
 """
 
 import argparse
-import errno
 import json
 import os
 import sys
@@ -257,11 +256,15 @@ def cmd_scan(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # a summary that open() could not write fails here, as open() would, before the scoring
-    if args.out is not None and not (args.out and Path(args.out).parent.is_dir()):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
-    if args.out is not None and (Path(args.out).is_dir() or args.out.endswith(os.sep)):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    # a summary that open() could not write fails here with open()'s error, before the
+    # scoring: a path made only to ask the OS is removed, and an existing one is left as
+    # it is (a dangling symlink's target is made, as open() would make it)
+    if args.out is not None:
+        try:
+            os.close(os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.unlink(args.out)
+        except FileExistsError:
+            os.close(os.open(args.out, os.O_WRONLY | os.O_CREAT))
     params = model.load_model(args.model)
     batch = tasks.load_batch(args.data)
     if batch.spec.n_in != params.n_in:

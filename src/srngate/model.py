@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -246,8 +246,8 @@ def _exact_split(blocks: list, blas_threads: int, n_in: int, x, whole, split) ->
 def _in_row_blocks(run, n_in: int, z, a, r) -> int:
     """``run(rows)`` over contiguous row blocks that together cover the
     rows of the forward's (n_rows, n_hid) buffers ``z``, ``a`` and ``r``,
-    each block in a thread of its own, and the earliest non-zero result of
-    any block (0 if none).
+    block 0 in the calling thread and each other block on a worker of a
+    thread pool, and the earliest non-zero result of any block (0 if none).
 
     There is one block per thread that may run at once (``_concurrency``),
     each of at least 2 rows: numpy hands a one-row operand to gemv, which
@@ -256,33 +256,16 @@ def _in_row_blocks(run, n_in: int, z, a, r) -> int:
     the blocks run inside one ``_blas_threads(1)`` hold, so that each
     block's products run on its own core.  With one block, ``run`` runs in
     the calling thread after the hold, at the caller's BLAS thread count.
-    Each block keeps its result or its exception in a slot of its own; once
-    every block has ended, the exception of the lowest-numbered block that
-    raised is raised here."""
+    The pool is shut down, and every worker it started has ended, before
+    the hold ends or an exception leaves; block 0's exception is raised
+    first, then those of the other blocks in block order."""
     n_rows = z.shape[0]
     with _blas_threads(1) as blas_threads:
         blocks = _row_slices(n_rows, max(1, min(_concurrency(blas_threads), n_rows // 2)))
         if len(blocks) > 1 and _exact_split(blocks, blas_threads, n_in, z, a, r):
-            results = [0] * len(blocks)
-
-            def work(i):
-                try:
-                    results[i] = run(blocks[i])
-                except BaseException as e:  # a thread's own exception would only be printed
-                    results[i] = e
-
-            workers = [threading.Thread(target=work, args=(i,)) for i in range(1, len(blocks))]
-            try:
-                for worker in workers:
-                    worker.start()
-                work(0)
-            finally:
-                for worker in workers:
-                    if worker.ident is not None:  # start() may have raised
-                        worker.join()
-            for result in results:
-                if isinstance(result, BaseException):
-                    raise result
+            with ThreadPoolExecutor(len(blocks) - 1) as pool:
+                futures = [pool.submit(run, rows) for rows in blocks[1:]]
+                results = [run(blocks[0])] + [future.result() for future in futures]
             return min((bad for bad in results if bad), default=0)
     return run(slice(0, n_rows))
 
@@ -297,8 +280,8 @@ def _recur(params: SrnParams, n_steps: int, step_inputs, steps, states, r, bias)
     checked as soon as it is computed, before its block is overwritten.
     Without it (a full trace) ``steps`` already holds every step's
     projection, and all steps are checked once, after the loop.  Only numpy
-    and the given ``step_inputs`` are called, so a block can run in a thread
-    of its own; numpy's error state is per thread, hence set here."""
+    and the given ``step_inputs`` are called, so a block can run on any
+    thread; numpy's error state is per thread, hence set here."""
     z_prev = states[0]
     z_prev.fill(0.0)
     # an overflow leaves a non-finite a(k) or y, which the checks here and in
@@ -338,12 +321,13 @@ def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> Forw
 
     Scoring splits the rows into contiguous blocks of at least 2 rows, as
     many as there are cores and BLAS threads (whichever is fewer), and runs
-    each block's step loop in a thread of its own on its rows of the same
-    buffers (see ``_in_row_blocks``).  Rows never mix within a step, so a
-    block gives its rows' values by the same elementwise operations as the
-    whole batch; only the two products could round differently, and blocks
-    are used only for shapes where a measured probe (``_exact_split``) finds
-    them bit-equal.  So ``y`` is bit-equal in both modes and for any number
+    the first block's step loop in the calling thread and each other
+    block's on a worker of a thread pool, all at once, on their rows of
+    the same buffers (see ``_in_row_blocks``).  Rows never mix within a
+    step, so a block gives its rows' values by the same elementwise
+    operations as the whole batch; only the two products could round
+    differently, and blocks are used only for shapes where a measured probe
+    (``_exact_split``) finds them bit-equal.  So ``y`` is bit-equal in both modes and for any number
     of blocks.  While the blocks run, OpenBLAS is held at one thread by
     ``_blas_threads``, the one place that sets the count; the count is the
     whole process's, not one thread's, so only the calling thread holds it,

@@ -139,11 +139,13 @@ def evaluate(params: SrnParams, batch: SequenceBatch, chunk: int = 512) -> float
     takes.  That forward keeps no per-step activations and builds the
     float64 inputs of one step at a time.
 
-    The forward splits each chunk into row blocks, one thread and core
-    each, while ``model._blas_threads``, the one place that sets the count,
-    holds OpenBLAS at one thread for the whole process; the readout is
-    bit-equal to the unsplit one (see ``model.forward_batch``), so the
-    accuracy does not depend on the number of cores."""
+    The forward splits each chunk into row blocks, one core each, that
+    run at once, the first in the calling thread and the others on a
+    thread pool's workers, while ``model._blas_threads``, the one place
+    that sets the count, holds OpenBLAS at one thread for the whole
+    process; the readout is bit-equal to the unsplit one (see
+    ``model.forward_batch``), so the accuracy does not depend on the
+    number of cores."""
     hits = 0
     for start in range(0, batch.n, chunk):
         part = batch.subset(slice(start, start + chunk))
@@ -201,22 +203,18 @@ def run_epoch(state: TrainState, data: dict, cfg: RunConfig, hook=None,
     pool = deque(order[start:start + cfg.batch]
                  for start in range(0, train_set.n, cfg.batch))
     target = state.corrections + cfg.iters
-    consecutive_rejects = 0
-    force_next = False
+    rejects = 0  # consecutive; at the limit the next draw is forced, and resets it
     while state.corrections < target:
         idx = pool.popleft()
         res = train_iteration(state, train_set.subset(idx), cfg,
-                              force_accept=force_next, hook=hook)
-        force_next = False
+                              force_accept=rejects == cfg.max_consecutive_rejects, hook=hook)
         if res.applied:
-            consecutive_rejects = 0
+            rejects = 0
         else:
             pool.append(idx)  # rejected batches stay eligible later
-            consecutive_rejects += 1
-            if consecutive_rejects >= cfg.max_consecutive_rejects:
+            rejects += 1
+            if rejects == cfg.max_consecutive_rejects:
                 state.starvation_events += 1
-                consecutive_rejects = 0
-                force_next = True
                 log(f"warning: epoch {state.epoch}: {cfg.max_consecutive_rejects} "
                     f"consecutive rejections, force-accepting next batch")
     valid_acc = evaluate(state.params, data["valid"])

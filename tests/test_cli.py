@@ -520,8 +520,9 @@ class TestEval:
         ("", "[Errno 2] No such file or directory: ''"),
         ("missing/eval.json", "[Errno 2] No such file or directory: 'missing/eval.json'"),
         ("existing", "[Errno 21] Is a directory: 'existing'"),
-        ("missing/", "[Errno 21] Is a directory: 'missing/'")],
-        ids=["empty", "missing_dir", "existing_dir", "trailing_separator"])
+        ("missing/", "[Errno 21] Is a directory: 'missing/'"),
+        ("model.json/eval.json", "[Errno 20] Not a directory: 'model.json/eval.json'")],
+        ids=["empty", "missing_dir", "existing_dir", "trailing_separator", "under_a_file"])
     def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, out,
                                                    message):
         # the 10000-row benchmark split takes about a second to score; each
@@ -544,6 +545,32 @@ class TestEval:
         with pytest.raises(OSError) as opened:
             open(out, "w")
         assert str(opened.value) == message
+
+    @pytest.mark.parametrize("kind", ["existing_file", "dangling_symlink"])
+    def test_out_that_open_can_write_is_written(self, tmp_path, capsys, monkeypatch, kind):
+        # the early check leaves an existing file as it is until the summary
+        # is written, and makes the target of a symlink that points nowhere
+        # yet, as open() does
+        monkeypatch.chdir(tmp_path)
+        model.save_model("model.json", model.init_gaussian(2, 6, 1, 0.1, seed=0))
+        tasks.save_batch("adding.dat", generate_task("adding", 20, 5, 1))
+        if kind == "existing_file":
+            (tmp_path / "eval.json").write_text("old")
+        else:
+            os.symlink("target.json", "eval.json")
+        seen = []
+        evaluate = trainer.evaluate
+
+        def spy(*args):
+            seen.append(os.path.exists("eval.json") and (tmp_path / "eval.json").read_text())
+            return evaluate(*args)
+
+        monkeypatch.setattr(trainer, "evaluate", spy)
+        code, _, _ = run_cli(["eval", "--model", "model.json", "--data", "adding.dat",
+                              "--out", "eval.json"], capsys)
+        assert code == 0
+        assert seen == ["old" if kind == "existing_file" else ""]
+        assert json.loads((tmp_path / "eval.json").read_text())["n"] == 5
 
     def test_outputs_checked_against_task(self, tmp_path, capsys):
         # an 8-class model cannot score the 4-class task, whatever ids the

@@ -70,6 +70,19 @@ def test_differences_lists_every_kind():
                      "exit code of eval: parent 0, change 2"]
 
 
+def test_an_empty_directory_on_one_side_is_listed(tmp_path):
+    # a directory that holds only an empty directory is not empty itself
+    tool = load_tool()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        (side / "runs" / "kept").mkdir(parents=True)
+        (side / "runs" / "kept" / "model.json").write_text("{}")
+    (change / "runs" / "small_seed1" / "nested").mkdir(parents=True)
+    assert tool.digests(change).keys() == {"runs/kept/model.json", "runs/small_seed1/nested/"}
+    assert tool.differences(tool.digests(parent), tool.digests(change), {}, {}) == [
+        "only in change: runs/small_seed1/nested/"]
+
+
 def test_explain_quantifies_csv_columns_and_json_weights(tmp_path):
     tool = load_tool()
     parent, change = tmp_path / "p.csv", tmp_path / "c.csv"

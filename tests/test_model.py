@@ -344,19 +344,21 @@ class TestScoringTrace:
     @pytest.mark.parametrize("n_seqs, blocks, sizes", [
         (3, 3, [3]), (5, 3, [2, 3]), (7, 3, [2, 2, 3]), (512, 2, [256, 256])])
     def test_each_block_runs_in_its_own_thread(self, monkeypatch, n_seqs, blocks, sizes):
+        # every block waits at the barrier until all blocks have reached it,
+        # so the forward ends only if the blocks run at the same time
         monkeypatch.setattr(model, "_concurrency", lambda blas_threads: blocks)
         monkeypatch.setattr(model, "_exact_split", lambda *args: True)
-        recur, seen = model._recur, []
+        recur, seen, barrier = model._recur, [], threading.Barrier(len(sizes), timeout=10)
 
         def spy(params, n_steps, step_inputs, steps, *args):
             seen.append((steps.shape[1], threading.current_thread()))
+            barrier.wait()
             return recur(params, n_steps, step_inputs, steps, *args)
 
         monkeypatch.setattr(model, "_recur", spy)
         model.forward_batch(tiny_params(62), generate_task("adding", 10, n_seqs, 74),
                             keep_trace=False)
         assert sorted(rows for rows, _ in seen) == sorted(sizes)
-        assert len({thread for _, thread in seen}) == len(sizes)
         assert threading.current_thread() in {thread for _, thread in seen}
 
     @pytest.mark.parametrize("late, early", [(8, 0), (0, 8)], ids=["last_block", "first_block"])
@@ -409,8 +411,9 @@ class TestScoringTrace:
             setter(previous)
 
     def test_exceptions_are_raised_in_block_order(self, monkeypatch):
-        # block 1 raises and its thread ends before block 0 raises, so the
-        # first exception caught is not the one raised
+        # block 1 raises before block 0 does, so the first exception raised
+        # is not the one that reaches the caller; the worker has ended when
+        # the forward returns
         monkeypatch.setattr(model, "_concurrency", lambda blas_threads: 2)
         monkeypatch.setattr(model, "_exact_split", lambda *args: True)
         caller, worker, raised = threading.current_thread(), [], threading.Event()
@@ -418,17 +421,61 @@ class TestScoringTrace:
         def both_blocks_fail(*args):
             if threading.current_thread() is caller:
                 assert raised.wait(10)
-                worker[0].join(10)
                 raise ValueError("block 0")
             worker.append(threading.current_thread())
-            raised.set()
-            raise ValueError("block 1")
+            try:
+                raise ValueError("block 1")
+            finally:
+                raised.set()
 
         monkeypatch.setattr(model, "_recur", both_blocks_fail)
         with pytest.raises(ValueError, match="block 0"):
             model.forward_batch(tiny_params(65), generate_task("adding", 10, 6, 65),
                                 keep_trace=False)
         assert not worker[0].is_alive()
+
+    def test_worker_exceptions_are_raised_in_block_order(self, monkeypatch):
+        # 7 rows run as blocks of 2, 2 and 3 rows; block 2 raises first,
+        # and block 1's exception is the one raised
+        monkeypatch.setattr(model, "_concurrency", lambda blas_threads: 3)
+        monkeypatch.setattr(model, "_exact_split", lambda *args: True)
+        caller, recur, raised = threading.current_thread(), model._recur, threading.Event()
+
+        def two_workers_fail(params, n_steps, step_inputs, steps, *args):
+            if threading.current_thread() is caller:
+                return recur(params, n_steps, step_inputs, steps, *args)
+            if steps.shape[1] == 2:
+                assert raised.wait(10)
+                raise ValueError("block 1")
+            try:
+                raise ValueError("block 2")
+            finally:
+                raised.set()
+
+        monkeypatch.setattr(model, "_recur", two_workers_fail)
+        with pytest.raises(ValueError, match="block 1"):
+            model.forward_batch(tiny_params(65), generate_task("adding", 10, 7, 77),
+                                keep_trace=False)
+
+    def test_no_thread_outlives_the_forward(self, monkeypatch):
+        # after a forward that succeeds and after one whose workers raise
+        monkeypatch.setattr(model, "_concurrency", lambda blas_threads: 3)
+        monkeypatch.setattr(model, "_exact_split", lambda *args: True)
+        params, batch = tiny_params(65), generate_task("adding", 10, 9, 78)
+        before = threading.active_count()
+        model.forward_batch(params, batch, keep_trace=False)
+        assert threading.active_count() == before
+        caller, recur = threading.current_thread(), model._recur
+
+        def failing_off_the_calling_thread(*args):
+            if threading.current_thread() is not caller:
+                raise MemoryError("worker block")
+            return recur(*args)
+
+        monkeypatch.setattr(model, "_recur", failing_off_the_calling_thread)
+        with pytest.raises(MemoryError, match="worker block"):
+            model.forward_batch(params, batch, keep_trace=False)
+        assert threading.active_count() == before
 
     def test_unknown_cores_run_one_block(self, monkeypatch):
         # where os.sched_getaffinity is missing (macOS) scoring keeps one

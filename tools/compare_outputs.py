@@ -29,7 +29,8 @@ fails validation, and a run whose train split has fewer minibatches than
 seconds.
 
 Every file whose sha256 differs, or that exists on one side only, is listed,
-as is every command whose exit code differs; the last line gives each
+as is every empty directory found on one side only (a leftover of a failed
+command) and every command whose exit code differs; the last line gives each
 command's exit code on the change side, so a command that fails the same way
 on both sides is still seen.  Under a differing CSV or JSON file, indented
 lines say by how much it differs: the largest relative difference
@@ -171,9 +172,16 @@ def run_script(src: Path, work: Path, size: dict) -> dict:
 
 
 def digests(root: Path) -> dict:
-    """sha256 of every file under root, keyed by its relative path."""
-    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(root.rglob("*")) if path.is_file()}
+    """sha256 of every file under root, keyed by its relative path, and
+    "empty directory" for every empty directory, keyed by its path and "/"."""
+    found = {}
+    for path in sorted(root.rglob("*")):
+        name = path.relative_to(root).as_posix()
+        if path.is_file():
+            found[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        elif path.is_dir() and not any(path.iterdir()):
+            found[name + "/"] = "empty directory"
+    return found
 
 
 def differences(parent: dict, change: dict, parent_codes: dict, change_codes: dict) -> list:
@@ -281,7 +289,8 @@ def explain(parent_file: Path, change_file: Path) -> list:
 
 
 def compare(parent_src: Path, change_src: Path, work: Path, size: dict) -> tuple:
-    """(difference lines, number of parent files, change-side exit codes)
+    """(difference lines, number of parent files (an empty directory counts
+    as one), change-side exit codes)
     of one run per side; under each differing file come its indented
     ``explain`` lines, which the count of differences leaves out."""
     results = []
