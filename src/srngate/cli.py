@@ -176,8 +176,10 @@ def cmd_train(args) -> int:
         recorder = diagnostics.DynamicsRecorder() if cfg.record_dynamics else None
         state = error = None  # state stays None if the run fails while starting
         try:
-            state, splits = trainer.start_run(cfg, seed, data)
-            test_accuracy = trainer.train(state, splits, cfg, hook=recorder, log=print)
+            # one BLAS thread, so that outputs do not depend on the thread count
+            with model._blas_threads(1):
+                state, splits = trainer.start_run(cfg, seed, data)
+                test_accuracy = trainer.train(state, splits, cfg, hook=recorder, log=print)
         except NumericalError as e:
             error = e
         # a failed seed keeps the rows and dynamics drawn before its failure

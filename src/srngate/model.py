@@ -185,6 +185,7 @@ def _blas_threads(count: int):
     """Hold OpenBLAS at ``count`` threads for the whole process and yield the
     count it replaced, restored however the body ends; the one place that
     sets the count.  Without the setter it holds nothing and yields 1."""
+    _start_blas_threads()
     setter = _blas_thread_setter() or (lambda count: 1)
     previous = setter(count)
     try:
@@ -193,16 +194,50 @@ def _blas_threads(count: int):
         setter(previous)
 
 
+@functools.cache
+def _start_blas_threads() -> int:
+    """The OpenBLAS thread count the process started with, read by setting
+    it and putting it back; 1 without the setter.  ``_blas_threads`` asks
+    for it before it sets the count, so the first hold reads it and later
+    holds do not change it."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        return 1
+    count = setter(1)
+    setter(count)
+    return count
+
+
 def _concurrency(blas_threads: int) -> int:
-    """How many row blocks a scoring forward may run at once: one per BLAS
-    thread the caller had, and per core this process may run on, if known."""
+    """How many row blocks may run at once: one per BLAS thread, and per
+    core this process may run on, if known."""
     return (min(blas_threads, len(os.sched_getaffinity(0)))
             if blas_threads > 1 and hasattr(os, "sched_getaffinity") else 1)
 
 
-def _row_slices(n_rows: int, n_blocks: int) -> list:
+def _row_blocks(n_rows: int, min_rows: int = 1) -> list:
+    """Contiguous slices that cover ``n_rows`` rows, one per thread that may
+    run at once by the BLAS thread count the process started with (not the
+    count held now), each of at least ``min_rows`` rows; one block if the
+    rows are too few to split."""
+    n_blocks = max(1, min(_concurrency(_start_blas_threads()), n_rows // min_rows))
     edges = [n_rows * i // n_blocks for i in range(n_blocks + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _in_blocks(run, blocks: list) -> list:
+    """``run(rows)`` of every block, all at once, block 0 in the calling
+    thread and each other block on a worker of a thread pool; returns the
+    results in block order.  The pool is shut down, and every worker it
+    started has ended, before this returns or an exception leaves; block
+    0's exception is raised first, then those of the other blocks in block
+    order.  Callers hold ``_blas_threads(1)``, so that each block's
+    products run on its own core."""
+    if len(blocks) == 1:
+        return [run(blocks[0])]
+    with ThreadPoolExecutor(len(blocks) - 1) as pool:
+        futures = [pool.submit(run, rows) for rows in blocks[1:]]
+        return [run(blocks[0])] + [future.result() for future in futures]
 
 
 # (n_rows, n_in, n_hid, n_blocks, blas_threads) -> what _exact_split measured
@@ -244,29 +279,22 @@ def _exact_split(blocks: list, blas_threads: int, n_in: int, x, whole, split) ->
 
 
 def _in_row_blocks(run, n_in: int, z, a, r) -> int:
-    """``run(rows)`` over contiguous row blocks that together cover the
-    rows of the forward's (n_rows, n_hid) buffers ``z``, ``a`` and ``r``,
-    block 0 in the calling thread and each other block on a worker of a
-    thread pool, and the earliest non-zero result of any block (0 if none).
+    """``run(rows)`` over the row blocks of ``_row_blocks`` that together
+    cover the rows of the forward's (n_rows, n_hid) buffers ``z``, ``a``
+    and ``r``, run by ``_in_blocks``, and the earliest non-zero result of
+    any block (0 if none).
 
-    There is one block per thread that may run at once (``_concurrency``),
-    each of at least 2 rows: numpy hands a one-row operand to gemv, which
-    rounds differently from gemm.  Blocks are used only for shapes where
-    ``_exact_split`` finds them bit-equal to the whole batch.  The probe and
-    the blocks run inside one ``_blas_threads(1)`` hold, so that each
-    block's products run on its own core.  With one block, ``run`` runs in
-    the calling thread after the hold, at the caller's BLAS thread count.
-    The pool is shut down, and every worker it started has ended, before
-    the hold ends or an exception leaves; block 0's exception is raised
-    first, then those of the other blocks in block order."""
+    Each block has at least 2 rows: numpy hands a one-row operand to gemv,
+    which rounds differently from gemm.  Blocks are used only for shapes
+    where ``_exact_split`` finds them bit-equal to the whole batch at the
+    BLAS thread count the caller holds.  The probe and the blocks run
+    inside one ``_blas_threads(1)`` hold.  With one block, ``run`` runs in
+    the calling thread after the hold, at the caller's BLAS thread count."""
     n_rows = z.shape[0]
     with _blas_threads(1) as blas_threads:
-        blocks = _row_slices(n_rows, max(1, min(_concurrency(blas_threads), n_rows // 2)))
+        blocks = _row_blocks(n_rows, min_rows=2)
         if len(blocks) > 1 and _exact_split(blocks, blas_threads, n_in, z, a, r):
-            with ThreadPoolExecutor(len(blocks) - 1) as pool:
-                futures = [pool.submit(run, rows) for rows in blocks[1:]]
-                results = [run(blocks[0])] + [future.result() for future in futures]
-            return min((bad for bad in results if bad), default=0)
+            return min((bad for bad in _in_blocks(run, blocks) if bad), default=0)
     return run(slice(0, n_rows))
 
 
@@ -320,18 +348,22 @@ def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> Forw
     scoring trace that comes back carries ``y`` but no per-step values.
 
     Scoring splits the rows into contiguous blocks of at least 2 rows, as
-    many as there are cores and BLAS threads (whichever is fewer), and runs
-    the first block's step loop in the calling thread and each other
-    block's on a worker of a thread pool, all at once, on their rows of
-    the same buffers (see ``_in_row_blocks``).  Rows never mix within a
-    step, so a block gives its rows' values by the same elementwise
-    operations as the whole batch; only the two products could round
-    differently, and blocks are used only for shapes where a measured probe
-    (``_exact_split``) finds them bit-equal.  So ``y`` is bit-equal in both modes and for any number
-    of blocks.  While the blocks run, OpenBLAS is held at one thread by
-    ``_blas_threads``, the one place that sets the count; the count is the
-    whole process's, not one thread's, so only the calling thread holds it,
-    and it is restored before returning, or raising.
+    many as there are cores and BLAS threads the process started with
+    (whichever is fewer), and runs the first block's step loop in the
+    calling thread and each other block's on a worker of a thread pool,
+    all at once, on their rows of the same buffers (see ``_in_row_blocks``).
+    The block count does not follow the count held at the call, so
+    validation inside ``train``, which holds one thread, still runs in
+    blocks.  Rows never mix within a step, so a block gives its rows'
+    values by the same elementwise operations as the whole batch; only the
+    two products could round differently, and blocks are used only for
+    shapes where a measured probe (``_exact_split``) finds them bit-equal
+    to the whole batch at the held count.  So ``y`` is bit-equal in both
+    modes and for any number of blocks.  While the blocks run, OpenBLAS is
+    held at one thread by ``_blas_threads``, the one place that sets the
+    count; the count is the whole process's, not one thread's, so only
+    the calling thread holds it, and it is restored before returning, or
+    raising.
 
     A non-finite a(k) raises NumericalError naming the first bad step over
     all rows: scoring checks each a(k) as soon as it is computed, before its

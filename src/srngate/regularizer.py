@@ -40,6 +40,7 @@ from enum import Enum
 import numpy as np
 
 from . import bptt as bptt_mod
+from . import model as model_mod
 from .errors import ConfigError, DimensionError
 from .model import ForwardTrace, SrnParams
 
@@ -83,31 +84,49 @@ def compute_dg(params: SrnParams, back: bptt_mod.BpttResult,
     diagonals held fixed, over the horizon h that ``back`` was run with.
 
     Sum over the h factor positions of the product with that position's W
-    replaced by dw_rec.  Linear in dw_rec by construction.
+    replaced by dw_rec.  Linear in dw_rec by construction.  The walk over
+    the factor positions runs at one BLAS thread, in row blocks that run at
+    once, one core each (``model._row_blocks``); dg does not depend on the
+    number of blocks.
     """
     dw_rec = np.asarray(dw_rec, dtype=np.float64)
     if dw_rec.shape != params.w_rec.shape:
         raise DimensionError(
             f"dw_rec {dw_rec.shape} does not match w_rec {params.w_rec.shape}")
-    h = back.deltas.shape[1] - 1
+    n_seqs, h = back.deltas.shape[0], back.deltas.shape[1] - 1
 
-    # walk the prefix operator inward from the deep end while substituting;
-    # back.deltas[:, i] is the product of the first i factors applied to
-    # delta(k).  The walk reuses two (N, n_hid, n_hid) buffers; the product
-    # stays one matmul per sequence, as one stacked GEMM rounds differently.
-    prefix = np.eye(params.n_hid) * back.fprime[:, h, None, :]
-    spare = np.empty_like(prefix)
-    dg = None
-    for i in range(h, 0, -1):
-        term = (prefix @ (back.deltas[:, i - 1, :] @ dw_rec.T)[..., None])[..., 0]
-        if dg is None:
-            dg = term
-        else:
-            dg += term
-        if i > 1:
-            np.matmul(prefix, params.w_rec, out=spare)
-            spare *= back.fprime[:, i - 1, None, :]
-            prefix, spare = spare, prefix
+    # dw_rec applied to each factor position's incoming delta: back.deltas[:, i]
+    # is the product of the first i factors applied to delta(k).  One
+    # whole-batch product per position, in the calling thread: one stacked
+    # (h, N, n_hid) product rounds differently.
+    pushed = np.empty((h, n_seqs, params.n_hid))
+    for i in range(h):
+        np.matmul(back.deltas[:, i, :], dw_rec.T, out=pushed[i])
+    dg = np.empty((n_seqs, params.n_hid))
+
+    def walk(rows):
+        # walk the prefix operator inward from the deep end while
+        # substituting, over these rows only, reusing two (rows, n_hid,
+        # n_hid) buffers.  Each sequence's products are separate calls of
+        # one shape, so a block gives its rows bit for bit what the whole
+        # batch gives them; one stacked GEMM over the sequences would round
+        # differently.
+        prefix = np.eye(params.n_hid) * back.fprime[rows, h, None, :]
+        spare = np.empty_like(prefix)
+        for i in range(h, 0, -1):
+            term = (prefix @ pushed[i - 1, rows, :, None])[..., 0]
+            if i == h:
+                dg[rows] = term
+            else:
+                dg[rows] += term
+            if i > 1:
+                np.matmul(prefix, params.w_rec, out=spare)
+                spare *= back.fprime[rows, i - 1, None, :]
+                prefix, spare = spare, prefix
+
+    # the walk is O(h·N·n_hid³), nearly all of a gated draw
+    with model_mod._blas_threads(1):
+        model_mod._in_blocks(walk, model_mod._row_blocks(n_seqs))
     return dg
 
 

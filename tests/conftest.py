@@ -25,6 +25,10 @@ from srngate.model import LossKind, OutputActivation, SrnParams
 from srngate.tasks import TaskKind, TaskSpec, generate
 
 
+OPENBLAS_BUILD = "openblas" in np.show_config(mode="dicts")[
+    "Build Dependencies"]["blas"]["name"].lower()
+
+
 def generate_task(task, T, n, seed):
     """n sequences of the named task at length T, default tolerance."""
     return generate(TaskSpec(TaskKind(task), T), n, seed)

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import generate_task, read_profile_csv, read_table, rewrite_header
+from conftest import (OPENBLAS_BUILD, generate_task, read_profile_csv, read_table,
+                      rewrite_header)
 from srngate import cli, diagnostics, model, tasks, trainer
 
 
@@ -368,6 +372,58 @@ class TestTrainFailure:
         assert not (run_dir / "model.json").exists()
         summary = json.loads((tmp_path / "start_summary.json").read_text())
         assert summary["failed_seeds"] == [3]
+
+
+class TestBlasThreads:
+    """train holds OpenBLAS at one thread, so its outputs do not depend on
+    the thread count the process started with, and restores the count."""
+
+    @pytest.mark.skipif(not OPENBLAS_BUILD, reason="numpy is not built against OpenBLAS")
+    @pytest.mark.parametrize("reg", ["on", "off"])
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, reg):
+        # at the paper's h = 100, 100 hidden units and batch 10, bptt.backward's
+        # w_rec contraction over h * N = 1000 rows rounds differently at one
+        # and two OpenBLAS 0.3.31 threads, unless the count is held
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "srngate.cli", "train",
+                            "--task", "temporal_order", "--T", "100", "--h", "100",
+                            "--hidden", "100", "--epochs", "1", "--iters", "3",
+                            "--batch", "10", "--train-size", "60", "--valid-size", "20",
+                            "--test-size", "20", "--seed", "1", "--reg", reg,
+                            "--run-name", "run", "--out", str(tmp_path / threads)],
+                           env=env, check=True, capture_output=True, timeout=120)
+        for name in ("run_seed1/metrics.csv", "run_seed1/model.json", "run_summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "2" / name).read_bytes(), name
+
+    @pytest.mark.skipif(model._blas_thread_setter() is None,
+                        reason="no openblas_set_num_threads_local in this process")
+    @pytest.mark.parametrize("alpha, code", [("0.01", 0), ("1e155", cli.EXIT_NUMERICAL)],
+                             ids=["finishes", "fails"])
+    def test_count_is_held_at_one_and_restored(self, tmp_path, capsys, monkeypatch,
+                                               alpha, code):
+        # at 1e155, alpha * grad overflows in the update of draw 2
+        setter, start_run, held = model._blas_thread_setter(), trainer.start_run, []
+
+        def spy(*args):
+            held.append(setter(1))
+            return start_run(*args)
+
+        monkeypatch.setattr(trainer, "start_run", spy)
+        previous = setter(2)
+        try:
+            assert run_cli(["train", "--task", "adding", "--T", "15", "--hidden", "6",
+                            "--epochs", "1", "--iters", "3", "--batch", "5",
+                            "--alpha", alpha, "--reg", "off", "--seeds", "0",
+                            "--run-name", "held", "--out", str(tmp_path)] + FAIL_SMALL,
+                           capsys)[0] == code
+            assert held == [1]
+            assert setter(2) == 2
+        finally:
+            setter(previous)
 
 
 class TestScan:

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_outputs.py"
 
@@ -110,20 +112,20 @@ def test_explain_quantifies_csv_columns_and_json_weights(tmp_path):
 def test_compare_puts_the_explanation_under_its_file(tmp_path, monkeypatch):
     tool = load_tool()
 
-    def fake_script(src, work, size):
+    def fake_script(src, work, size, blas_threads):
         (work / "metrics.csv").write_text(f"iter,loss\n1,{1.0 if src.name == 'a' else 2.0}\n")
         (work / "notes.txt").write_text(src.name)
         return {"train": 0}
 
     monkeypatch.setattr(tool, "run_script", fake_script)
-    lines, n_files, codes = tool.compare(Path("a"), Path("b"), tmp_path, tool.TINY)
+    lines, n_files, codes = tool.compare(Path("a"), Path("b"), tmp_path, tool.TINY, 1)
     assert lines == ["differs: metrics.csv", "    loss: max relative difference 0.5",
                      "    equal: iter", "differs: notes.txt"]
     assert (n_files, codes) == (2, {"train": 0})
 
 
-def test_every_command_runs_at_one_blas_thread_per_core(tmp_path, monkeypatch):
-    # whatever the caller's environment says, as perfbench/run.py sets it
+def test_every_command_runs_at_the_given_blas_thread_count(tmp_path, monkeypatch):
+    # whatever the caller's environment says
     tool = load_tool()
     envs = []
 
@@ -134,8 +136,35 @@ def test_every_command_runs_at_one_blas_thread_per_core(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     monkeypatch.setattr(tool.subprocess, "run", fake_run)
-    tool.run_script(Path("src"), tmp_path, tool.TINY)
-    nproc = str(len(os.sched_getaffinity(0)))
+    tool.run_script(Path("src"), tmp_path, tool.TINY, 3)
     assert len(envs) == len(tool.script(tool.TINY))
-    assert all(env[var] == nproc for env in envs
+    assert all(env[var] == "3" for env in envs
                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+
+
+@pytest.mark.parametrize("flags, count", [([], len(os.sched_getaffinity(0))),
+                                          (["--blas-threads", "1"], 1)],
+                         ids=["default", "one"])
+def test_blas_threads_default_to_one_per_core(tmp_path, monkeypatch, capsys, flags, count):
+    # as perfbench/run.py sets them; both sides run at the same count
+    tool = load_tool()
+    counts = []
+
+    def fake_compare(parent_src, change_src, work, size, blas_threads):
+        counts.append(blas_threads)
+        return [], 0, {}
+
+    monkeypatch.setattr(tool, "compare", fake_compare)
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--tiny", "--work", str(tmp_path / "work"), *flags]) == 0
+    assert counts == [count]
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_blas_threads_must_be_a_positive_count(capsys, value):
+    tool = load_tool()
+    src = str(ROOT / "src")
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main([src, src, "--tiny", "--blas-threads", value])
+    assert exit_info.value.code == 2
+    assert "--blas-threads" in capsys.readouterr().err

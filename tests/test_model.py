@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import forward_reference, generate_task
+from conftest import OPENBLAS_BUILD, forward_reference, generate_task
 from srngate import bptt, model
 from srngate.errors import ConfigError, DimensionError, FormatError, NumericalError
 from srngate.model import LossKind, OutputActivation
@@ -200,9 +200,6 @@ class TestForwardOracle:
         assert trace.states[0].tobytes() == np.zeros((4, 5)).tobytes()
         assert trace.z.tobytes() == tanh(trace.a).tobytes()
 
-
-OPENBLAS_BUILD = "openblas" in np.show_config(mode="dicts")[
-    "Build Dependencies"]["blas"]["name"].lower()
 
 SCORING_CASES = {
     "N1_softmax": (1, OutputActivation.SOFTMAX),

@@ -1,11 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import (batch_backward, compute_g, deep_norm_half_sq, diagonal,
-                      evaluate_minibatch, random_net, theorem1_hit_rate)
+from conftest import (batch_backward, compute_dg_reference, compute_g, deep_norm_half_sq,
+                      diagonal, evaluate_minibatch, random_net, theorem1_hit_rate)
 
 from srngate import bptt, model, regularizer as reg
 from srngate.errors import ConfigError, DimensionError
@@ -94,6 +95,55 @@ class TestComputeDg:
         # dg needs at least one factor: a zero horizon never gets a backward pass
         with pytest.raises(ConfigError):
             bptt.BpttConfig(h=0)
+
+    # the walk runs in row blocks, one thread each; these force the block
+    # count, so that they mean the same on a one-core box
+
+    @pytest.mark.parametrize("n_seqs, n_hid", [(n_seqs, n_hid) for n_seqs in (1, 3)
+                                               for n_hid in (7, 50, 100, 300)]
+                             + [(10, 100)])
+    def test_every_block_count_gives_the_reference(self, monkeypatch, n_seqs, n_hid):
+        # 3 rows in 2 blocks walk a one-row block; (10, 100) is the paper's
+        # batch and width.  The walk runs at one BLAS thread, and so does the
+        # reference: at 300 hidden units OpenBLAS 0.3.31 rounds the walk's
+        # products differently at two threads
+        rng = np.random.default_rng(n_hid)
+        params = model.init_gaussian(2, n_hid, 2, 1.0 / n_hid, seed=n_hid)
+        trace, back = batch_backward(params, rng.standard_normal((n_seqs, 6, 2)),
+                                     rng.standard_normal((n_seqs, 2)), LossKind.MSE, 4)
+        dw = rng.standard_normal((n_hid, n_hid)) * 1e-3
+        with model._blas_threads(1):
+            ref = compute_dg_reference(params, trace, back, dw).tobytes()
+        for blocks in range(1, n_seqs + 1):
+            monkeypatch.setattr(model, "_concurrency", lambda blas_threads: blocks)
+            assert len(model._row_blocks(n_seqs)) == blocks
+            assert reg.compute_dg(params, back, dw).tobytes() == ref, blocks
+
+    def test_each_block_walks_in_its_own_thread(self, monkeypatch):
+        # 7 rows in blocks of 2, 2 and 3; every block waits at the barrier
+        # until all have reached it, so dg comes back only if they run at
+        # the same time
+        monkeypatch.setattr(model, "_concurrency", lambda blas_threads: 3)
+        in_blocks, seen = model._in_blocks, []
+        barrier = threading.Barrier(3, timeout=10)
+
+        def spy(run, blocks):
+            def waiting(rows):
+                seen.append((rows.stop - rows.start, threading.current_thread()))
+                barrier.wait()
+                return run(rows)
+            return in_blocks(waiting, blocks)
+
+        monkeypatch.setattr(model, "_in_blocks", spy)
+        rng = np.random.default_rng(12)
+        params = random_net(rng, 2, 5, 2, OutputActivation.LINEAR, 0.5)
+        trace, back = batch_backward(params, rng.standard_normal((7, 6, 2)),
+                                     rng.standard_normal((7, 2)), LossKind.MSE, 6)
+        dw = rng.standard_normal((5, 5))
+        got = reg.compute_dg(params, back, dw)
+        assert sorted(rows for rows, _ in seen) == [2, 2, 3]
+        assert len({thread for _, thread in seen}) == 3
+        assert got.tobytes() == compute_dg_reference(params, trace, back, dw).tobytes()
 
     def test_directional_derivative_oracle(self):
         # (g, dg) must match central differences of the frozen-trace S

@@ -2,13 +2,14 @@
 compare every file they write, byte for byte.
 
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--tiny] [--work DIR]
+                                    [--blas-threads K]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts; each
 command runs as ``python -m srngate.cli`` with that directory on PYTHONPATH,
 from its own working directory, so that the paths written into outputs are the
 same on both sides, with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS set to the number of usable cores, as ``perfbench/run.py``
-sets them.  The script covers ``gen`` for four tasks and once more at
+MKL_NUM_THREADS set to K, by default the number of usable cores, as
+``perfbench/run.py`` sets them.  The script covers ``gen`` for four tasks and once more at
 an odd T (the full-size train split then crosses a seam between generation
 blocks).  The adding and temporal-order splits are written over the files of
 an earlier ``gen`` of the same task, with longer splits for adding and
@@ -152,15 +153,13 @@ def script(size: dict) -> list:
     ]
 
 
-def run_script(src: Path, work: Path, size: dict) -> dict:
-    """Run the script from ``work`` against the package in ``src``; returns
-    the exit code of each command by name."""
-    # the BLAS thread setting of perfbench/run.py, whatever the caller's
-    # environment: a thread count that a command leaves changed shows only
-    # at two threads or more
-    nproc = str(len(os.sched_getaffinity(0)))
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS=nproc,
-               OMP_NUM_THREADS=nproc, MKL_NUM_THREADS=nproc)
+def run_script(src: Path, work: Path, size: dict, blas_threads: int) -> dict:
+    """Run the script from ``work`` against the package in ``src``, at
+    ``blas_threads`` BLAS threads whatever the caller's environment says;
+    returns the exit code of each command by name."""
+    count = str(blas_threads)
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS=count,
+               OMP_NUM_THREADS=count, MKL_NUM_THREADS=count)
     (work / "overflow_model.json").write_text(json.dumps(OVERFLOW_MODEL))
     codes = {}
     for name, argv in script(size):
@@ -288,7 +287,8 @@ def explain(parent_file: Path, change_file: Path) -> list:
     return _column_lines({name: (parent[name], change[name]) for name in parent})
 
 
-def compare(parent_src: Path, change_src: Path, work: Path, size: dict) -> tuple:
+def compare(parent_src: Path, change_src: Path, work: Path, size: dict,
+            blas_threads: int) -> tuple:
     """(difference lines, number of parent files (an empty directory counts
     as one), change-side exit codes)
     of one run per side; under each differing file come its indented
@@ -297,7 +297,7 @@ def compare(parent_src: Path, change_src: Path, work: Path, size: dict) -> tuple
     for side, src in (("parent", parent_src), ("change", change_src)):
         side_dir = work / side
         side_dir.mkdir(parents=True)
-        codes = run_script(src, side_dir, size)
+        codes = run_script(src, side_dir, size, blas_threads)
         results.append((digests(side_dir), codes))
     (parent, parent_codes), (change, change_codes) = results
     lines = []
@@ -310,6 +310,13 @@ def compare(parent_src: Path, change_src: Path, work: Path, size: dict) -> tuple
     return lines, len(parent), change_codes
 
 
+def _positive(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
@@ -318,6 +325,12 @@ def main(argv=None) -> int:
     parser.add_argument("--work", type=Path,
                         help="keep the outputs in this new directory (default: a "
                              "temporary one, deleted at exit)")
+    # the default is perfbench/run.py's setting: a thread count that a
+    # command leaves changed shows only at two threads or more
+    parser.add_argument("--blas-threads", type=_positive, metavar="K",
+                        default=len(os.sched_getaffinity(0)),
+                        help="BLAS thread count of every command on both sides "
+                             "(default: the number of usable cores)")
     args = parser.parse_args(argv)
     for src in (args.parent_src, args.change_src):
         if not (src / "srngate" / "cli.py").is_file():
@@ -325,7 +338,8 @@ def main(argv=None) -> int:
     size = TINY if args.tiny else FULL
     work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs-"))
     try:
-        lines, n_files, codes = compare(args.parent_src, args.change_src, work, size)
+        lines, n_files, codes = compare(args.parent_src, args.change_src, work, size,
+                                        args.blas_threads)
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
