@@ -9,9 +9,9 @@ command runs as ``python -m srngate.cli`` with that directory on PYTHONPATH,
 from its own working directory, so that the paths written into outputs are the
 same on both sides, with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS set to K, by default the number of usable cores, as
-``perfbench/run.py`` sets them.  The script covers ``gen`` for four tasks and once more at
-an odd T (the full-size train split then crosses a seam between generation
-blocks).  The adding and temporal-order splits are written over the files of
+``perfbench/run.py`` sets them.  The script covers ``gen`` for four tasks
+and once more at an odd T (the full-size train split then crosses a seam
+between generation blocks).  The adding and temporal-order splits are written over the files of
 an earlier ``gen`` of the same task, with longer splits for adding and
 shorter ones for temporal order, so those compared files are rewrites.  Then
 come a gated and an ungated ``train --data`` (the ungated one with
