@@ -22,7 +22,7 @@ The gradients are means over the sequences, so the learning rate is
 independent of batch size.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,13 +73,25 @@ class BpttResult:
     ``delta_norms`` (N, h+1) is C-ordered on purpose: callers sum it over
     the sequence axis, and numpy sums a contiguous axis pairwise but a
     strided one row by row, so a depth-major layout would change those sums
-    in their last bits.  ``grads`` holds the mean over the N sequences.
+    in their last bits.  ``delta_norm_top`` and ``delta_norm_deep`` are the
+    batch means of its depth-0 and depth-h columns, the two ends of the
+    horizon that the Q-factor compares; they are taken here, once, and
+    every consumer reads them.  ``grads`` holds the mean over the N
+    sequences.
     """
 
     deltas: np.ndarray
     fprime: np.ndarray
     grads: Gradients
     delta_norms: np.ndarray
+    delta_norm_top: float = field(init=False)
+    delta_norm_deep: float = field(init=False)
+
+    def __post_init__(self):
+        # each column's own mean: an axis-0 mean of delta_norms sums row by
+        # row and rounds differently
+        self.delta_norm_top = float(self.delta_norms[:, 0].mean())
+        self.delta_norm_deep = float(self.delta_norms[:, -1].mean())
 
 
 def backward(params: SrnParams, trace: ForwardTrace, output_delta: np.ndarray,

@@ -122,7 +122,8 @@ class DynamicsRecorder:
 
     Records, per draw, the batch-mean delta norms at depths 0, h//2 and h of
     the draw's horizon h and the mean / median of |a(k)| over every unit and
-    step of the batch.
+    step of the batch.  The depth-0 and depth-h means are the backward's own
+    ``delta_norm_top`` and ``delta_norm_deep``, the values metrics.csv logs.
     """
 
     def __init__(self):
@@ -135,9 +136,9 @@ class DynamicsRecorder:
         d = back.delta_norms  # (N, h+1): depths 0..h
         self.rows.append({
             "iter": state.iteration,
-            "delta_norm_d0": float(d[:, 0].mean()),
+            "delta_norm_d0": back.delta_norm_top,
             "delta_norm_dmid": float(d[:, (d.shape[1] - 1) // 2].mean()),
-            "delta_norm_dh": float(d[:, -1].mean()),
+            "delta_norm_dh": back.delta_norm_deep,
             "act_mean": float(abs_act.mean()),
             "act_median": _median_in_place(abs_act.reshape(-1)),
             "decision": result.report.decision.value if result.report else None,

@@ -124,7 +124,10 @@ def compute_dg(params: SrnParams, back: bptt_mod.BpttResult,
                 spare *= back.fprime[rows, i - 1, None, :]
                 prefix, spare = spare, prefix
 
-    # the walk is O(h·N·n_hid³), nearly all of a gated draw
+    # the walk is O(h·N·n_hid³), nearly all of a gated draw.  train already
+    # holds one thread; this hold gives a caller at any count train's bits
+    # (OpenBLAS rounds the walk's products at 300 hidden units differently
+    # at two threads), not speed
     with model_mod._blas_threads(1):
         model_mod._in_blocks(walk, model_mod._row_blocks(n_seqs))
     return dg
@@ -176,6 +179,5 @@ def report_from_backward(params: SrnParams, trace: ForwardTrace,
     dg = compute_dg(params, back, candidate_dw_rec).mean(axis=0)
     S = 0.5 * float(g @ g)
     dS = float(g @ dg)
-    q = q_factor(float(back.delta_norms[:, 0].mean()),
-                 float(back.delta_norms[:, h].mean()))
+    q = q_factor(back.delta_norm_top, back.delta_norm_deep)
     return RegReport(dS=dS, S=S, q=q, decision=gate(dS, q, cfg, S))

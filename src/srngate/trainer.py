@@ -117,8 +117,7 @@ def train_iteration(state: TrainState, batch: SequenceBatch, cfg: RunConfig,
     # update fails keeps its rows
     row = {"iter": state.iteration, "epoch": state.epoch, "loss": float(losses.mean()),
            "dS": None, "S": None, "q": None, "decision": None, "applied": applied,
-           "delta_norm_top": float(back.delta_norms[:, 0].mean()),
-           "delta_norm_deep": float(back.delta_norms[:, cfg.h].mean())}
+           "delta_norm_top": back.delta_norm_top, "delta_norm_deep": back.delta_norm_deep}
     if report is not None:
         row.update(dS=report.dS, S=report.S, q=report.q, decision=report.decision.value)
     for name, norm in back.grads.block_norms().items():

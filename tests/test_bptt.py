@@ -116,8 +116,8 @@ class TestBackwardStructure:
         # deltas; at h = T the deepest diagonal sits on the zero start
         rng = np.random.default_rng(34)
         params = random_net(rng, 2, 4, 2, OutputActivation.LINEAR)
-        tr = model.forward_batch(params, rng.standard_normal((3, 7, 2)))
-        back = bptt.backward(params, tr, rng.standard_normal((3, 2)), bptt.BpttConfig(h=h))
+        tr = model.forward_batch(params, rng.standard_normal((20, 7, 2)))
+        back = bptt.backward(params, tr, rng.standard_normal((20, 2)), bptt.BpttConfig(h=h))
         assert back.fprime.shape == back.deltas.shape
         for n in range(min(h, 6) + 1):
             z = tr.z[:, 6 - n]
@@ -128,6 +128,10 @@ class TestBackwardStructure:
         for n in range(1, h + 1):
             pushed = back.deltas[:, n - 1] @ params.w_rec.T
             assert back.deltas[:, n].tobytes() == (pushed * back.fprime[:, n]).tobytes()
+        # the horizon's two ends are the batch means of their own columns; at
+        # 20 rows an axis-0 mean of delta_norms rounds both differently
+        assert back.delta_norm_top == float(back.delta_norms[:, 0].mean())
+        assert back.delta_norm_deep == float(back.delta_norms[:, -1].mean())
 
 
 class TestJacobian:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import (OPENBLAS_BUILD, generate_task, read_profile_csv, read_table,
                       rewrite_header)
-from srngate import cli, diagnostics, model, tasks, trainer
+from srngate import cli, diagnostics, model, regularizer, tasks, trainer
 
 
 def run_cli(argv, capsys=None):
@@ -224,15 +225,26 @@ class TestTrain:
         assert (tmp_path / "tol_seed0" / "metrics.csv").exists()
 
     def test_record_dynamics(self, tmp_path, capsys):
-        base = ["train", "--task", "adding", "--T", "15", "--seeds", "0",
-                "--out", str(tmp_path), "--run-name", "dyn",
-                "--record-dynamics"] + TRAIN_SMALL
-        assert run_cli(base, capsys)[0] == 0
-        rows = read_table(tmp_path / "dyn_seed0" / "dynamics.csv",
-                          diagnostics.DYNAMICS_COLUMNS)
-        metrics = read_table(tmp_path / "dyn_seed0" / "metrics.csv",
-                             trainer.METRICS_COLUMNS)
-        assert len(rows) == len(metrics)
+        # one dynamics row per draw: its d0 and dh are the top and deep norms
+        # that metrics.csv logs, written as the same text, and q is log10 of
+        # their ratio
+        assert run_cli(["train", "--task", "adding", "--T", "15", "--h", "10",
+                        "--sigma", "1.0", "--reg", "on", "--seeds", "0",
+                        "--out", str(tmp_path), "--run-name", "dyn",
+                        "--record-dynamics"] + TRAIN_SMALL, capsys)[0] == 0
+        run_dir = tmp_path / "dyn_seed0"
+        with open(run_dir / "dynamics.csv", newline="") as f:
+            dynamics = list(csv.DictReader(f))
+        with open(run_dir / "metrics.csv", newline="") as f:
+            metrics = list(csv.DictReader(f))
+        assert len(dynamics) == len(metrics) > 3
+        for dyn, met in zip(dynamics, metrics):
+            assert ((dyn["iter"], dyn["delta_norm_d0"], dyn["delta_norm_dh"],
+                     dyn["decision"]) == (met["iter"], met["delta_norm_top"],
+                                          met["delta_norm_deep"], met["decision"]))
+            top, deep = float(met["delta_norm_top"]), float(met["delta_norm_deep"])
+            assert met["q"] == repr(regularizer.q_factor(top, deep)), met["iter"]
+        assert {row["decision"] for row in metrics} > {"accept"}
 
     @pytest.mark.parametrize("missing", ["train", "valid", "test"])
     def test_missing_split_file_is_input_error(self, tmp_path, capsys, missing):
