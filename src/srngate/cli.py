@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 usage error, 2 input/config error, 3 numerical
 failure.  ``train`` runs every seed even when one fails numerically, keeps
-the failed seed's partial records, and then exits 3.  Every command is
-reproducible bit-for-bit given the same seed; run directories are named by
-timestamp and seed (override with --run-name) so sweeps never overwrite
-each other.
+the failed seed's partial records, and then exits 3.  Every command runs
+with OpenBLAS held at one thread and is reproducible bit-for-bit given the
+same seed, whatever thread count the process started with; run directories
+are named by timestamp and seed (override with --run-name) so sweeps never
+overwrite each other.
 """
 
 import argparse
@@ -176,10 +177,8 @@ def cmd_train(args) -> int:
         recorder = diagnostics.DynamicsRecorder() if cfg.record_dynamics else None
         state = error = None  # state stays None if the run fails while starting
         try:
-            # one BLAS thread, so that outputs do not depend on the thread count
-            with model._blas_threads(1):
-                state, splits = trainer.start_run(cfg, seed, data)
-                test_accuracy = trainer.train(state, splits, cfg, hook=recorder, log=print)
+            state, splits = trainer.start_run(cfg, seed, data)
+            test_accuracy = trainer.train(state, splits, cfg, hook=recorder, log=print)
         except NumericalError as e:
             error = e
         # a failed seed keeps the rows and dynamics drawn before its failure
@@ -295,7 +294,10 @@ def main(argv=None) -> int:
     handlers = {"gen": cmd_gen, "train": cmd_train, "scan": cmd_scan,
                 "eval": cmd_eval}
     try:
-        return handlers[args.command](args)
+        # one BLAS thread for every command, so that no output depends on the
+        # thread count; scoring and the gate's walk run in row blocks instead
+        with model._blas_threads(1):
+            return handlers[args.command](args)
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL

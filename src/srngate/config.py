@@ -51,7 +51,6 @@ class RunConfig:
     test_size: int = 10000
     tolerance: float = 0.04        # regression success tolerance
     probes: int = 100              # probe sequences per depth scan
-    max_consecutive_rejects: int = 200
     record_dynamics: bool = False  # also write dynamics.csv per run
 
     def __post_init__(self):
@@ -80,7 +79,7 @@ class RunConfig:
         if self.epochs < 0:
             raise ConfigError(f"epochs: must be >= 0, got {self.epochs}")
         for name in ("hidden", "batch", "iters", "train_size", "valid_size",
-                     "test_size", "probes", "max_consecutive_rejects"):
+                     "test_size", "probes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
         self.reg_config()  # RegConfig checks qmin < qmax and r0 > 0

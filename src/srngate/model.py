@@ -89,17 +89,17 @@ class ForwardTrace:
     backpropagation.  It stores what the forward computed, step-major: the
     presynaptic activations as one (T, N, n_hid) buffer ``steps`` and the
     states as one (T+1, N, n_hid) buffer ``states`` whose block 0 is the
-    zero start.  ``a`` and ``z`` are (N, T, n_hid) transposed views of them:
-    indexing is batch-first, while each per-step slice ``x[:, k, :]`` that
-    the backward pass reads is one contiguous block, and a run of
-    consecutive states is one contiguous (k·N, n_hid) window.  Code that
-    reduces over a whole array and needs the batch-first summation order
-    must take a C-ordered copy first.
+    zero start, so ``states[1:]`` are the states z(1)..z(T).  ``a`` is a
+    (N, T, n_hid) transposed view of ``steps``: indexing is batch-first,
+    while each per-step slice ``a[:, k, :]`` is one contiguous block, and a
+    run of consecutive states is one contiguous (k·N, n_hid) window of
+    ``states``.  Code that reduces over a whole array and needs the
+    batch-first summation order must take a C-ordered copy first.
 
     A scoring trace (``keep_trace=False``) carries ``y`` and
     ``output_activation``, which is all ``loss_batch`` reads.  Its
-    ``inputs``, ``steps`` and ``states`` are None, and reading ``a``, ``z``
-    or ``n_steps`` raises RuntimeError."""
+    ``inputs``, ``steps`` and ``states`` are None, and reading ``a`` or
+    ``n_steps`` raises RuntimeError."""
 
     inputs: np.ndarray | None  # (N, T, n_in); None when scoring
     y: np.ndarray        # (N, n_out) readout after the final step
@@ -122,11 +122,6 @@ class ForwardTrace:
     @property
     def n_steps(self) -> int:
         return self.a.shape[1]
-
-    @property
-    def z(self) -> np.ndarray:
-        """(N, T, n_hid) states tanh(a), a view of ``states`` without z(0)."""
-        return self._kept(self.states)[1:].transpose(1, 0, 2)
 
 
 def init_gaussian(n_in: int, n_hid: int, n_out: int, sigma: float, seed,
@@ -182,14 +177,14 @@ def _blas_thread_setter():
 
 @contextlib.contextmanager
 def _blas_threads(count: int):
-    """Hold OpenBLAS at ``count`` threads for the whole process and yield the
-    count it replaced, restored however the body ends; the one place that
-    sets the count.  Without the setter it holds nothing and yields 1."""
+    """Hold OpenBLAS at ``count`` threads for the whole process, and restore
+    the count it replaced however the body ends; the one place that sets
+    the count.  Without the setter it holds nothing."""
     _start_blas_threads()
     setter = _blas_thread_setter() or (lambda count: 1)
     previous = setter(count)
     try:
-        yield previous
+        yield
     finally:
         setter(previous)
 
@@ -240,27 +235,27 @@ def _in_blocks(run, blocks: list) -> list:
         return [run(blocks[0])] + [future.result() for future in futures]
 
 
-# (n_rows, n_in, n_hid, n_blocks, blas_threads) -> what _exact_split measured
+# (n_rows, n_in, n_hid, n_blocks) -> what _exact_split measured
 _exact_splits = {}
 
 
-def _exact_split(blocks: list, blas_threads: int, n_in: int, x, whole, split) -> bool:
-    """Whether a step's two products, computed per row block at one BLAS
-    thread, give bit for bit what they give for the whole batch at
-    ``blas_threads``, to which a nested hold raises the count around it.
+def _exact_split(blocks: list, n_in: int, x, whole, split) -> bool:
+    """Whether a step's two products, computed per row block, give bit for
+    bit what they give for the whole batch; the caller holds one BLAS
+    thread for both.
 
-    BLAS picks its kernel and its split of the work by the operand sizes,
-    and that can change the summation order within a row.  With OpenBLAS
-    0.3.31 on AVX-512, a block is not exact where the whole product is past
-    the small-matrix kernel's 10^6 multiply-adds and the block is not (two
-    blocks of a 101- to 200-row batch at 100 hidden units), and at 50 hidden
-    units that kernel rounds the last two columns of some rows by their
-    place in the batch.  So each shape is measured once, on fixed-seed data
-    drawn into the forward's (n_rows, n_hid) buffers ``x``, ``whole`` and
-    ``split`` before its loop uses them.  A differing element differs on
-    about half of the draws, and eight draws must all agree."""
+    BLAS picks its kernel by the operand sizes, and that can change the
+    summation order within a row.  With OpenBLAS 0.3.31 on AVX-512, a block
+    is not exact where the whole product is past the small-matrix kernel's
+    10^6 multiply-adds and the block is not (two blocks of a 101- to
+    200-row batch at 100 hidden units), and at 50 hidden units that kernel
+    rounds the last two columns of some rows by their place in the batch.
+    So each shape is measured once, on fixed-seed data drawn into the
+    forward's (n_rows, n_hid) buffers ``x``, ``whole`` and ``split`` before
+    its loop uses them.  A differing element differs on about half of the
+    draws, and eight draws must all agree."""
     n_rows, n_hid = x.shape
-    key = (n_rows, n_in, n_hid, len(blocks), blas_threads)
+    key = (n_rows, n_in, n_hid, len(blocks))
     if key in _exact_splits:
         return _exact_splits[key]
     rng = np.random.default_rng(0)
@@ -268,8 +263,7 @@ def _exact_split(blocks: list, blas_threads: int, n_in: int, x, whole, split) ->
     for _ in range(8):
         for left in (rng.standard_normal((n_rows, n_in)), rng.standard_normal(out=x)):
             right = rng.standard_normal((left.shape[1], n_hid))
-            with _blas_threads(blas_threads):
-                np.matmul(left, right, out=whole)
+            np.matmul(left, right, out=whole)
             for rows in blocks:
                 np.matmul(left[rows], right, out=split[rows])
             if not np.array_equal(whole.view(np.uint64), split.view(np.uint64)):
@@ -286,16 +280,16 @@ def _in_row_blocks(run, n_in: int, z, a, r) -> int:
 
     Each block has at least 2 rows: numpy hands a one-row operand to gemv,
     which rounds differently from gemm.  Blocks are used only for shapes
-    where ``_exact_split`` finds them bit-equal to the whole batch at the
-    BLAS thread count the caller holds.  The probe and the blocks run
-    inside one ``_blas_threads(1)`` hold.  With one block, ``run`` runs in
-    the calling thread after the hold, at the caller's BLAS thread count."""
+    where ``_exact_split`` finds them bit-equal to the whole batch; other
+    shapes run as one block.  The probe and the blocks, or the one block,
+    run inside one ``_blas_threads(1)`` hold, so the readout does not
+    depend on the BLAS thread count the caller holds."""
     n_rows = z.shape[0]
-    with _blas_threads(1) as blas_threads:
+    with _blas_threads(1):
         blocks = _row_blocks(n_rows, min_rows=2)
-        if len(blocks) > 1 and _exact_split(blocks, blas_threads, n_in, z, a, r):
-            return min((bad for bad in _in_blocks(run, blocks) if bad), default=0)
-    return run(slice(0, n_rows))
+        if len(blocks) > 1 and not _exact_split(blocks, n_in, z, a, r):
+            blocks = [slice(0, n_rows)]
+        return min((bad for bad in _in_blocks(run, blocks) if bad), default=0)
 
 
 def _recur(params: SrnParams, n_steps: int, step_inputs, steps, states, r, bias) -> int:
@@ -353,16 +347,17 @@ def forward_batch(params: SrnParams, inputs, *, keep_trace: bool = True) -> Forw
     calling thread and each other block's on a worker of a thread pool,
     all at once, on their rows of the same buffers (see ``_in_row_blocks``).
     The block count does not follow the count held at the call, so
-    validation inside ``train``, which holds one thread, still runs in
-    blocks.  Rows never mix within a step, so a block gives its rows'
-    values by the same elementwise operations as the whole batch; only the
-    two products could round differently, and blocks are used only for
-    shapes where a measured probe (``_exact_split``) finds them bit-equal
-    to the whole batch at the held count.  So ``y`` is bit-equal in both
-    modes and for any number of blocks.  While the blocks run, OpenBLAS is
-    held at one thread by ``_blas_threads``, the one place that sets the
-    count; the count is the whole process's, not one thread's, so only
-    the calling thread holds it, and it is restored before returning, or
+    scoring inside the CLI, which holds one thread for every command,
+    still runs in blocks.  Rows never mix within a step, so a block gives
+    its rows' values by the same elementwise operations as the whole
+    batch; only the two products could round differently, and blocks are
+    used only for shapes where a measured probe (``_exact_split``) finds
+    them bit-equal to the whole batch.  The step loop, split or not, runs
+    with OpenBLAS held at one thread by ``_blas_threads``, the one place
+    that sets the count, so ``y`` is bit-equal in both modes and for any
+    number of blocks, and does not depend on the count the caller holds.
+    The count is the whole process's, not one thread's, so only the
+    calling thread holds it, and it is restored before returning, or
     raising.
 
     A non-finite a(k) raises NumericalError naming the first bad step over

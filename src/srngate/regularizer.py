@@ -124,10 +124,10 @@ def compute_dg(params: SrnParams, back: bptt_mod.BpttResult,
                 spare *= back.fprime[rows, i - 1, None, :]
                 prefix, spare = spare, prefix
 
-    # the walk is O(h·N·n_hid³), nearly all of a gated draw.  train already
-    # holds one thread; this hold gives a caller at any count train's bits
-    # (OpenBLAS rounds the walk's products at 300 hidden units differently
-    # at two threads), not speed
+    # the walk is O(h·N·n_hid³), nearly all of a gated draw.  cli.main
+    # already holds one thread for every command; this hold gives a direct
+    # caller at any count the CLI's bits (OpenBLAS rounds the walk's
+    # products at 300 hidden units differently at two threads), not speed
     with model_mod._blas_threads(1):
         model_mod._in_blocks(walk, model_mod._row_blocks(n_seqs))
     return dg

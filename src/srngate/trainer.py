@@ -39,6 +39,8 @@ from .model import SrnParams
 from .regularizer import Decision, RegReport, report_from_backward
 from .tasks import SequenceBatch
 
+MAX_CONSECUTIVE_REJECTS = 200  # after this many, the next draw is forced
+
 METRICS_COLUMNS = {
     "iter": int, "epoch": int, "loss": float, "dS": float, "S": float,
     "q": float, "decision": str, "applied": bool,
@@ -138,13 +140,12 @@ def evaluate(params: SrnParams, batch: SequenceBatch, chunk: int = 512) -> float
     takes.  That forward keeps no per-step activations and builds the
     float64 inputs of one step at a time.
 
-    The forward splits each chunk into row blocks, one core each, that
-    run at once, the first in the calling thread and the others on a
-    thread pool's workers, while ``model._blas_threads``, the one place
-    that sets the count, holds OpenBLAS at one thread for the whole
-    process; the readout is bit-equal to the unsplit one (see
-    ``model.forward_batch``), so the accuracy does not depend on the
-    number of cores."""
+    The forward runs each chunk with OpenBLAS held at one thread, split
+    into row blocks, one core each, that run at once, the first in the
+    calling thread and the others on a thread pool's workers, wherever the
+    split is bit-equal to the unsplit chunk (see ``model.forward_batch``);
+    so the accuracy depends on neither the number of cores nor the thread
+    count the caller holds."""
     hits = 0
     for start in range(0, batch.n, chunk):
         part = batch.subset(slice(start, start + chunk))
@@ -206,15 +207,15 @@ def run_epoch(state: TrainState, data: dict, cfg: RunConfig, hook=None,
     while state.corrections < target:
         idx = pool.popleft()
         res = train_iteration(state, train_set.subset(idx), cfg,
-                              force_accept=rejects == cfg.max_consecutive_rejects, hook=hook)
+                              force_accept=rejects == MAX_CONSECUTIVE_REJECTS, hook=hook)
         if res.applied:
             rejects = 0
         else:
             pool.append(idx)  # rejected batches stay eligible later
             rejects += 1
-            if rejects == cfg.max_consecutive_rejects:
+            if rejects == MAX_CONSECUTIVE_REJECTS:
                 state.starvation_events += 1
-                log(f"warning: epoch {state.epoch}: {cfg.max_consecutive_rejects} "
+                log(f"warning: epoch {state.epoch}: {MAX_CONSECUTIVE_REJECTS} "
                     f"consecutive rejections, force-accepting next batch")
     valid_acc = evaluate(state.params, data["valid"])
     if valid_acc > state.best_valid_accuracy:

@@ -131,11 +131,11 @@ def forward_reference(params, inputs):
 
 def diagonal(trace, step):
     """The tanh derivatives 1 - z**2, (N, n_hid), at 1-based forward step
-    ``step``, computed from ``trace.z``; step 0 is the zero start, where
-    they are 1."""
+    ``step``, computed from ``trace.states``; step 0 is the zero start,
+    where they are 1."""
     if step < 1:
-        return np.ones((trace.z.shape[0], trace.z.shape[2]))
-    z = trace.z[:, step - 1, :]
+        return np.ones(trace.states[0].shape)
+    z = trace.states[step]
     return 1.0 - z * z
 
 
@@ -162,7 +162,7 @@ def backward_reference(params, trace, output_delta, h):
     order (steps T-h+1..T, sequences within a step), from C-ordered copies
     of batch-first slices.  Returns a BpttResult whose arrays are all
     C-ordered."""
-    z = np.ascontiguousarray(trace.z)
+    z = np.ascontiguousarray(trace.states[1:].transpose(1, 0, 2))  # (N, T, n_hid)
     n_steps = trace.n_steps
     deltas, fprime = _reference_deltas(params, trace, output_delta, h)
 
@@ -186,7 +186,7 @@ def per_step_gradients(params, trace, output_delta, h):
     """The gradients accumulated one step at a time, deepest-last: per depth
     n = 0..h-1 the outer products of that step are added to the running
     sums.  A second oracle in another summation order."""
-    z = np.ascontiguousarray(trace.z)
+    z = np.ascontiguousarray(trace.states[1:].transpose(1, 0, 2))  # (N, T, n_hid)
     n_steps = trace.n_steps
     deltas, _ = _reference_deltas(params, trace, output_delta, h)
     grads = bptt.Gradients.zeros_like(params)

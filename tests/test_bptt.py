@@ -120,7 +120,7 @@ class TestBackwardStructure:
         back = bptt.backward(params, tr, rng.standard_normal((20, 2)), bptt.BpttConfig(h=h))
         assert back.fprime.shape == back.deltas.shape
         for n in range(min(h, 6) + 1):
-            z = tr.z[:, 6 - n]
+            z = tr.states[7 - n]
             assert back.fprime[:, n].tobytes() == (1.0 - z * z).tobytes(), n
         if h == 7:
             assert (back.fprime[:, 7] == 1.0).all()

@@ -386,9 +386,24 @@ class TestTrainFailure:
         assert summary["failed_seeds"] == [3]
 
 
+HELD_TRAIN = ["train", "--task", "adding", "--T", "15", "--hidden", "6", "--epochs", "1",
+              "--iters", "3", "--batch", "5", "--reg", "off", "--seeds", "0",
+              "--run-name", "held"]
+
+
+def run_child(threads: str, argv: list) -> None:
+    """``srngate argv`` in a child process that starts OpenBLAS at ``threads``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "srngate.cli", *argv],
+                   env=env, check=True, capture_output=True, timeout=120)
+
+
 class TestBlasThreads:
-    """train holds OpenBLAS at one thread, so its outputs do not depend on
-    the thread count the process started with, and restores the count."""
+    """cli.main holds OpenBLAS at one thread for every command, so no output
+    depends on the thread count the process started with, and restores the
+    count."""
 
     @pytest.mark.skipif(not OPENBLAS_BUILD, reason="numpy is not built against OpenBLAS")
     @pytest.mark.parametrize("reg", ["on", "off"])
@@ -396,42 +411,72 @@ class TestBlasThreads:
         # at the paper's h = 100, 100 hidden units and batch 10, bptt.backward's
         # w_rec contraction over h * N = 1000 rows rounds differently at one
         # and two OpenBLAS 0.3.31 threads, unless the count is held
-        src = str(Path(__file__).resolve().parents[1] / "src")
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            subprocess.run([sys.executable, "-m", "srngate.cli", "train",
-                            "--task", "temporal_order", "--T", "100", "--h", "100",
-                            "--hidden", "100", "--epochs", "1", "--iters", "3",
-                            "--batch", "10", "--train-size", "60", "--valid-size", "20",
-                            "--test-size", "20", "--seed", "1", "--reg", reg,
-                            "--run-name", "run", "--out", str(tmp_path / threads)],
-                           env=env, check=True, capture_output=True, timeout=120)
+            run_child(threads, ["train", "--task", "temporal_order", "--T", "100",
+                                "--h", "100", "--hidden", "100", "--epochs", "1",
+                                "--iters", "3", "--batch", "10", "--train-size", "60",
+                                "--valid-size", "20", "--test-size", "20", "--seed", "1",
+                                "--reg", reg, "--run-name", "run",
+                                "--out", str(tmp_path / threads)])
         for name in ("run_seed1/metrics.csv", "run_seed1/model.json", "run_summary.json"):
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / "2" / name).read_bytes(), name
 
+    @pytest.mark.skipif(not OPENBLAS_BUILD, reason="numpy is not built against OpenBLAS")
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--task", "adding", "--T", "20", "--h", "10"],
+        ["scan", "--task", "temporal_order", "--T", "10"],
+    ], ids=["h_below_T", "h_equals_T"])
+    def test_scan_files_do_not_depend_on_the_thread_count(self, tmp_path, argv):
+        # the full-trace forward and the backward over 100 probes at 100
+        # hidden units round differently at one and two OpenBLAS 0.3.31
+        # threads, unless the count is held
+        for threads in ("1", "2"):
+            run_child(threads, argv + ["--hidden", "100", "--probes", "100",
+                                       "--sigmas", "0.01,0.02", "--seed", "3",
+                                       "--out", str(tmp_path / threads)])
+        for name in ("depth_profile_sigma0.01.csv", "depth_profile_sigma0.02.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "2" / name).read_bytes(), name
+
+    @pytest.mark.skipif(not OPENBLAS_BUILD, reason="numpy is not built against OpenBLAS")
+    def test_eval_summary_does_not_depend_on_the_thread_count(self, tmp_path, capsys):
+        # the 512-row chunk is scored in row blocks, the 150-row one as one
+        # block: at 100 hidden units its two blocks would round differently
+        assert run_cli(["gen", "--task", "temporal_order", "--T", "20", "--seed", "1",
+                        "--train-size", "10", "--valid-size", "10", "--test-size", "662",
+                        "--out", str(tmp_path)], capsys)[0] == 0
+        params = model.init_gaussian(6, 100, 4, 0.05, seed=2,
+                                     output_activation=model.OutputActivation.SOFTMAX)
+        model.save_model(tmp_path / "model.json", params)
+        for threads in ("1", "2"):
+            run_child(threads, ["eval", "--model", str(tmp_path / "model.json"),
+                                "--data", str(tmp_path / "temporal_order_T20_test.dat"),
+                                "--out", str(tmp_path / f"eval{threads}.json")])
+        assert (tmp_path / "eval1.json").read_bytes() == (tmp_path / "eval2.json").read_bytes()
+
     @pytest.mark.skipif(model._blas_thread_setter() is None,
                         reason="no openblas_set_num_threads_local in this process")
-    @pytest.mark.parametrize("alpha, code", [("0.01", 0), ("1e155", cli.EXIT_NUMERICAL)],
-                             ids=["finishes", "fails"])
+    @pytest.mark.parametrize("argv, code, module, name", [
+        (HELD_TRAIN + ["--alpha", "0.01"] + FAIL_SMALL, 0, trainer, "start_run"),
+        (HELD_TRAIN + ["--alpha", "1e155"] + FAIL_SMALL, cli.EXIT_NUMERICAL, trainer,
+         "start_run"),
+        (["scan", "--task", "adding", "--T", "15", "--hidden", "6", "--probes", "5"], 0,
+         diagnostics, "depth_scan"),
+    ], ids=["finishes", "fails", "scan"])
     def test_count_is_held_at_one_and_restored(self, tmp_path, capsys, monkeypatch,
-                                               alpha, code):
-        # at 1e155, alpha * grad overflows in the update of draw 2
-        setter, start_run, held = model._blas_thread_setter(), trainer.start_run, []
+                                               argv, code, module, name):
+        # at 1e155, alpha * grad overflows in the update of train's draw 2
+        setter, spied, held = model._blas_thread_setter(), getattr(module, name), []
 
         def spy(*args):
             held.append(setter(1))
-            return start_run(*args)
+            return spied(*args)
 
-        monkeypatch.setattr(trainer, "start_run", spy)
+        monkeypatch.setattr(module, name, spy)
         previous = setter(2)
         try:
-            assert run_cli(["train", "--task", "adding", "--T", "15", "--hidden", "6",
-                            "--epochs", "1", "--iters", "3", "--batch", "5",
-                            "--alpha", alpha, "--reg", "off", "--seeds", "0",
-                            "--run-name", "held", "--out", str(tmp_path)] + FAIL_SMALL,
-                           capsys)[0] == code
+            assert run_cli(argv + ["--out", str(tmp_path)], capsys)[0] == code
             assert held == [1]
             assert setter(2) == 2
         finally:
@@ -684,6 +729,17 @@ class TestUsageAndConfig:
                                capsys)
         assert code == cli.EXIT_INPUT
         assert f"{field}: expected" in err
+        assert not out.exists()
+
+    def test_unknown_key_in_config_file_is_input_error(self, tmp_path, capsys):
+        # max_consecutive_rejects was once a field; the guard's limit is fixed now
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"max_consecutive_rejects": 200}))
+        out = tmp_path / "out"
+        code, _, err = run_cli(["gen", "--config", str(cfg_path), "--out", str(out)],
+                               capsys)
+        assert code == cli.EXIT_INPUT
+        assert "unknown keys ['max_consecutive_rejects']" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, field", [(["train", "--seeds", "1,x"], "seeds"),

@@ -158,6 +158,8 @@ def test_blas_threads_default_to_one_per_core(tmp_path, monkeypatch, capsys, fla
     src = str(ROOT / "src")
     assert tool.main([src, src, "--tiny", "--work", str(tmp_path / "work"), *flags]) == 0
     assert counts == [count]
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.endswith(f"commands at {count} BLAS thread(s)")
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "two"])

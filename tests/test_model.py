@@ -68,7 +68,7 @@ class TestForward:
                             np.zeros(3), OutputActivation.LINEAR)
         tr = model.forward_batch(p, np.zeros((1, 4, 2)))
         npt.assert_array_equal(tr.a, np.zeros((1, 4, 3)))
-        npt.assert_array_equal(tr.z, np.zeros((1, 4, 3)))
+        npt.assert_array_equal(tr.states[1:], np.zeros((4, 1, 3)))
         npt.assert_array_equal(tr.y, np.zeros((1, 2)))
 
     def test_zero_network_softmax_uniform(self):
@@ -100,7 +100,7 @@ class TestForward:
 
         tr = model.forward_batch(p, seq[None])
         npt.assert_allclose(tr.a[0], a_ref, rtol=1e-15)
-        npt.assert_allclose(tr.z[0], z_ref, rtol=1e-15)
+        npt.assert_allclose(tr.states[1:, 0], z_ref, rtol=1e-15)
         npt.assert_allclose(tr.y[0], [y_ref], rtol=1e-14)
 
     def test_deterministic(self):
@@ -116,10 +116,10 @@ class TestForward:
         p = tiny_params(5)
         tr = model.forward_batch(p, np.random.default_rng(6).standard_normal((1, 5, 2)))
         fprime = bptt.backward(p, tr, np.ones((1, 2)), bptt.BpttConfig(h=4)).fprime
-        z = tr.z[0, ::-1]  # z(5)..z(1), depths 0..4
+        z = tr.states[:0:-1, 0]  # z(5)..z(1), depths 0..4
         npt.assert_array_equal(fprime[0], 1.0 - z * z)
         assert np.all(fprime > 0) and np.all(fprime <= 1)
-        assert np.all(np.abs(tr.z) < 1)
+        assert np.all(np.abs(tr.states[1:]) < 1)
 
     def test_softmax_normalized(self):
         p = tiny_params(7, n_out=5, activation=OutputActivation.SOFTMAX, scale=2.0)
@@ -158,8 +158,9 @@ class TestForwardOracle:
     def _assert_bit_equal(self, params, inputs):
         trace = model.forward_batch(params, inputs)
         ref = forward_reference(params, inputs)
-        for name in ("a", "z", "y"):
-            assert getattr(trace, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert trace.a.tobytes() == ref.a.tobytes()
+        assert trace.states[1:].transpose(1, 0, 2).tobytes() == ref.z.tobytes()
+        assert trace.y.tobytes() == ref.y.tobytes()
 
     def test_temporal_order_chunk(self):
         params = model.init_gaussian(6, 100, 4, 0.01, seed=1,
@@ -179,7 +180,7 @@ class TestForwardOracle:
         assert set(vars(trace)) == {"inputs", "y", "output_activation", "steps", "states"}
 
     def test_states_are_kept_from_the_loop(self, monkeypatch):
-        # z is a view of the buffer the step loop's tanh wrote, after the
+        # the states are the buffer the step loop's tanh wrote, after the
         # zero start, so a forward and backward run tanh once per step and
         # never again
         rng = np.random.default_rng(9)
@@ -195,10 +196,9 @@ class TestForwardOracle:
         _, deltas, _ = model.loss_batch(trace, rng.standard_normal((4, 2)), LossKind.MSE)
         bptt.backward(params, trace, deltas, bptt.BpttConfig(h=6))
         assert calls == [(4, 5)] * 6
-        assert np.shares_memory(trace.z, trace.states)
         assert trace.states.shape == (7, 4, 5) and trace.states.flags.c_contiguous
         assert trace.states[0].tobytes() == np.zeros((4, 5)).tobytes()
-        assert trace.z.tobytes() == tanh(trace.a).tobytes()
+        assert trace.states[1:].tobytes() == tanh(trace.steps).tobytes()
 
 
 SCORING_CASES = {
@@ -221,7 +221,7 @@ class TestScoringTrace:
     """forward_batch(..., keep_trace=False) keeps one state block, not the
     per-step activations, and gives the same readout and the same errors."""
 
-    @pytest.mark.parametrize("name", ["a", "z", "n_steps"])
+    @pytest.mark.parametrize("name", ["a", "n_steps"])
     def test_per_step_values_are_not_kept(self, name):
         trace = model.forward_batch(tiny_params(14), generate_task("adding", 10, 2, 71),
                                     keep_trace=False)
@@ -519,24 +519,29 @@ class TestScoringTrace:
 
     @pytest.mark.skipif(model._blas_thread_setter() is None,
                         reason="no openblas_set_num_threads_local in this process")
-    def test_hold_yields_and_restores_the_replaced_count(self):
+    def test_hold_restores_the_replaced_count(self):
         setter = model._blas_thread_setter()
         previous = setter(2)
         try:
             with pytest.raises(ValueError):
-                with model._blas_threads(1) as outer:
-                    with model._blas_threads(3) as inner:
-                        assert (outer, inner) == (2, 1)
+                with model._blas_threads(1):
+                    with model._blas_threads(3):
+                        assert setter(3) == 3
                     assert setter(1) == 1
                     raise ValueError
             assert setter(2) == 2
         finally:
             setter(previous)
 
-    def test_hold_without_the_setter_yields_one(self, monkeypatch):
+    def test_hold_without_the_setter_holds_nothing(self, monkeypatch):
+        setter = model._blas_thread_setter() or (lambda count: 2)
+        previous = setter(2)
         monkeypatch.setattr(model, "_blas_thread_setter", lambda: None)
-        with model._blas_threads(4) as count:
-            assert count == 1
+        try:
+            with model._blas_threads(1):
+                assert setter(2) == 2
+        finally:
+            setter(previous)
 
     @pytest.mark.skipif(model._blas_thread_setter() is None,
                         reason="no openblas_set_num_threads_local in this process")

@@ -445,7 +445,7 @@ class TestConfigValidation:
         for kw in (dict(alpha=0.0), dict(mu=1.0), dict(mu=-0.1),
                    dict(batch=0), dict(iters=0),
                    dict(epochs=-1), dict(hidden=0),
-                   dict(max_consecutive_rejects=0), dict(sigma=0.0),
+                   dict(sigma=0.0),
                    dict(qmin=2.0, qmax=1.0), dict(r0=0.0)):
             with pytest.raises(ConfigError):
                 small_config(**kw)

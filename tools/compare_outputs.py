@@ -9,36 +9,40 @@ command runs as ``python -m srngate.cli`` with that directory on PYTHONPATH,
 from its own working directory, so that the paths written into outputs are the
 same on both sides, with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS set to K, by default the number of usable cores, as
-``perfbench/run.py`` sets them.  The script covers ``gen`` for four tasks
-and once more at an odd T (the full-size train split then crosses a seam
-between generation blocks).  The adding and temporal-order splits are written over the files of
-an earlier ``gen`` of the same task, with longer splits for adding and
-shorter ones for temporal order, so those compared files are rewrites.  Then
-come a gated and an ungated ``train --data`` (the ungated one with
-``--record-dynamics``, then an ``eval --out`` of its model on the adding test
-split, which scores a regression file), an ungated ``train --data`` on the
-multiplication splits, a gated ``train --data`` on the 3-special temporal
-order splits and an ``eval --out`` of its model, so that all four tasks go
-through the loader, a ``--batch 1`` run, a gated adding run without momentum
-under an absolute ``r0``, a three-sigma temporal-order ``scan`` at h = T and a
-two-sigma adding ``scan`` at h < T, ``eval --out``, an ``eval --out`` that
-names an existing directory, an ``eval`` of a hand-written model whose finite
-weights overflow an activation, a run whose learning rate makes it fail,
-started twice, a ``--record-dynamics`` run whose initial network already
-fails validation, and a run whose train split has fewer minibatches than
-``--iters``.  ``--tiny`` shrinks every size so the whole script takes
-seconds.
+``perfbench/run.py`` sets them.  Every srngate command holds OpenBLAS at one
+thread, so no output depends on K; K sets the number of row blocks that
+scoring and the gate's walk split their rows into, so K = 1 runs both sides
+on the one-block path and K >= 2 on the block path.
+
+The script covers ``gen`` for four tasks and once more at an odd T (the
+full-size train split then crosses a seam between generation blocks).  The
+adding and temporal-order splits are written over the files of an earlier
+``gen`` of the same task, with longer splits for adding and shorter ones for
+temporal order, so those compared files are rewrites.  Then come a gated and
+an ungated ``train --data`` (the ungated one with ``--record-dynamics``, then
+an ``eval --out`` of its model on the adding test split, which scores a
+regression file), an ungated ``train --data`` on the multiplication splits, a
+gated ``train --data`` on the 3-special temporal order splits and an
+``eval --out`` of its model, so that all four tasks go through the loader, a
+``--batch 1`` run, a gated adding run without momentum under an absolute
+``r0``, a three-sigma temporal-order ``scan`` at h = T and a two-sigma adding
+``scan`` at h < T, ``eval --out``, an ``eval --out`` that names an existing
+directory, an ``eval`` of a hand-written model whose finite weights overflow
+an activation, a run whose learning rate makes it fail, started twice, a
+``--record-dynamics`` run whose initial network already fails validation, and
+a run whose train split has fewer minibatches than ``--iters``.  ``--tiny``
+shrinks every size so the whole script takes seconds.
 
 Every file whose sha256 differs, or that exists on one side only, is listed,
 as is every empty directory found on one side only (a leftover of a failed
-command) and every command whose exit code differs; the last line gives each
-command's exit code on the change side, so a command that fails the same way
-on both sides is still seen.  Under a differing CSV or JSON file, indented
-lines say by how much it differs: the largest relative difference
-|p - c| / max(|p|, |c|) of each float column (each float-valued key of a
-JSON object, such as a model's weight arrays), and whether the other columns
-or keys are equal, with the first rows where they are not.  The exit code is
-1 if anything is listed, 0 otherwise.
+command) and every command whose exit code differs.  The summary line ends
+with K, and the last line gives each command's exit code on the change side,
+so a command that fails the same way on both sides is still seen.  Under a
+differing CSV or JSON file, indented lines say by how much it differs: the
+largest relative difference |p - c| / max(|p|, |c|) of each float column
+(each float-valued key of a JSON object, such as a model's weight arrays),
+and whether the other columns or keys are equal, with the first rows where
+they are not.  The exit code is 1 if anything is listed, 0 otherwise.
 """
 
 import argparse
@@ -347,7 +351,7 @@ def main(argv=None) -> int:
         print(line)
     n_differences = sum(not line.startswith(" ") for line in lines)
     print(f"{n_differences} difference(s) over {n_files} parent file(s) "
-          f"and {len(script(size))} commands")
+          f"and {len(script(size))} commands at {args.blas_threads} BLAS thread(s)")
     print("exit codes: " + " ".join(f"{name}={code}" for name, code in codes.items()))
     return 1 if lines else 0
 
