@@ -60,7 +60,7 @@ def main():
     dw = rng.standard_normal((n_hid, n_hid))
     dw /= np.linalg.norm(dw)
     report = reg.report_from_backward(params, trace, back, dw,
-                                      reg.RegConfig(h=T, r0=1e300, r0_absolute=True))
+                                      reg.RegConfig(h=T, r0=1e300))
     dS = report.dS
     eps = 1e-6
     fd = (half_sq(params.w_rec + eps * dw, trace, top, T)

@@ -76,8 +76,6 @@ def build_parser() -> _Parser:
     train.add_argument("--qmin", type=float)
     train.add_argument("--qmax", type=float)
     train.add_argument("--r0", type=float)
-    train.add_argument("--r0-absolute", action="store_true", default=None,
-                       dest="r0_absolute")
     train.add_argument("--seeds", help="comma-separated seed list")
     _add_data_flags(train)
     train.add_argument("--data", help="directory of dataset files from 'gen'")

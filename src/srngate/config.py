@@ -42,8 +42,7 @@ class RunConfig:
     reg: str = "on"                # minibatch gate on/off
     qmin: float = -1.0             # safe range lower edge
     qmax: float = 1.0              # safe range upper edge
-    r0: float = 0.5                # |dS| threshold (relative to S by default)
-    r0_absolute: bool = False      # interpret r0 as an absolute threshold
+    r0: float = 0.5                # |dS| threshold, relative to S
     seeds: tuple = (0,)            # one run per seed
     out: str = "runs"              # output directory
     train_size: int = 20000        # dataset split sizes
@@ -112,8 +111,7 @@ class RunConfig:
         return TaskSpec(TASK_NAMES[self.task], self.T, self.tolerance)
 
     def reg_config(self) -> RegConfig:
-        return RegConfig(h=self.h, q_min=self.qmin, q_max=self.qmax,
-                         r0=self.r0, r0_absolute=self.r0_absolute)
+        return RegConfig(h=self.h, q_min=self.qmin, q_max=self.qmax, r0=self.r0)
 
 
 def load_config_file(path) -> dict:

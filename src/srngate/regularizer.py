@@ -23,15 +23,20 @@ The Q-factor log10(||delta(k)|| / ||delta(k-h)||), from batch-mean norms,
 measures how much the norm changed across the horizon; together they gate
 which minibatches are used for training:
 
-  1. reject when |dS| exceeds the threshold r0 (too large a jump in S);
+  1. reject when |dS| > r0 * S (too large a jump in S);
   2. accept when Q lies inside the safe range [q_min, q_max];
-  3. outside the range, accept only when (Q < q_min and dS > 0) or
-     (Q > q_max and dS < 0);
-  4. otherwise reject.
+  3. outside the range, at a finite Q, accept only when (Q < q_min and
+     dS > 0) or (Q > q_max and dS < 0);
+  4. at Q = +inf or -inf (a deep or top norm that vanished), accept only
+     when dS > 0;
+  5. otherwise reject.
 
-The threshold is taken literally as |dS| > r0 only in absolute mode; by
-default r0 scales with the current S (|dS| > r0 * S), which keeps the rule
-meaningful across the many orders of magnitude the deep norm spans.
+The bound scales with S because S spans many orders of magnitude during
+training; one relative r0 keeps the rule meaningful across them.  Rules 3
+and 4 disagree on a vanished deep norm: a finite Q > q_max accepts only
+updates that shrink it further, Q = +inf only updates that grow it (the
+FOUND line on ``regularizer.gate`` in CHANGES.md).  ROADMAP item 2 will
+flip the finite-Q direction, so that one rule covers both.
 """
 
 from dataclasses import dataclass
@@ -56,15 +61,14 @@ class RegConfig:
     h: int                    # horizon for the deep delta
     q_min: float = -1.0       # safe range for the Q-factor
     q_max: float = 1.0
-    r0: float = 0.5           # |dS| threshold; relative to S unless absolute
-    r0_absolute: bool = False
+    r0: float = 0.5           # reject when |dS| > r0 * S
 
     def __post_init__(self):
         if self.h < 1:
             raise ConfigError(f"horizon must be at least 1, got {self.h}")
         if not self.q_min < self.q_max:
             raise ConfigError(f"qmin/qmax: empty safe range [{self.q_min}, {self.q_max}]")
-        if self.r0 <= 0:
+        if not self.r0 > 0:  # also rejects nan, which would pass every draw
             raise ConfigError(f"r0 must be positive, got {self.r0}")
 
 
@@ -149,9 +153,8 @@ def q_factor(norm_top: float, norm_deep: float) -> float:
 
 def gate(dS: float, q: float, cfg: RegConfig, S: float) -> Decision:
     """Accept or reject one minibatch from its (dS, Q) evidence; S scales
-    the threshold unless r0 is absolute."""
-    r0_eff = cfg.r0 if cfg.r0_absolute else cfg.r0 * S
-    if abs(dS) > r0_eff:
+    the threshold."""
+    if abs(dS) > cfg.r0 * S:
         return Decision.REJECT_LARGE_DS
     if not np.isfinite(q):
         # a fully collapsed norm on either end: only norm-growing updates help

@@ -322,7 +322,7 @@ def theorem1_trial(seed, dw_scale=1e-5):
     dw = rng.standard_normal((n_hid, n_hid))
     dw *= dw_scale / np.linalg.norm(dw)
 
-    cfg = reg.RegConfig(h=h, r0=1e18, r0_absolute=True)
+    cfg = reg.RegConfig(h=h, r0=1e300)
     report = evaluate_minibatch(params, inputs, targets, cfg, dw)
 
     trace = model.forward_batch(params, inputs)

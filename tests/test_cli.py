@@ -699,8 +699,13 @@ class TestUsageAndConfig:
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli([], capsys)[0] == cli.EXIT_USAGE
 
-    def test_unknown_flag_is_usage_error(self, capsys):
-        assert run_cli(["gen", "--frobnicate"], capsys)[0] == cli.EXIT_USAGE
+    # the train flag was once the switch of an absolute r0
+    @pytest.mark.parametrize("argv", [["gen", "--frobnicate"], ["train", "--r0-absolute"]],
+                             ids=["gen", "train_r0_absolute"])
+    def test_unknown_flag_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {argv[1]}" in err
 
     def test_bad_flag_value_names_field(self, tmp_path, capsys):
         code, _, err = run_cli(["train", "--task", "adding", "--T", "15",
@@ -731,15 +736,19 @@ class TestUsageAndConfig:
         assert f"{field}: expected" in err
         assert not out.exists()
 
-    def test_unknown_key_in_config_file_is_input_error(self, tmp_path, capsys):
-        # max_consecutive_rejects was once a field; the guard's limit is fixed now
+    # both keys were once fields: the guard's limit is fixed now, and r0 is
+    # always relative to S
+    @pytest.mark.parametrize("key, value", [("max_consecutive_rejects", 200),
+                                            ("r0_absolute", True)],
+                             ids=["max_consecutive_rejects", "r0_absolute"])
+    def test_unknown_key_in_config_file_is_input_error(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps({"max_consecutive_rejects": 200}))
+        cfg_path.write_text(json.dumps({key: value}))
         out = tmp_path / "out"
         code, _, err = run_cli(["gen", "--config", str(cfg_path), "--out", str(out)],
                                capsys)
         assert code == cli.EXIT_INPUT
-        assert "unknown keys ['max_consecutive_rejects']" in err
+        assert f"unknown keys [{key!r}]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, field", [(["train", "--seeds", "1,x"], "seeds"),

@@ -55,9 +55,9 @@ def test_same_tree_writes_identical_outputs(tmp_path):
             "runs/start_seed3/metrics.csv", "runs/start_seed3/dynamics.csv"} <= written
     assert "runs/start_seed3/model.json" not in written
     assert not (work / "change" / "runs" / "small_seed1").exists()
-    # the absolute threshold of the zero-momentum run both rejects and passes draws
-    absolute = (work / "change" / "runs" / "absolute_seed1" / "metrics.csv").read_text()
-    assert ",reject_large_ds," in absolute and ",accept," in absolute
+    # the tight r0 of the zero-momentum run both rejects and passes draws
+    tight = (work / "change" / "runs" / "tight_r0_seed1" / "metrics.csv").read_text()
+    assert ",reject_large_ds," in tight and ",accept," in tight
     start = work / "change" / "runs" / "start_seed3"
     failure = json.loads((start / "failure.json").read_text())
     assert (failure["epoch"], failure["iteration"]) == (0, 0)

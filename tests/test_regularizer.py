@@ -218,11 +218,6 @@ class TestQFactor:
             assert not math.isnan(reg.q_factor(a, b))
 
 
-# the S passed in absolute mode: read as a relative scale it would reject
-# every nonzero dS, so a gate that ignored r0_absolute would fail these tests
-ABSOLUTE_S = 1e-300
-
-
 def expected_gate(ds, q, r0, q_min=-1.0, q_max=1.0):
     """Independent enumeration of the accept/reject branches."""
     if abs(ds) > r0:
@@ -237,7 +232,7 @@ def expected_gate(ds, q, r0, q_min=-1.0, q_max=1.0):
 class TestGate:
     def test_truth_table_exhaustive(self):
         r0 = 0.25
-        cfg = RegConfig(h=1, q_min=-1.0, q_max=1.0, r0=r0, r0_absolute=True)
+        cfg = RegConfig(h=1, q_min=-1.0, q_max=1.0, r0=r0)
         eps = 1e-9
         qs = []
         for base in (-2.0, -1.0, 0.0, 1.0, 2.0):
@@ -245,24 +240,24 @@ class TestGate:
         ds_values = [-2 * r0, -r0, -r0 / 2, 0.0, r0 / 2, r0, 2 * r0]
         for q in qs:
             for ds in ds_values:
-                assert reg.gate(ds, q, cfg, ABSOLUTE_S) == expected_gate(ds, q, r0), \
+                assert reg.gate(ds, q, cfg, S=1.0) == expected_gate(ds, q, r0), \
                     f"q={q} ds={ds}"
 
     def test_inside_safe_range_accepts(self):
-        cfg = RegConfig(h=1, r0=1.0, r0_absolute=True)
-        assert reg.gate(0.5, 0.5, cfg, ABSOLUTE_S) == Decision.ACCEPT
+        cfg = RegConfig(h=1, r0=1.0)
+        assert reg.gate(0.5, 0.5, cfg, S=1.0) == Decision.ACCEPT
 
     def test_vanishing_side_branches(self):
-        cfg = RegConfig(h=1, r0=1.0, r0_absolute=True)
-        assert reg.gate(0.5, -2.0, cfg, ABSOLUTE_S) == Decision.ACCEPT
-        assert reg.gate(-0.5, -2.0, cfg, ABSOLUTE_S) == Decision.REJECT_Q_DIRECTION
-        assert reg.gate(-0.5, 2.0, cfg, ABSOLUTE_S) == Decision.ACCEPT
-        assert reg.gate(0.5, 2.0, cfg, ABSOLUTE_S) == Decision.REJECT_Q_DIRECTION
+        cfg = RegConfig(h=1, r0=1.0)
+        assert reg.gate(0.5, -2.0, cfg, S=1.0) == Decision.ACCEPT
+        assert reg.gate(-0.5, -2.0, cfg, S=1.0) == Decision.REJECT_Q_DIRECTION
+        assert reg.gate(-0.5, 2.0, cfg, S=1.0) == Decision.ACCEPT
+        assert reg.gate(0.5, 2.0, cfg, S=1.0) == Decision.REJECT_Q_DIRECTION
 
     def test_large_ds_rejected_first(self):
-        cfg = RegConfig(h=1, r0=1.0, r0_absolute=True)
-        assert reg.gate(2.0, 0.0, cfg, ABSOLUTE_S) == Decision.REJECT_LARGE_DS
-        assert reg.gate(-2.0, 0.0, cfg, ABSOLUTE_S) == Decision.REJECT_LARGE_DS
+        cfg = RegConfig(h=1, r0=1.0)
+        assert reg.gate(2.0, 0.0, cfg, S=1.0) == Decision.REJECT_LARGE_DS
+        assert reg.gate(-2.0, 0.0, cfg, S=1.0) == Decision.REJECT_LARGE_DS
 
     def test_relative_threshold_scales_with_s(self):
         cfg = RegConfig(h=1, r0=0.5)
@@ -272,11 +267,17 @@ class TestGate:
         assert reg.gate(0.4e-6, 0.0, cfg, S=1e-6) == Decision.ACCEPT
 
     def test_infinite_q_uses_growth_rule(self):
-        cfg = RegConfig(h=1, r0=1.0, r0_absolute=True)
-        assert reg.gate(0.5, math.inf, cfg, ABSOLUTE_S) == Decision.ACCEPT
-        assert reg.gate(-0.5, math.inf, cfg, ABSOLUTE_S) == Decision.REJECT_Q_DIRECTION
-        assert reg.gate(0.5, -math.inf, cfg, ABSOLUTE_S) == Decision.ACCEPT
-        assert reg.gate(-0.5, -math.inf, cfg, ABSOLUTE_S) == Decision.REJECT_Q_DIRECTION
+        cfg = RegConfig(h=1, r0=1.0)
+        assert reg.gate(0.5, math.inf, cfg, S=1.0) == Decision.ACCEPT
+        assert reg.gate(-0.5, math.inf, cfg, S=1.0) == Decision.REJECT_Q_DIRECTION
+        assert reg.gate(0.5, -math.inf, cfg, S=1.0) == Decision.ACCEPT
+        assert reg.gate(-0.5, -math.inf, cfg, S=1.0) == Decision.REJECT_Q_DIRECTION
+
+    def test_nan_r0_is_refused(self):
+        # nan * S compares false with every |dS|, so a nan r0 would switch
+        # off the large-|dS| reject
+        with pytest.raises(ConfigError, match="r0 must be positive"):
+            RegConfig(h=1, r0=math.nan)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

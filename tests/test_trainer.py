@@ -114,8 +114,8 @@ class TestTrainIteration:
             assert res.report is None
 
     def test_rejected_iteration_leaves_state_bit_identical(self):
-        # a vanishing absolute threshold turns any nonzero dS into a reject
-        cfg, batch, state = self._setup(r0=1e-300, r0_absolute=True, mu=0.0)
+        # a vanishing threshold turns any nonzero dS into a reject
+        cfg, batch, state = self._setup(r0=1e-300, mu=0.0)
         w_before = {n: getattr(state.params, n).tobytes()
                     for n in trainer.PARAM_BLOCKS}
         v_before = {n: getattr(state.velocity, n).tobytes()
@@ -133,7 +133,7 @@ class TestTrainIteration:
         assert res.applied and res.forced
 
     def test_each_draw_logs_one_row(self):
-        cfg, batch, state = self._setup(r0=1e-300, r0_absolute=True)
+        cfg, batch, state = self._setup(r0=1e-300)
         trainer.train_iteration(state, batch, cfg)
         trainer.train_iteration(state, batch, cfg, force_accept=True)
         assert [row["iter"] for row in state.rows] == [1, 2]
@@ -171,7 +171,7 @@ class TestTrainIteration:
         # the draw then applies; a nonzero velocity makes mu*v count.  A vast
         # threshold and range accept the draw, a vanishing threshold rejects
         # it, so it is applied by the gate or by force
-        cfg, batch, state = self._setup(r0=1e-300 if force else 1e300, r0_absolute=True,
+        cfg, batch, state = self._setup(r0=1e-300 if force else 1e300,
                                         qmin=-1e300, qmax=1e300)
         state.velocity.w_rec += 1e-3
         seen = []

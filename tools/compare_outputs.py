@@ -24,11 +24,12 @@ an ``eval --out`` of its model on the adding test split, which scores a
 regression file), an ungated ``train --data`` on the multiplication splits, a
 gated ``train --data`` on the 3-special temporal order splits and an
 ``eval --out`` of its model, so that all four tasks go through the loader, a
-``--batch 1`` run, a gated adding run without momentum under an absolute
-``r0``, a three-sigma temporal-order ``scan`` at h = T and a two-sigma adding
-``scan`` at h < T, ``eval --out``, an ``eval --out`` that names an existing
-directory, an ``eval`` of a hand-written model whose finite weights overflow
-an activation, a run whose learning rate makes it fail, started twice, a
+``--batch 1`` run, a gated adding run without momentum under an ``r0``
+that rejects some of its draws as too large a jump in S, a three-sigma
+temporal-order ``scan`` at h = T and a two-sigma adding ``scan`` at h < T,
+``eval --out``, an ``eval --out`` that names an existing directory, an
+``eval`` of a hand-written model whose finite weights overflow an
+activation, a run whose learning rate makes it fail, started twice, a
 ``--record-dynamics`` run whose initial network already fails validation, and
 a run whose train split has fewer minibatches than ``--iters``.  ``--tiny``
 shrinks every size so the whole script takes seconds.
@@ -57,14 +58,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-# r0_abs sits inside the spread of |dS| on the adding task at each size, so the
-# absolute threshold rejects some draws and passes others
+# r0_tight sits inside the spread of |dS|/S of the zero-momentum adding run at
+# each size (3e-4 to 0.40 over its 75 draws at full size, 6.3e-6 to 2.1e-5
+# over 8 with --tiny), so its gate rejects some draws as too large a jump and
+# passes others
 FULL = {"T_add": 200, "h_add": 100, "T_order": 100, "h_order": 100, "T_odd": 37,
         "hidden": 100, "sizes": (2000, 200, 1000), "epochs": 2, "iters": 20,
-        "probes": 100, "r0_abs": "1e-4"}
+        "probes": 100, "r0_tight": "0.2"}
 TINY = {"T_add": 20, "h_add": 10, "T_order": 20, "h_order": 20, "T_odd": 11,
         "hidden": 8, "sizes": (60, 20, 30), "epochs": 2, "iters": 3, "probes": 10,
-        "r0_abs": "1.3e-34"}
+        "r0_tight": "1.9e-5"}
 
 
 # written into each work dir before the script runs: a temporal-order model
@@ -124,9 +127,9 @@ def script(size: dict) -> list:
                          "--out", "eval_order3.json"]),
         ("train_batch1", [*train, *order, "--reg", "on", "--batch", "1", "--data", "data",
                           "--run-name", "batch1"]),
-        ("train_absolute", [*train, *add, "--reg", "on", "--mu", "0", "--r0-absolute",
-                            "--r0", size["r0_abs"], "--data", "data",
-                            "--run-name", "absolute"]),
+        ("train_tight_r0", [*train, *add, "--reg", "on", "--mu", "0",
+                            "--r0", size["r0_tight"], "--data", "data",
+                            "--run-name", "tight_r0"]),
         ("scan", ["scan", *order, "--hidden", str(size["hidden"]),
                   "--sigmas", "0.005,0.01,0.02", "--probes", str(size["probes"]),
                   "--seed", "3", "--out", "scan"]),
